@@ -6,7 +6,9 @@ Run from anywhere; the program is the checkout's ``src/comcat``.  Set-up
 time is the median over fresh processes that start the interpreter,
 import comcat and generate the inputs.  The workload then runs in one more
 fresh process, with tracing off (end-to-end metrics) or on (per-layer
-metrics).  Every metric is printed by name with its unit; the last line is
+metrics).  Every time it reports is normalized to the host's quiet speed
+with the reference workload of ``reference.py``, timed in the same
+process.  Every metric is printed by name with its unit; the last line is
 one JSON object.  Exit status 1 when a check's verdict is wrong, 2 when the
 program cannot be found or the run cannot finish.
 
@@ -26,6 +28,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import reference
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -93,37 +97,46 @@ def quantile(values, q: float) -> float:
 
 
 def end_to_end(sample: dict, setup_times: list[float]) -> tuple[dict, list[str]]:
-    """Metrics from the worker's raw samples, plus human-readable notes."""
+    """Metrics from the worker's raw samples, plus human-readable notes.
+    ``setup_times`` are already normalized.  Each family counts at its
+    median normalized check time, ``weight`` times, as in one round of the
+    mix; the percentiles are taken over that round."""
+    speed = reference.speed(sample["references"])
     fams = sample["families"]
-    durations = [d for f in fams.values() for d in f["durations"]]
-    # throughput of the fixed mix, from each family's median check time
-    mix_s = sum(f["weight"] * statistics.median(f["durations"]) for f in fams.values())
-    p50, p90 = quantile(durations, 0.5), quantile(durations, 0.9)
+    median = {name: statistics.median(f["durations"]) * speed for name, f in fams.items()}
+    mix = [median[name] for name, f in fams.items() for _ in range(f["weight"])]
+    p50, p90 = quantile(mix, 0.5), quantile(mix, 0.9)
+    durations = [d * speed for f in fams.values() for d in f["durations"]]
     beyond = sum(1 for d in durations if d > p90)
     if beyond < 10:
         raise RuntimeError(f"only {beyond} samples beyond p90; the run is too short")
     metrics = {
         "setup_s": statistics.median(setup_times),
-        "checks_per_s": sum(f["weight"] for f in fams.values()) / mix_s,
+        "checks_per_s": len(mix) / sum(mix),
         "check_s.p50": p50,
         "check_s.p90": p90,
         "peak_rss_mb": sample["rss_kib"] / 1024,
     }
     notes = [
-        f"samples: {len(durations)} checks, {beyond} beyond p90; setup probes: {len(setup_times)}",
+        f"samples: {len(durations)} checks in {sample['rounds']:.2f} rounds of {len(mix)}, {beyond} beyond p90; "
+        f"setup probes: {len(setup_times)}",
+        f"host speed: {speed:.4f} x quiet ({len(sample['references'])} reference timings); as measured: "
+        f"p50 {p50 / speed:.6g} s, p90 {p90 / speed:.6g} s",
         f"failed_ratio = {sample['failed'] / sample['attempted']:.6f} fraction",
     ]
     return metrics, notes
 
 
 def probe(base, env, deadline: float) -> float:
-    """Seconds from spawning a set-up-only worker to the end of its set-up.
-    The worker prints the wall clock when done; timing the wait instead
-    would round to subprocess's polling steps."""
+    """Seconds from spawning a set-up-only worker to the end of its set-up,
+    normalized by the reference timings the worker makes after it.  The
+    worker prints the wall clock when done; timing the wait instead would
+    round to subprocess's polling steps."""
     t0 = time.time()
     out = subprocess.run([*base, "--setup-only"], env=env, check=True, stdout=subprocess.PIPE, text=True,
                          timeout=deadline - time.monotonic())
-    return float(out.stdout.split()[-1]) - t0
+    done, *timings = map(float, out.stdout.split())
+    return (done - t0) * reference.speed(zip(timings[::2], timings[1::2]))
 
 
 def main(argv=None) -> int:

@@ -6,10 +6,12 @@
 Set-up is interpreter start, ``import comcat`` and input generation.  The
 measurement is a closed loop with one caller: each check starts when the
 previous one returned, and the round's interleaved schedule repeats until
-``--seconds`` have passed, one full round has run and there are enough
-samples for a 90th percentile with ten samples beyond it.  The last line
-of standard output is one JSON object with the raw samples; ``run.py``
-turns it into metrics.
+``--seconds`` have passed and one full round has run.  Between checks,
+about once for every ``REFERENCE_PERIOD_S`` of the run (``Gauge``), the
+worker times the reference workload of ``reference.py``, outside every
+check's timer.  The last line of standard output is one JSON object with
+the raw samples and the reference timings; ``run.py`` turns them into
+metrics.
 """
 
 from __future__ import annotations
@@ -22,8 +24,12 @@ import tempfile
 import time
 from pathlib import Path
 
+import reference
+
 ROOT = Path(__file__).resolve().parent.parent
-MIN_SAMPLES = 110  # p90 then has at least ten samples beyond it
+REFERENCE_PERIOD_S = 1.0
+MAX_REFERENCES_PER_GAP = 4  # made up after a long check, so heavy workloads get as many timings
+SETUP_REFERENCES = 5  # reference timings after a set-up probe
 
 
 def schedule(families) -> list[int]:
@@ -55,6 +61,7 @@ def run_check(check):
 def warm_up(families) -> None:
     """Run each light family's first instance once, uncounted.  The timed
     loop repeats it, so its CLI reports are also compared by hash."""
+    reference.time_reference()
     for fam in families:
         if fam.warm:
             run_check(fam.next())
@@ -77,21 +84,50 @@ class Tally:
             print(f"check failed: {self.errors[-1]}", file=sys.stderr)
 
 
+class Gauge:
+    """Times the reference workload between checks, about once for every
+    REFERENCE_PERIOD_S of the run, and keeps count of the seconds that
+    took.  After a check longer than the period it makes up the timings it
+    missed, up to MAX_REFERENCES_PER_GAP."""
+
+    def __init__(self):
+        self.timings: list[tuple[float, float]] = []
+        self.spent = 0.0
+        self.last = -float("inf")
+
+    def tick(self) -> None:
+        now = time.perf_counter()
+        owed = int(min(MAX_REFERENCES_PER_GAP, (now - self.last) // REFERENCE_PERIOD_S))
+        if owed:
+            self.timings += [reference.time_reference() for _ in range(owed)]
+            self.last = time.perf_counter()
+            self.spent += self.last - now
+
+    def normalize(self, seconds: float) -> float:
+        """Quiet-host seconds worth of ``seconds`` of wall time that
+        include this gauge's own timings."""
+        return (seconds - self.spent) * reference.speed(self.timings)
+
+
 def measure(families, seconds: float) -> dict:
     tally = Tally(families)
     warm_up(families)
     order = schedule(families)
+    gauge = Gauge()
     t0 = time.perf_counter()
     pos = 0
     while True:
+        gauge.tick()
         tally.run(order[pos % len(order)])
         pos += 1
-        if pos >= len(order) and pos >= MIN_SAMPLES and time.perf_counter() - t0 >= seconds:
+        if pos >= len(order) and time.perf_counter() - t0 >= seconds:
             break
     return {
         "attempted": tally.attempted,
         "failed": len(tally.errors),
         "errors": tally.errors[:20],
+        "rounds": pos / len(order),
+        "references": gauge.timings,
         "families": {
             fam.name: {"weight": fam.weight, "durations": tally.durations[i]} for i, fam in enumerate(families)
         },
@@ -100,27 +136,34 @@ def measure(families, seconds: float) -> dict:
 
 
 def measure_traced(families, seconds: float) -> dict:
-    """One untraced round as the reference, then traced rounds until the
-    time is up; per-layer metrics are per traced round."""
+    """One untraced round as the baseline, then traced rounds until the
+    time is up; per-layer metrics are per traced round.  The overhead
+    compares the first traced round with the untraced one, each
+    normalized with the reference timings made during it."""
     import tracer as tr
 
     tally = Tally(families)
     warm_up(families)
     order = schedule(families)
+    untraced_gauge, traced_gauge = Gauge(), Gauge()
     t0 = time.perf_counter()
     for i in order:
+        untraced_gauge.tick()
         tally.run(i)
-    untraced = time.perf_counter() - t0
+    untraced = untraced_gauge.normalize(time.perf_counter() - t0)
     tracer = tr.Tracer()
     rounds, first = 0, None
     with tracer:
         while rounds == 0 or time.perf_counter() - t0 < seconds:
             start = time.perf_counter()
             for i in order:
+                if rounds == 0:
+                    traced_gauge.tick()  # the reference runs no comcat code, so it makes no spans
                 with tracer.span(tr.CHECK):
                     tally.run(i)
+            if rounds == 0:
+                first = traced_gauge.normalize(time.perf_counter() - start)
             rounds += 1
-            first = first or time.perf_counter() - start
     metrics = tr.per_layer_metrics(tracer, rounds)
     metrics["trace.overhead_ratio"] = first / untraced
     return {
@@ -158,7 +201,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(dir=scratch) as workdir:
         families = build(args.seed, Path(workdir))
         if args.setup_only:
-            print(time.time())
+            done = time.time()
+            reference.time_reference()  # warm-up
+            print(done, *(t for _ in range(SETUP_REFERENCES) for t in reference.time_reference()))
             return 0
         if args.trace:
             result = measure_traced(families, args.seconds)
