@@ -19,11 +19,9 @@ from .linalg import (
     dot,
     fmt,
     frac_vector,
-    is_exact,
     matvec,
     scale_matrix,
     transpose,
-    vector,
 )
 from .lp import in_cone
 
@@ -122,17 +120,6 @@ def normalized_state_vertices(com: Com) -> tuple:
     return tuple(out)
 
 
-def is_state(com: Com, alpha, normalized: bool = False) -> bool:
-    if not com.state_cone.member(alpha):
-        return False
-    if normalized:
-        value = dot(com.unit, alpha)
-        if com.is_exact():
-            return value == 1
-        return abs(value - 1) <= numeric_tolerance()
-    return True
-
-
 def is_effect(com: Com, a) -> bool:
     """Effect test: both a and u - a lie in the effect cone."""
     u_minus = tuple(x - y for x, y in zip(com.unit, a))
@@ -143,8 +130,7 @@ def is_effect(com: Com, a) -> bool:
             and hermitian.min_eigenvalue(u_minus, com.state_cone.hilbert_dims) >= -tol
         )
     E = com.effect_cone
-    test = E.member if E.has_facets() else E.member_by_lp
-    return test(a) and test(u_minus)
+    return E.member(a) and E.member(u_minus)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +235,7 @@ def is_process(phi, A: Com, B: Com) -> bool:
     residual = tuple(x - y for x, y in zip(A.unit, w))
     if A.kind == PSD:
         return hermitian.min_eigenvalue(residual, A.state_cone.hilbert_dims) >= -numeric_tolerance()
-    E = A.effect_cone
-    test = E.member if E.has_facets() else E.member_by_lp
-    return test(residual)
+    return A.effect_cone.member(residual)
 
 
 def normalize_morphism(phi, A: Com, B: Com):

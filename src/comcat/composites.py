@@ -59,10 +59,6 @@ def product_state(alpha, beta) -> tuple:
     return tensor_vector(alpha, beta)
 
 
-def product_effect(a, b) -> tuple:
-    return tensor_vector(a, b)
-
-
 def _product_rays(gens_a, gens_b):
     return canonical_rays(tensor_vector(g, h) for g in gens_a for h in gens_b)
 
@@ -186,19 +182,13 @@ def is_composite(AB: Com, A: Com, B: Com, seed: int = 0) -> list[str]:
         violations.append("unit is not the product of the factor units")
 
     if exact:
-        state_test = (
-            AB.state_cone.member if AB.state_cone.has_facets() else AB.state_cone.member_by_lp
-        )
-        effect_test = (
-            AB.effect_cone.member if AB.effect_cone.has_facets() else AB.effect_cone.member_by_lp
-        )
         for g in A.state_cone.generators:
             for h in B.state_cone.generators:
-                if not state_test(tensor_vector(g, h)):
+                if not AB.state_cone.member(tensor_vector(g, h)):
                     violations.append(f"product state of {g} and {h} missing from the state cone")
         for a in A.effect_cone.generators:
             for b in B.effect_cone.generators:
-                if not effect_test(tensor_vector(a, b)):
+                if not AB.effect_cone.member(tensor_vector(a, b)):
                     violations.append(f"product effect of {a} and {b} missing from the effect cone")
         state_gens = AB.state_cone.generators
         for w in state_gens:

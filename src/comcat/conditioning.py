@@ -48,10 +48,6 @@ def form_matrix(v, A: Com, B: Com):
     return vec_to_matrix(v, A.dim, B.dim)
 
 
-def evaluate_form(v, a, b, A: Com, B: Com):
-    return dot(matvec(form_matrix(v, A, B), b), a)
-
-
 def conditioning_map(omega, A: Com, B: Com, check: bool = True):
     """Matrix of hat(omega): effects of A to subnormalized states of B.
 

@@ -2,9 +2,11 @@
 
 A polyhedral cone keeps two interchangeable descriptions: extreme
 generators and facet inequalities.  Either may be supplied at
-construction; the other is derived on demand by brute-force enumeration
-over (n-1)-subsets, which is exact and entirely adequate at desk scale
-(tens of rays, dimension <= 16).  A PSD cone is the Hermitian
+construction; the other is derived on demand by the double-description
+method in exact integer arithmetic: start from the simplicial cone of n
+independent rows and insert the remaining rows one at a time.  Both
+directions are the same computation, since the generators of a cone are
+the facet normals of its dual.  A PSD cone is the Hermitian
 positive-semidefinite cone in its fixed real coordinatization; it is
 self-dual and its membership test is spectral.
 """
@@ -12,7 +14,6 @@ self-dual and its membership test is spectral.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import hermitian
@@ -206,25 +207,74 @@ def _drop_redundant(rays):
 
 
 def _enumerate_facets(rays, n) -> tuple:
-    """All facet normals of cone(rays): brute force over (n-1)-subsets.
+    """All facet normals of cone(rays), which must span R^n: the extreme
+    rays of {h : h.r >= 0 for every r}, by integer double description.
 
-    Each subset goes through one fraction-free integer elimination that
-    yields the rank and, when the kernel is one-dimensional, its normal."""
+    The cone on n independent rows is simplicial; each further row cuts
+    it, keeping the rays on its nonnegative side and adding the primitive
+    combination of every adjacent pair it separates.  Tight sets are bit
+    masks over the rows inserted so far; two rays are adjacent when they
+    share at least n-2 tight rows and no third ray is tight on all of
+    them (Fukuda & Prodon 1996, Proposition 7)."""
     if n == 1:
         h = primitive(rays[0])
         return (frac_vector(h),)
     prim = [primitive(r) for r in rays]
-    found = set()
-    for subset in combinations(range(len(prim)), n - 1):
-        h = _kernel_if_corank_one([list(prim[i]) for i in subset], n)
-        if h is None:
+    basis = _independent_rows(prim, n) if len(prim) > n else list(range(len(prim)))
+    basis_mask = sum(1 << i for i in basis)
+    current = []  # (ray, tight-set mask)
+    for i in basis:
+        h = _kernel_if_corank_one([list(prim[j]) for j in basis if j != i], n)
+        if dot(h, prim[i]) < 0:
+            h = tuple(-x for x in h)
+        current.append((h, basis_mask & ~(1 << i)))
+    chosen = set(basis)
+    for j, row in enumerate(prim):
+        if j in chosen:
             continue
-        signs = [dot(h, r) for r in prim]
-        if all(s >= 0 for s in signs):
-            found.add(h)
-        elif all(s <= 0 for s in signs):
-            found.add(tuple(-x for x in h))
-    return tuple(frac_vector(h) for h in sorted(found))
+        bit = 1 << j
+        plus, minus, kept = [], [], []
+        for ray, tight in current:
+            s = dot(row, ray)
+            if s > 0:
+                plus.append((ray, tight, s))
+                kept.append((ray, tight))
+            elif s < 0:
+                minus.append((ray, tight, s))
+            else:
+                kept.append((ray, tight | bit))
+        for p, zp, sp in plus:
+            for q, zq, sq in minus:
+                common = zp & zq
+                if common.bit_count() < n - 2 or any(
+                    (z & common) == common and r is not p and r is not q for r, z in current
+                ):
+                    continue
+                new = primitive([sp * b - sq * a for a, b in zip(p, q)])
+                kept.append((new, common | bit))
+        current = kept
+    return tuple(frac_vector(h) for h in sorted(ray for ray, _ in current))
+
+
+def _independent_rows(rows, n) -> list[int]:
+    """Indices of the first n linearly independent integer rows, chosen
+    greedily in input order by fraction-free reduction to echelon form."""
+    echelon = []  # (pivot column, reduced row)
+    chosen = []
+    for i, row in enumerate(rows):
+        v = list(row)
+        for c, e in echelon:
+            if v[c]:
+                f, ec = v[c], e[c]
+                v = [ec * a - f * b for a, b in zip(v, e)]
+        pivot = next((c for c, x in enumerate(v) if x), None)
+        if pivot is None:
+            continue
+        echelon.append((pivot, primitive(v)))
+        chosen.append(i)
+        if len(chosen) == n:
+            break
+    return chosen
 
 
 def _kernel_if_corank_one(rows: list[list[int]], n: int):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch, SingularMatrix
@@ -67,7 +68,7 @@ def shape(M) -> tuple[int, int]:
 def dot(x, y):
     if len(x) != len(y):
         raise DimensionMismatch(f"dot: {len(x)} vs {len(y)}")
-    return sum(a * b for a, b in zip(x, y))
+    return sum(map(mul, x, y))
 
 
 def matvec(M, x) -> Vector:
@@ -90,16 +91,8 @@ def identity(n: int, one=1) -> Matrix:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def zero_vector(n: int, zero=0) -> Vector:
-    return tuple(zero for _ in range(n))
-
-
 def scale_vector(c, x) -> Vector:
     return tuple(c * a for a in x)
-
-
-def add_vectors(x, y) -> Vector:
-    return tuple(a + b for a, b in zip(x, y))
 
 
 def sub_vectors(x, y) -> Vector:
@@ -292,14 +285,15 @@ def inverse(M) -> Matrix:
 
 def primitive(v) -> Vector:
     """Scale an exact vector to coprime integers; sign is preserved."""
-    fr = [frac(x) for x in v]
-    denom = 1
-    for x in fr:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    if all(type(x) is int for x in v):
+        ints = v
+    else:
+        fr = [frac(x) for x in v]
+        denom = 1
+        for x in fr:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        ints = [int(x * denom) for x in fr]
+    g = gcd(*ints)
     if g == 0:
         return tuple(0 for _ in ints)
     return tuple(x // g for x in ints)

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from .com import Com
 from .composites import CompositeCom, in_max_cone
-from .cones import PSD, POLYHEDRAL
+from .cones import POLYHEDRAL
 from .config import numeric_tolerance
 from .errors import InvalidStructure, UnsupportedKind
 from .linalg import (
@@ -320,7 +320,7 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
 
     # shared state: in the composite cone (or spectral cone), normalized
     if composite_ba is not None and composite_ba.kind == POLYHEDRAL:
-        if not composite_ba.state_cone.member_by_lp(omega):
+        if not composite_ba.state_cone.member(omega):
             violations.append("shared state is outside the designated composite cone")
         u_ba = composite_ba.unit
     elif composite_ba is not None:
@@ -370,11 +370,10 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
         residuals["f_consistency"] = max_abs(tuple(x - y for x, y in zip(f, cert.f)))
     if composite_ab is not None and composite_ab.kind == POLYHEDRAL:
         E = composite_ab.effect_cone
-        test = E.member if E.has_facets() else E.member_by_lp
         u = composite_ab.unit
-        if not test(f):
+        if not E.member(f):
             violations.append("scaled form is not in the composite effect cone")
-        if not test(tuple(x - y for x, y in zip(u, f))):
+        if not E.member(tuple(x - y for x, y in zip(u, f))):
             violations.append("unit minus scaled form is not in the composite effect cone")
     else:
         from . import hermitian

@@ -86,11 +86,8 @@ def verify_isomorphism_state(gamma, A: Com) -> list[str]:
             if not A.state_cone.member(matvec(ghat, e)):
                 violations.append(f"image of effect generator {e} leaves the state cone")
         inv = inverse(ghat)
-        eff_member = (
-            A.effect_cone.member if A.effect_cone.has_facets() else A.effect_cone.member_by_lp
-        )
         for g in A.state_cone.generators:
-            if not eff_member(matvec(inv, g)):
+            if not A.effect_cone.member(matvec(inv, g)):
                 violations.append(
                     f"inverse image of state generator {g} leaves the effect cone"
                 )

@@ -54,10 +54,6 @@ def matrix_to_json(M):
     return [vector_to_json(row) for row in M]
 
 
-def matrix_from_json(M):
-    return tuple(vector_from_json(row) for row in M)
-
-
 def cone_to_json(C: Cone) -> dict:
     if C.kind == PSD:
         dims = C.hilbert_dims
@@ -144,12 +140,6 @@ def structure_to_json(D, verdicts: dict | None = None) -> dict:
     return out
 
 
-def structure_from_json(data: dict, com: Com):
-    from .selfdual import build_structure
-
-    return build_structure(com, matrix_from_json(data["gamma_hat"]))
-
-
 def certificate_to_json(cert) -> dict:
     return {
         "omega": vector_to_json(cert.omega),
@@ -158,10 +148,6 @@ def certificate_to_json(cert) -> dict:
         "f": vector_to_json(cert.f),
         "residual": num_to_json(cert.residual),
     }
-
-
-def state_to_json(vec) -> dict:
-    return {"vector": vector_to_json(vec)}
 
 
 def state_from_json(data) -> tuple:
