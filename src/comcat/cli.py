@@ -78,7 +78,7 @@ def _finish(args, command, inputs, verdicts, residuals=None, certificates=None, 
 def _cmd_validate(args) -> int:
     t0 = time.time()
     com, desc = _resolve_model(args.model)
-    violations = validate_com(com, sample_seed=args.seed)
+    violations = validate_com(com)
     return _finish(
         args,
         "validate",

@@ -50,7 +50,7 @@ class Com:
         return f"Com({self.label!r}, dim={self.dim}, kind={self.kind})"
 
 
-def validate_com(com: Com, sample_seed: int = 0) -> list[str]:
+def validate_com(com: Com) -> list[str]:
     """All invariant violations of the triple (empty list = valid).
 
     Checks are exhaustive rather than fail-fast: unit in the effect cone,
@@ -194,13 +194,8 @@ def is_morphism(phi, A: Com, B: Com, seed: int = 0) -> MorphismReport:
 
     adj = linear_adjoint(phi)
     if B.kind == POLYHEDRAL:
-        eff_test = (
-            A.effect_cone.member
-            if A.effect_cone.has_facets()
-            else A.effect_cone.member_by_lp
-        )
         for e in B.effect_cone.generators:
-            if not eff_test(matvec(adj, e)):
+            if not A.effect_cone.member(matvec(adj, e)):
                 violations.append(f"adjoint image of effect generator {fmt(e)} leaves the source effect cone")
     elif B.kind == PSD:
         sampled = True

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .com import Com
 from .composites import in_max_cone
-from .config import numeric_tolerance
+from .config import tolerance_for
 from .errors import (
     DimensionMismatch,
     NotNonsignalingState,
@@ -83,8 +83,7 @@ def conditional_state(omega, b, A: Com, B: Com):
     W = form_matrix(omega, A, B)
     _, omega_b = marginals(omega, A, B)
     prob = dot(omega_b, b)
-    threshold = 0 if is_exact(omega) and is_exact(b) else numeric_tolerance()
-    if prob <= threshold:
+    if prob <= tolerance_for(omega, b):
         raise ZeroProbabilityCondition(f"conditioning probability {prob} is not positive")
     unnormalized = matvec(W, b)
     if is_exact(unnormalized) and is_exact(prob):
@@ -125,27 +124,15 @@ def _tripartite_right(omega, beta, f, A: Com, B: Com, C: Com):
     return tuple(out)
 
 
-def _assert_same(lhs, rhs, what: str):
-    if is_exact(lhs) and is_exact(rhs):
-        if tuple(lhs) != tuple(rhs):
-            raise RemoteEvalMismatch(f"{what}: exact sides differ: {lhs} vs {rhs}")
-    else:
-        err = max_abs(sub_vectors(lhs, rhs))
-        if err > numeric_tolerance():
-            raise RemoteEvalMismatch(f"{what}: sides differ by {err}")
-
-
 def remote_evaluate(f, omega, alpha, A: Com, B: Com, C: Com):
     """Process an A-state through a bipartite effect on (A,B) and a shared
     state on (B,C): returns the unnormalized conditional state of C.
 
     Computes hat(omega)(hat(f)(alpha)) and, independently, the one-shot
     contraction (f x id_C)(alpha x omega); raises if they disagree."""
-    f_hat = co_conditioning_map(f, A, B)
-    omega_hat = conditioning_map(omega, B, C, check=False)
-    rhs = matvec(omega_hat, matvec(f_hat, alpha))
-    lhs = _tripartite_left(f, omega, alpha, A, B, C)
-    _assert_same(lhs, rhs, "remote evaluation")
+    rhs, residual = remote_evaluation_residual(f, omega, alpha, A, B, C)
+    if residual > tolerance_for(f, omega, alpha):
+        raise RemoteEvalMismatch(f"remote evaluation: sides differ by {residual}")
     return rhs
 
 
@@ -166,5 +153,7 @@ def remote_evaluate_dual(f, omega, beta, A: Com, B: Com, C: Com):
     omega_hat_star = conditioning_adjoint(omega, A, C)
     rhs = matvec(omega_hat_star, matvec(f_hat_star, beta))
     lhs = _tripartite_right(omega, beta, f, A, B, C)
-    _assert_same(lhs, rhs, "dual remote evaluation")
+    residual = max_abs(sub_vectors(lhs, rhs))
+    if residual > tolerance_for(f, omega, beta):
+        raise RemoteEvalMismatch(f"dual remote evaluation: sides differ by {residual}")
     return rhs

@@ -13,13 +13,13 @@ self-dual and its membership test is spectral.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from . import hermitian
 from .config import numeric_tolerance
 from .errors import DimensionMismatch, KindMismatch, NotGenerating, NotPointed
 from .linalg import (
+    _eliminate,
     canonical_rays,
     dot,
     frac_vector,
@@ -220,11 +220,11 @@ def _enumerate_facets(rays, n) -> tuple:
         h = primitive(rays[0])
         return (frac_vector(h),)
     prim = [primitive(r) for r in rays]
-    basis = _independent_rows(prim, n) if len(prim) > n else list(range(len(prim)))
+    basis, _ = _eliminate(list(zip(*prim)))  # the first n independent rows
     basis_mask = sum(1 << i for i in basis)
     current = []  # (ray, tight-set mask)
     for i in basis:
-        h = _kernel_if_corank_one([list(prim[j]) for j in basis if j != i], n)
+        h = _kernel_if_corank_one([prim[j] for j in basis if j != i], n)
         if dot(h, prim[i]) < 0:
             h = tuple(-x for x in h)
         current.append((h, basis_mask & ~(1 << i)))
@@ -256,66 +256,20 @@ def _enumerate_facets(rays, n) -> tuple:
     return tuple(frac_vector(h) for h in sorted(ray for ray, _ in current))
 
 
-def _independent_rows(rows, n) -> list[int]:
-    """Indices of the first n linearly independent integer rows, chosen
-    greedily in input order by fraction-free reduction to echelon form."""
-    echelon = []  # (pivot column, reduced row)
-    chosen = []
-    for i, row in enumerate(rows):
-        v = list(row)
-        for c, e in echelon:
-            if v[c]:
-                f, ec = v[c], e[c]
-                v = [ec * a - f * b for a, b in zip(v, e)]
-        pivot = next((c for c, x in enumerate(v) if x), None)
-        if pivot is None:
-            continue
-        echelon.append((pivot, primitive(v)))
-        chosen.append(i)
-        if len(chosen) == n:
-            break
-    return chosen
-
-
 def _kernel_if_corank_one(rows: list[list[int]], n: int):
     """Primitive integer kernel vector of an (n-1) x n integer matrix of
-    rank n-1, or None when the rank is lower (Bareiss elimination)."""
-    m = len(rows)
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        piv = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        rc = rows[r][c]
-        for i in range(r + 1, m):
-            ric = rows[i][c]
-            row_i, row_r = rows[i], rows[r]
-            for j in range(c + 1, n):
-                row_i[j] = (rc * row_i[j] - ric * row_r[j]) // prev
-            row_i[c] = 0
-        prev = rc
-        pivots.append(c)
-        r += 1
-    if r != n - 1:
+    rank n-1, or None when the rank is lower.  The reduced elimination
+    leaves rows / d in RREF, so the kernel is d on the free column and
+    -row_i[free] on the pivot column of row i."""
+    pivots, d = _eliminate(rows, reduce=True)
+    if len(pivots) != n - 1:
         return None
     free = next(c for c in range(n) if c not in pivots)
-    h = [Fraction(0)] * n
-    h[free] = Fraction(1)
-    for i in range(len(pivots) - 1, -1, -1):
-        c = pivots[i]
-        s = sum(rows[i][j] * h[j] for j in range(c + 1, n) if h[j])
-        h[c] = -s / rows[i][c]
-    return primitive(h)
+    h = [0] * n
+    h[free] = d
+    for row, c in zip(rows, pivots):
+        h[c] = -row[free]
+    return primitive(h if d > 0 else [-x for x in h])
 
 
 def dual_cone(C: Cone) -> Cone:

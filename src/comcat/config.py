@@ -1,12 +1,15 @@
 """Numeric tolerance used by all floating-point (spectral) checks.
 
 Exact polyhedral paths never consult this; only PSD-cone membership,
-eigenvalue checks and float residual comparisons do.
+eigenvalue checks and float residual comparisons do.  ``tolerance_for``
+is the one place that picks between exact equality and the tolerance.
 """
 
 from __future__ import annotations
 
 import os
+
+from .linalg import is_exact
 
 DEFAULT_TOLERANCE = 1e-9
 DEFAULT_SEED = 20260808
@@ -23,6 +26,12 @@ def numeric_tolerance() -> float:
     if raw is not None and raw != "":
         return float(raw)
     return DEFAULT_TOLERANCE
+
+
+def tolerance_for(*objs) -> float:
+    """0 when every object (scalar, vector or matrix) is exact, so that
+    exact data must agree exactly; the numeric tolerance otherwise."""
+    return 0 if all(is_exact(o) for o in objs) else numeric_tolerance()
 
 
 def set_tolerance(value: float | None) -> None:

@@ -2,9 +2,11 @@
 
 Exact polyhedral data is Fraction-valued end to end; spectral data is
 float-valued.  The generic routines below work for both because they only
-use +, -, *, / and comparisons.  Routines that require exactness
-(elimination, rank, nullspace, characteristic polynomial) coerce to
-Fraction first.
+use +, -, *, / and comparisons.  The exact eliminations (rref, rank,
+solve, nullspace, inverse) scale each row to primitive integers and run
+on integers through one fraction-free Bareiss kernel, ``_eliminate``;
+only their results are Fractions.  The characteristic polynomial is
+computed over Fractions.
 
 Vectors are tuples, matrices are tuples of row tuples.  Integer entries
 are acceptable everywhere and promote as expected.
@@ -13,7 +15,7 @@ are acceptable everywhere and promote as expected.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -167,76 +169,46 @@ def fmt(obj) -> str:
 # Exact elimination
 
 
-def rref(M: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Fractions; returns (rows, pivot columns)."""
-    rows = [list(map(frac, r)) for r in M]
-    if not rows:
-        return [], []
-    m, n = len(rows), len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        pivot = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                if pivot is None or (abs(rows[i][c]) == 1 and abs(rows[pivot][c]) != 1):
-                    pivot = i
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+def _eliminate(rows: list, reduce: bool = False) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of a list of integer rows, in
+    place: the list is reordered and changed rows are replaced by new lists.
 
-
-def rank(M) -> int:
-    if not M or not M[0]:
-        return 0
-    ints = [_row_to_int(r) for r in M]
-    return _rank_int(ints)
-
-
-def _row_to_int(row) -> list[int]:
-    fr = [frac(x) for x in row]
-    denom = 1
-    for x in fr:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    return [int(x * denom) for x in fr]
-
-
-def _rank_int(rows: list[list[int]]) -> int:
-    """Bareiss fraction-free elimination; exact integer rank."""
-    rows = [r[:] for r in rows]
+    Pivot rows are swapped to the top; every division is exact.  Returns
+    the pivot columns and d, the last pivot (1 when there is none).  With
+    reduce=True the entries above each pivot are cleared too, every pivot
+    ends equal to d, and rows / d is the reduced row echelon form."""
     m = len(rows)
-    n = len(rows[0]) if rows else 0
-    prev = 1
-    r = 0
+    n = len(rows[0]) if m else 0
+    pivots: list[int] = []
+    d = 1
     for c in range(n):
-        if r >= m:
+        r = len(pivots)
+        if r == m:
             break
-        piv = None
-        for i in range(r, m):
-            if rows[i][c] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, m):
-            for j in range(c + 1, n):
-                rows[i][j] = (rows[r][c] * rows[i][j] - rows[i][c] * rows[r][j]) // prev
-            rows[i][c] = 0
-        prev = rows[r][c]
-        r += 1
-    return r
+        row_r = rows[r]
+        p = row_r[c]
+        for i in range(0 if reduce else r + 1, m):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(p * a - f * b) // d for a, b in zip(rows[i], row_r)]
+        pivots.append(c)
+        d = p
+    return pivots, d
+
+
+def rref(M: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form; returns (rows of Fractions, pivot columns)."""
+    rows = [primitive(r) for r in M]
+    pivots, d = _eliminate(rows, reduce=True)
+    return [[Fraction(x, d) for x in row] for row in rows], pivots
+
+
+def rank(M) -> int:
+    return len(_eliminate([primitive(r) for r in M])[0])
 
 
 def solve(A, b) -> Optional[Vector]:
@@ -285,18 +257,14 @@ def inverse(M) -> Matrix:
 
 def primitive(v) -> Vector:
     """Scale an exact vector to coprime integers; sign is preserved."""
-    if all(type(x) is int for x in v):
-        ints = v
-    else:
-        fr = [frac(x) for x in v]
-        denom = 1
-        for x in fr:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in fr]
-    g = gcd(*ints)
+    if not all(type(x) is int for x in v):
+        v = [x if isinstance(x, (int, Fraction)) else frac(x) for x in v]
+        den = lcm(*(x.denominator for x in v))
+        v = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*v)
     if g == 0:
-        return tuple(0 for _ in ints)
-    return tuple(x // g for x in ints)
+        return tuple(0 for _ in v)
+    return tuple(x // g for x in v)
 
 
 def canonical_rays(vs) -> tuple[Vector, ...]:

@@ -17,7 +17,7 @@ from typing import Iterator, Optional, Sequence
 from .cones import Cone
 from .errors import UnsupportedKind
 from .linalg import canonical_rays, dot, inverse, matvec, rank
-from .lp import eq, solve_lp
+from .lp import eq, ge, solve_lp
 
 MAX_RAYS = 8
 
@@ -64,7 +64,7 @@ def order_isomorphisms(
     for perm in permutations(range(k)):
         if any(perm[i] not in compatible[i] for i in range(k)):
             continue
-        M = _solve_matching(src, tgt, perm, n, symmetric, extra_rows)
+        M = _solve_matching(src, [tgt[j] for j in perm], n, n, symmetric, extra_rows)
         if M is None:
             continue
         if not _verify_order_iso(M, source, target):
@@ -75,46 +75,44 @@ def order_isomorphisms(
             return
 
 
-def _solve_matching(src, tgt, perm, n, symmetric, extra_rows):
-    """LP for M (n*n entries, free) and scalings lam_i >= 1 with
-    M src_i = lam_i tgt_{perm(i)}; minimizes sum(lam) for a canonical pick."""
-    k = len(src)
-    nvars = n * n + k
+def _solve_matching(sources, targets, rows, cols, symmetric=False, extra_rows=None):
+    """LP for a rows x cols matrix M (free entries) and scalings lam_i >= 1
+    with M sources_i = lam_i targets_i; minimizes sum(lam) for a canonical
+    pick.  symmetric adds M = M^T (square M); extra_rows adds the exact
+    conditions of order_isomorphisms.  None when the LP is infeasible."""
+    k = len(sources)
+    nvars = rows * cols + k
     cons = []
-    for i in range(k):
-        t = tgt[perm[i]]
-        for row in range(n):
+    for i, (s, t) in enumerate(zip(sources, targets)):
+        for row in range(rows):
             coeffs = [Fraction(0)] * nvars
-            for col in range(n):
-                coeffs[row * n + col] = Fraction(src[i][col])
-            coeffs[n * n + i] = -Fraction(t[row])
+            for col in range(cols):
+                coeffs[row * cols + col] = Fraction(s[col])
+            coeffs[rows * cols + i] = -Fraction(t[row])
             cons.append(eq(tuple(coeffs), 0))
     for i in range(k):
         coeffs = [Fraction(0)] * nvars
-        coeffs[n * n + i] = Fraction(1)
-        from .lp import ge
-
+        coeffs[rows * cols + i] = Fraction(1)
         cons.append(ge(tuple(coeffs), 1))
     if symmetric:
-        for a in range(n):
-            for b in range(a + 1, n):
+        for a in range(rows):
+            for b in range(a + 1, rows):
                 coeffs = [Fraction(0)] * nvars
-                coeffs[a * n + b] = Fraction(1)
-                coeffs[b * n + a] = Fraction(-1)
+                coeffs[a * cols + b] = Fraction(1)
+                coeffs[b * cols + a] = Fraction(-1)
                 cons.append(eq(tuple(coeffs), 0))
-    if extra_rows:
-        for rows_matrix, value in extra_rows:
-            coeffs = [Fraction(0)] * nvars
-            for a in range(n):
-                for b in range(n):
-                    coeffs[a * n + b] = Fraction(rows_matrix[a][b])
-            cons.append(eq(tuple(coeffs), value))
-    objective = [Fraction(0)] * (n * n) + [Fraction(1)] * k
+    for coeff_matrix, value in extra_rows or ():
+        coeffs = [Fraction(0)] * nvars
+        for a in range(rows):
+            for b in range(cols):
+                coeffs[a * cols + b] = Fraction(coeff_matrix[a][b])
+        cons.append(eq(tuple(coeffs), value))
+    objective = [Fraction(0)] * (rows * cols) + [Fraction(1)] * k
     res = solve_lp(nvars, cons, objective=objective)
     if res.status != "optimal":
         return None
     flat = res.x
-    return tuple(tuple(flat[row * n + col] for col in range(n)) for row in range(n))
+    return tuple(tuple(flat[row * cols + col] for col in range(cols)) for row in range(rows))
 
 
 def _verify_order_iso(M, source: Cone, target: Cone) -> bool:

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 from .com import Com
 from .composites import CompositeCom, in_max_cone
 from .cones import POLYHEDRAL
-from .config import numeric_tolerance
+from .config import numeric_tolerance, tolerance_for
 from .errors import InvalidStructure, UnsupportedKind
 from .linalg import (
     canonical_rays,
@@ -49,7 +49,7 @@ from .linalg import (
     vec_to_matrix,
 )
 from .lp import eq, ge, solve_lp
-from .matching import MAX_RAYS
+from .matching import MAX_RAYS, _solve_matching
 
 
 @dataclass
@@ -70,10 +70,6 @@ class VerificationReport:
     ok: bool
     violations: list[str] = field(default_factory=list)
     residuals: dict = field(default_factory=dict)
-
-
-def _tol(*objs) -> object:
-    return 0 if all(is_exact(o) for o in objs) else numeric_tolerance()
 
 
 def _r_form_vector(r_hat, n_a, n_b) -> tuple:
@@ -162,39 +158,12 @@ def _candidate_omegas_stage2(A: Com, B: Com, composite_ba: CompositeCom):
     gens_ba = composite_ba.state_cone.generators
     k = len(gens_ba)
     for image in permutations(range(len(b_rays)), len(a_rays)):
-        r_hat = _map_from_matching(a_rays, [b_rays[j] for j in image], n_a, n_b)
-        if r_hat is None:
+        r_hat = _solve_matching(a_rays, [b_rays[j] for j in image], n_b, n_a)
+        if r_hat is None or all(x == 0 for row in r_hat for x in row):
             continue
         omega = _solve_omega(r_hat, A, B, gens_ba)
         if omega is not None:
             yield omega, r_hat
-
-
-def _map_from_matching(a_rays, b_targets, n_a, n_b) -> Optional[tuple]:
-    """Exact solve of r_hat a_i = lam_i b_i, lam_i >= 1 (LP, canonical)."""
-    k = len(a_rays)
-    nvars = n_b * n_a + k
-    cons = []
-    for i in range(k):
-        for row_idx in range(n_b):
-            row = [Fraction(0)] * nvars
-            for col in range(n_a):
-                row[row_idx * n_a + col] = Fraction(a_rays[i][col])
-            row[n_b * n_a + i] = -Fraction(b_targets[i][row_idx])
-            cons.append(eq(tuple(row), 0))
-    for i in range(k):
-        row = [Fraction(0)] * nvars
-        row[n_b * n_a + i] = Fraction(1)
-        cons.append(ge(tuple(row), 1))
-    objective = [Fraction(0)] * (n_b * n_a) + [Fraction(1)] * k
-    res = solve_lp(nvars, cons, objective=objective)
-    if res.status != "optimal":
-        return None
-    flat = res.x
-    r_hat = tuple(tuple(flat[t * n_a + s] for s in range(n_a)) for t in range(n_b))
-    if all(x == 0 for row in r_hat for x in row):
-        return None
-    return r_hat
 
 
 def _solve_omega(r_hat, A: Com, B: Com, gens_ba) -> Optional[tuple]:
@@ -264,7 +233,7 @@ def find_teleportation(
                     return None
         r_scaled = tuple(tuple(x / scale for x in row) for row in r_hat)
         residual = max_abs(sub_matrices(matmul(omega_hat, r_scaled), identity(n_a, Fraction(1))))
-        if residual > _tol(omega_hat, r_scaled):
+        if residual > tolerance_for(omega_hat, r_scaled):
             return None
         r_form = _r_form_vector(r_scaled, n_a, n_b)
         c = _effect_interval_max_scale(r_form, composite_ab)
@@ -337,10 +306,8 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
 
     # positivity of r_hat on state generators
     if exact:
-        eff = B.effect_cone
-        eff_test = eff.member if eff.has_facets() else eff.member_by_lp
         for g in A.state_cone.generators:
-            if not eff_test(matvec(r_hat, g)):
+            if not B.effect_cone.member(matvec(r_hat, g)):
                 violations.append(f"r_hat image of state generator {g} leaves the effect cone")
                 break
     else:
@@ -439,7 +406,7 @@ def verify_compact_structure(A: Com, A_dual: Com, eta, epsilon) -> VerificationR
     snake2 = matmul(N, E)
     res1 = max_abs(sub_matrices(snake1, identity(n, one)))
     res2 = max_abs(sub_matrices(snake2, identity(m, one)))
-    tol = _tol(eta, epsilon)
+    tol = tolerance_for(eta, epsilon)
     ok = res1 <= tol and res2 <= tol
     report = VerificationReport(ok, [] if ok else ["zig-zag identities fail"], {
         "snake_state_side": res1,
@@ -482,7 +449,7 @@ def factor_morphism(phi, structure: CompactStructure) -> dict:
         "co_unit": structure.epsilon,
         "recovered": recovered,
         "residual": residual,
-        "ok": residual <= _tol(structure.eta, structure.epsilon, phi),
+        "ok": residual <= tolerance_for(structure.eta, structure.epsilon, phi),
     }
 
 

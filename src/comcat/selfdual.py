@@ -20,7 +20,7 @@ import numpy as np
 
 from .com import Com, is_saturated
 from .cones import PSD, POLYHEDRAL
-from .config import numeric_tolerance
+from .config import numeric_tolerance, tolerance_for
 from .errors import InvalidStructure, SingularMatrix, UnsupportedKind
 from .linalg import (
     identity,
@@ -57,15 +57,11 @@ class DualityStructure:
     def symmetric(self) -> bool:
         g_res = max_abs(sub_matrices(self.gamma_hat, transpose(self.gamma_hat)))
         f_res = max_abs(sub_matrices(self.f_hat, transpose(self.f_hat)))
-        tol = 0 if is_exact(self.gamma_hat) and is_exact(self.f_hat) else numeric_tolerance()
+        tol = tolerance_for(self.gamma_hat, self.f_hat)
         return g_res <= tol and f_res <= tol
 
     def exact(self) -> bool:
         return is_exact(self.gamma_hat) and is_exact(self.f_hat)
-
-
-def _tol_for(*objs) -> float:
-    return 0 if all(is_exact(o) for o in objs) else numeric_tolerance()
 
 
 def verify_isomorphism_state(gamma, A: Com) -> list[str]:
@@ -107,11 +103,11 @@ def verify_isomorphism_state(gamma, A: Com) -> list[str]:
     from . import hermitian
 
     for x in _psd_state_samples(dims, seed=3):
-        if hermitian.min_eigenvalue(tuple(gm @ np.array(x)), dims) < -1e-8:
+        if hermitian.min_eigenvalue(tuple(gm @ np.array(x)), dims) < -tol:
             violations.append("image of a sampled effect leaves the state cone")
             break
     for x in _psd_state_samples(dims, seed=4):
-        if hermitian.min_eigenvalue(tuple(inv @ np.array(x)), dims) < -1e-8:
+        if hermitian.min_eigenvalue(tuple(inv @ np.array(x)), dims) < -tol:
             violations.append("inverse image of a sampled state leaves the effect cone")
             break
     return violations
@@ -138,7 +134,7 @@ def build_structure(A: Com, gamma_hat, f_hat=None) -> DualityStructure:
     right = matmul(gamma_hat, f_hat)
     ident = identity(n, Fraction(1) if is_exact(gamma_hat) else 1.0)
     res_inv = max(max_abs(sub_matrices(left, ident)), max_abs(sub_matrices(right, ident)))
-    tol = _tol_for(gamma_hat, f_hat)
+    tol = tolerance_for(gamma_hat, f_hat)
     if res_inv > tol:
         raise InvalidStructure(f"f_hat is not the inverse of gamma_hat (residual {res_inv})")
     tau = matmul(gamma_hat, transpose(f_hat))
@@ -170,10 +166,11 @@ def _tau_is_automorphism(struct: DualityStructure) -> bool:
         dims = A.state_cone.hilbert_dims
         tm = np.array([[float(x) for x in row] for row in tau])
         inv = np.linalg.inv(tm)
+        tol = numeric_tolerance()
         for x in _psd_state_samples(dims, seed=5, count=12):
-            if hermitian.min_eigenvalue(tuple(tm @ np.array(x)), dims) < -1e-8:
+            if hermitian.min_eigenvalue(tuple(tm @ np.array(x)), dims) < -tol:
                 return False
-            if hermitian.min_eigenvalue(tuple(inv @ np.array(x)), dims) < -1e-8:
+            if hermitian.min_eigenvalue(tuple(inv @ np.array(x)), dims) < -tol:
                 return False
         return True
     try:
@@ -220,7 +217,7 @@ def canonical_adjoint(phi, D_A: DualityStructure, D_B: DualityStructure):
     )
     route2 = transpose(matmul(D_B.f_hat, matmul(phi, D_A.gamma_hat)))
     res = max_abs(sub_matrices(route1, route2))
-    if res > _tol_for(route1, route2):
+    if res > tolerance_for(route1, route2):
         raise InvalidStructure(f"adjoint routes disagree by {res}")
     return route1
 
@@ -233,7 +230,7 @@ def tau(D_A: DualityStructure):
 
 def tau_is_identity(D_A: DualityStructure) -> bool:
     ident = identity(len(D_A.tau), Fraction(1) if is_exact(D_A.tau) else 1.0)
-    return max_abs(sub_matrices(D_A.tau, ident)) <= _tol_for(D_A.tau)
+    return max_abs(sub_matrices(D_A.tau, ident)) <= tolerance_for(D_A.tau)
 
 
 def double_dual_check(phi, D_A: DualityStructure, D_B: DualityStructure) -> dict:
@@ -251,7 +248,7 @@ def double_dual_check(phi, D_A: DualityStructure, D_B: DualityStructure) -> dict
         "double_dual": twice,
         "route_difference": diff,
         "deviation_from_identity_behaviour": deviation,
-        "involutive_on_this_map": deviation <= _tol_for(twice, phi),
+        "involutive_on_this_map": deviation <= tolerance_for(twice, phi),
     }
 
 
@@ -308,7 +305,7 @@ def counit_dual_check(D_A: DualityStructure) -> dict:
         "f_adjoint": f_adjoint,
         "swapped_gamma": swapped_gamma,
         "residual": residual,
-        "holds": residual <= _tol_for(f_adjoint, swapped_gamma),
+        "holds": residual <= tolerance_for(f_adjoint, swapped_gamma),
     }
 
 
@@ -378,7 +375,7 @@ def dagger_compactness_verdict(structures: Sequence[DualityStructure]) -> dict:
             axiom_res = max_abs(
                 tuple(x - y for x, y in zip(eta_from_dagger, D.gamma))
             )
-            unit_axiom = axiom_res <= _tol_for(eta_from_dagger, D.gamma)
+            unit_axiom = axiom_res <= tolerance_for(eta_from_dagger, D.gamma)
             ok = ok and unit_axiom
         per_object.append(
             {

@@ -98,6 +98,27 @@ def test_is_morphism_negative_certificate():
     assert any("(1, 0)" in v for v in rep.violations)
 
 
+def _qubit_measurement():
+    # Rows are the functionals rho -> <i|rho|i>, i.e. coords of |i><i|.
+    return tuple(
+        hermitian.coords(np.diag([1.0 - i, float(i)]).astype(complex), (2,)) for i in range(2)
+    )
+
+
+def test_is_morphism_quantum_to_classical():
+    q, c2 = quantum(2), classical(2)
+    assert is_morphism(((0,) * 4,) * 2, q, c2).ok
+    assert is_morphism(_qubit_measurement(), q, c2).ok
+
+
+def test_is_morphism_quantum_to_classical_negative():
+    # Not positive: reported as violations on both sides, not raised.
+    negated = tuple(tuple(-x for x in row) for row in _qubit_measurement())
+    rep = is_morphism(negated, quantum(2), classical(2))
+    assert not rep.ok and rep.sampled
+    assert any("adjoint image of effect generator" in v for v in rep.violations)
+
+
 def test_is_process():
     c2 = classical(2)
     assert is_process(identity(2), c2, c2)

@@ -11,23 +11,26 @@ from itertools import combinations
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import fraction_oracle as oracle
 from comcat.composites import max_tensor, min_tensor
-from comcat.cones import _enumerate_facets, _kernel_if_corank_one, cone_from_generators
+from comcat.cones import _enumerate_facets, cone_from_generators
 from comcat.com import Com
-from comcat.linalg import dot, frac_vector, primitive, rank
+from comcat.linalg import dot, frac_vector, rank
 from comcat.models import classical, gbit
 
 HEXAGON = [(1, 0, 1), (-1, 0, 1), (1, 1, 1), (0, 1, 1), (0, -1, 1), (-1, -1, 1)]
 
 
 def brute_force_facets(rays, n) -> tuple:
-    """Facet normals of cone(rays) by one elimination per (n-1)-subset."""
+    """Facet normals of cone(rays) by one elimination per (n-1)-subset.
+    Kernels and integer scaling come from the Fraction oracle, so no code
+    is shared with the double description under test."""
     if n == 1:
-        return (frac_vector(primitive(rays[0])),)
-    prim = [primitive(r) for r in rays]
+        return (frac_vector(oracle.primitive(rays[0])),)
+    prim = [oracle.primitive(r) for r in rays]
     found = set()
     for subset in combinations(range(len(prim)), n - 1):
-        h = _kernel_if_corank_one([list(prim[i]) for i in subset], n)
+        h = oracle.kernel_if_corank_one([prim[i] for i in subset], n)
         if h is None:
             continue
         signs = [dot(h, r) for r in prim]

@@ -1,0 +1,86 @@
+"""The integer Bareiss kernel against the Fraction Gauss-Jordan oracle.
+
+The reduced row echelon form of a matrix is unique, so every routine
+built on the kernel must return exactly what the oracle returns: the
+same Fractions, the same pivots, the same kernel basis.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_oracle as oracle
+from comcat import linalg as la
+from comcat.cones import _kernel_if_corank_one
+
+INTEGERS = st.integers(-4, 4)
+RATIONALS = st.one_of(INTEGERS, st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+
+
+@st.composite
+def matrices(draw, entries=RATIONALS, rows=None, cols=None):
+    """Up to 7 x 8, often rank-deficient: some rows are overwritten by
+    combinations of two others, and zero rows occur."""
+    m = rows if rows is not None else draw(st.integers(1, 7))
+    n = cols if cols is not None else draw(st.integers(1, 8))
+    M = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(m)]
+    if m > 1:
+        for _ in range(draw(st.integers(0, m - 1))):
+            i, j, k = (draw(st.integers(0, m - 1)) for _ in range(3))
+            a, b = draw(entries), draw(entries)
+            M[i] = [a * x + b * y for x, y in zip(M[j], M[k])]
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rref_rank_nullspace_match_oracle(M):
+    rows, pivots = oracle.rref(M)
+    assert la.rref(M) == (rows, pivots)
+    assert la.rank(M) == len(pivots)
+    assert la.nullspace(M) == oracle.nullspace(M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_solve_matches_oracle(data):
+    M = data.draw(matrices())
+    if data.draw(st.booleans()):
+        x = data.draw(st.lists(RATIONALS, min_size=len(M[0]), max_size=len(M[0])))
+        b = la.matvec(M, x)  # consistent system
+    else:
+        b = data.draw(st.lists(RATIONALS, min_size=len(M), max_size=len(M)))
+    assert la.solve(M, b) == oracle.solve(M, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: matrices(rows=n, cols=n)))
+def test_inverse_matches_oracle(M):
+    try:
+        expected = oracle.inverse(M)
+    except la.SingularMatrix:
+        with pytest.raises(la.SingularMatrix):
+            la.inverse(M)
+    else:
+        assert la.inverse(M) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 8).flatmap(lambda n: matrices(INTEGERS, rows=n - 1, cols=n)))
+def test_kernel_if_corank_one_matches_oracle(rows):
+    n = len(rows[0])
+    expected = oracle.kernel_if_corank_one(rows, n)
+    assert _kernel_if_corank_one([list(r) for r in rows], n) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(INTEGERS))
+def test_reduced_elimination_scales_the_rref(M):
+    rows = [list(r) for r in M]
+    pivots, d = la._eliminate(rows, reduce=True)
+    expected, expected_pivots = oracle.rref(M)
+    assert pivots == expected_pivots
+    assert all(rows[r][c] == d for r, c in enumerate(pivots))
+    assert [[Fraction(x, d) for x in row] for row in rows] == expected
