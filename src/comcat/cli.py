@@ -60,7 +60,7 @@ def _emit(data: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _finish(args, command, inputs, verdicts, residuals=None, certificates=None, ok=True, t0=None):
+def _finish(args, command, inputs, verdicts, residuals=None, certificates=None, ok=True):
     rep = report.make_report(
         command=command,
         inputs=inputs,
@@ -69,14 +69,13 @@ def _finish(args, command, inputs, verdicts, residuals=None, certificates=None, 
         verdicts=verdicts,
         residuals=residuals,
         certificates=certificates,
-        runtime_seconds=None if t0 is None else round(time.time() - t0, 6),
+        runtime_seconds=round(time.perf_counter() - args.started, 6),
     )
     _emit(rep, args.output)
     return 0 if ok else 1
 
 
 def _cmd_validate(args) -> int:
-    t0 = time.time()
     com, desc = _resolve_model(args.model)
     violations = validate_com(com)
     return _finish(
@@ -85,7 +84,6 @@ def _cmd_validate(args) -> int:
         {"model": desc},
         {"valid": not violations, "violations": violations},
         ok=not violations,
-        t0=t0,
     )
 
 
@@ -117,7 +115,6 @@ def _cmd_tensor(args) -> int:
 
 
 def _cmd_remote_eval(args) -> int:
-    t0 = time.time()
     A, da = _resolve_model(args.models[0])
     B, db = _resolve_model(args.models[1])
     C, dc = _resolve_model(args.models[2])
@@ -130,7 +127,6 @@ def _cmd_remote_eval(args) -> int:
         "remote-eval",
         {"a": da, "b": db, "c": dc},
         {"both_sides_agree": True, "result": vector_to_json(result)},
-        t0=t0,
     )
 
 
@@ -143,7 +139,6 @@ def _composite_pair(A: Com, B: Com, kind: str):
 
 
 def _cmd_teleport(args) -> int:
-    t0 = time.time()
     A, da = _resolve_model(args.a)
     B, db = _resolve_model(args.b)
     ba, ab = _composite_pair(A, B, args.composite)
@@ -155,7 +150,6 @@ def _cmd_teleport(args) -> int:
             {"a": da, "b": db},
             {"teleportable": False, "composite": args.composite, "exhausted": True},
             ok=False,
-            t0=t0,
         )
     check = verify_teleportation(cert, A, B)
     return _finish(
@@ -166,7 +160,6 @@ def _cmd_teleport(args) -> int:
         residuals={k: serialize.num_to_json(v) for k, v in check.residuals.items()},
         certificates=certificate_to_json(cert),
         ok=check.ok,
-        t0=t0,
     )
 
 
@@ -199,7 +192,6 @@ def _default_kind(A: Com, B: Com) -> str:
 
 
 def _cmd_compact_check(args) -> int:
-    t0 = time.time()
     objs, designations, _, inputs = _load_theory(args.theory)
     composites = {}
     for A in objs:
@@ -231,12 +223,10 @@ def _cmd_compact_check(args) -> int:
         verdicts,
         certificates=certs,
         ok=out["theory_compact_closed"],
-        t0=t0,
     )
 
 
 def _cmd_wsd(args) -> int:
-    t0 = time.time()
     com, desc = _resolve_model(args.model)
     found = (
         check_symmetric_self_duality(com) if args.symmetric else check_weak_self_duality(com)
@@ -248,7 +238,6 @@ def _cmd_wsd(args) -> int:
             {"model": desc},
             {"weakly_self_dual": False, "symmetric_required": args.symmetric},
             ok=False,
-            t0=t0,
         )
     return _finish(
         args,
@@ -256,7 +245,6 @@ def _cmd_wsd(args) -> int:
         {"model": desc},
         {"weakly_self_dual": True, "symmetric_required": args.symmetric},
         certificates=structure_to_json(found),
-        t0=t0,
     )
 
 
@@ -266,7 +254,6 @@ def _structure_for(com: Com, variant: str | None):
 
 
 def _cmd_dagger(args) -> int:
-    t0 = time.time()
     objs, _, structure_spec, inputs = _load_theory(args.theory)
     variants = dict(structure_spec)
     for item in args.structure or []:
@@ -285,7 +272,6 @@ def _cmd_dagger(args) -> int:
                     inputs,
                     {"dagger_compact": False, "reason": f"no structure for {com.label}"},
                     ok=False,
-                    t0=t0,
                 )
             structures.append(found)
     verdict = dagger_compactness_verdict(structures)
@@ -311,7 +297,6 @@ def _cmd_dagger(args) -> int:
         verdicts,
         certificates=certs,
         ok=verdict["dagger_compact"],
-        t0=t0,
     )
 
 
@@ -393,6 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.tolerance is not None:
         set_tolerance(args.tolerance)
+    args.started = time.perf_counter()
     try:
         return args.func(args)
     except (OSError, json.JSONDecodeError, SchemaError, KeyError, ValueError) as exc:

@@ -12,8 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import hermitian
-from .cones import PSD, POLYHEDRAL, Cone, cones_equal, dual_cone
-from .config import numeric_tolerance
+from .cones import PSD, POLYHEDRAL, Cone, cones_equal, dual_cone, rays_leaving
 from .errors import DimensionMismatch, NotAMorphism, ZeroMap
 from .linalg import (
     dot,
@@ -68,19 +67,15 @@ def validate_com(com: Com) -> list[str]:
         violations.append(f"state cone kind {A.kind} differs from effect cone kind {E.kind}")
         return violations
 
-    if A.kind == PSD:
-        tol = numeric_tolerance()
-        if hermitian.min_eigenvalue(u, A.hilbert_dims) <= tol:
-            violations.append("unit functional is not strictly positive on the state cone")
-        if A.hilbert_dims != E.hilbert_dims:
-            violations.append("state and effect PSD cones have different factorizations")
-        return violations
-
     if not E.member(u):
         violations.append("unit functional is not in the effect cone")
     if not A.strictly_positive(u):
         violations.append("unit functional is not strictly positive on the state cone")
-    violations.extend(_effect_cone_in_dual(A, E))
+    if A.kind == PSD:
+        if A.hilbert_dims != E.hilbert_dims:
+            violations.append("state and effect PSD cones have different factorizations")
+    else:
+        violations.extend(_effect_cone_in_dual(A, E))
     return violations
 
 
@@ -123,12 +118,6 @@ def normalized_state_vertices(com: Com) -> tuple:
 def is_effect(com: Com, a) -> bool:
     """Effect test: both a and u - a lie in the effect cone."""
     u_minus = tuple(x - y for x, y in zip(com.unit, a))
-    if com.kind == PSD:
-        tol = numeric_tolerance()
-        return (
-            hermitian.min_eigenvalue(a, com.state_cone.hilbert_dims) >= -tol
-            and hermitian.min_eigenvalue(u_minus, com.state_cone.hilbert_dims) >= -tol
-        )
     E = com.effect_cone
     return E.member(a) and E.member(u_minus)
 
@@ -149,67 +138,30 @@ def linear_adjoint(phi) -> tuple:
     return transpose(phi)
 
 
-def _psd_state_samples(dims, seed=0, count=24):
-    rng = np.random.default_rng(seed)
-    d = int(np.prod(dims))
-    samples = [np.eye(d, dtype=complex)[:, [i]] @ np.eye(d, dtype=complex)[[i], :] for i in range(d)]
-    for _ in range(count):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        v = v / np.linalg.norm(v)
-        samples.append(np.outer(v, v.conj()))
-    return [hermitian.coords(m, dims) for m in samples]
-
-
 def is_morphism(phi, A: Com, B: Com, seed: int = 0) -> MorphismReport:
     """Positivity of phi on state cones plus positivity of its adjoint on
-    the designated effect cones; the certificate names violating rays.
+    the designated effect cones; the certificate names every violating
+    probe ray (``cones.rays_leaving``).
 
-    Polyhedral checks are exact over generators.  PSD cones have no finite
-    generator list, so those directions are checked on a deterministic
-    sample of pure states and flagged as sampled.
+    A polyhedral source cone is probed on all its generators, so that
+    direction is exact.  A PSD source has no finite generator list; its
+    direction is checked on the seeded pure states of ``probe_rays``
+    (seed for states, seed + 1 for effects) and the report is flagged as
+    sampled.
     """
     rows = len(phi)
     cols = len(phi[0]) if rows else 0
     if rows != B.dim or cols != A.dim:
         raise DimensionMismatch(f"map is {rows}x{cols}, expected {B.dim}x{A.dim}")
-    violations = []
-    sampled = False
-    tol = numeric_tolerance()
-
-    if A.kind == POLYHEDRAL:
-        for g in A.state_cone.generators:
-            if not B.state_cone.member(matvec(phi, g)):
-                violations.append(f"image of state generator {fmt(g)} leaves the target state cone")
-    else:
-        sampled = True
-        for x in _psd_state_samples(A.state_cone.hilbert_dims, seed):
-            y = matvec(phi, x)
-            if B.kind == PSD:
-                if hermitian.min_eigenvalue(y, B.state_cone.hilbert_dims) < -tol:
-                    violations.append("image of a sampled pure state leaves the target state cone")
-                    break
-            elif not B.state_cone.member(y):
-                violations.append("image of a sampled pure state leaves the target state cone")
-                break
-
-    adj = linear_adjoint(phi)
-    if B.kind == POLYHEDRAL:
-        for e in B.effect_cone.generators:
-            if not A.effect_cone.member(matvec(adj, e)):
-                violations.append(f"adjoint image of effect generator {fmt(e)} leaves the source effect cone")
-    elif B.kind == PSD:
-        sampled = True
-        for x in _psd_state_samples(B.effect_cone.hilbert_dims, seed + 1):
-            y = matvec(adj, x)
-            if A.kind == PSD:
-                if hermitian.min_eigenvalue(y, A.effect_cone.hilbert_dims) < -tol:
-                    violations.append("adjoint image of a sampled effect leaves the source effect cone")
-                    break
-            elif not A.effect_cone.member(y):
-                violations.append("adjoint image of a sampled effect leaves the source effect cone")
-                break
-
-    return MorphismReport(not violations, violations, sampled)
+    violations = [
+        f"image of state generator {fmt(g)} leaves the target state cone"
+        for g in rays_leaving(phi, A.state_cone, B.state_cone, seed)
+    ]
+    violations += [
+        f"adjoint image of effect generator {fmt(e)} leaves the source effect cone"
+        for e in rays_leaving(linear_adjoint(phi), B.effect_cone, A.effect_cone, seed + 1)
+    ]
+    return MorphismReport(not violations, violations, PSD in (A.kind, B.kind))
 
 
 def process_scale(phi, A: Com, B: Com) -> object:
@@ -228,8 +180,6 @@ def is_process(phi, A: Com, B: Com) -> bool:
         raise NotAMorphism("; ".join(report.violations))
     w = matvec(linear_adjoint(phi), B.unit)
     residual = tuple(x - y for x, y in zip(A.unit, w))
-    if A.kind == PSD:
-        return hermitian.min_eigenvalue(residual, A.state_cone.hilbert_dims) >= -numeric_tolerance()
     return A.effect_cone.member(residual)
 
 

@@ -25,19 +25,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
-from . import hermitian
 from .com import Com
-from .cones import PSD, POLYHEDRAL, cone_from_facets, cone_from_generators, psd_cone
-from .config import numeric_tolerance
+from .cones import (
+    PSD,
+    POLYHEDRAL,
+    cone_from_facets,
+    cone_from_generators,
+    probe_rays,
+    psd_cone,
+)
+from .config import numeric_tolerance, tolerance_for
 from .errors import KindMismatch, MixedKindUnsupported
 from .linalg import (
     canonical_rays,
     dot,
     frac_vector,
+    matvec,
     swap_matrix,
     tensor_vector,
+    transpose,
+    vec_to_matrix,
 )
 from .lp import in_cone, le, solve_lp
 
@@ -136,32 +143,22 @@ def swap_map(A: Com, B: Com) -> tuple:
 
 
 def in_max_cone(omega, A: Com, B: Com, tolerance: Optional[float] = None) -> bool:
-    """Positivity of the form on every pair of effect generators.
+    """Is the form omega(a, b) = a^T W b nonnegative on every pair of probe
+    rays of the two effect cones (``cones.probe_rays``)?
 
-    For PSD factors this is a sampled check over pure-state effects plus
-    the spectral test when the composite form is itself a PSD vector."""
-    if A.kind == POLYHEDRAL and B.kind == POLYHEDRAL:
-        for a in A.effect_cone.generators:
-            for b in B.effect_cone.generators:
-                if dot(omega, tensor_vector(a, b)) < 0:
-                    return False
-        return True
-    tol = numeric_tolerance() if tolerance is None else tolerance
-    rng = np.random.default_rng(0)
-    for _ in range(64):
-        a = _random_pure_effect(rng, A)
-        b = _random_pure_effect(rng, B)
-        if dot(omega, tensor_vector(a, b)) < -tol:
+    Each probe ray a of A's effect cone gives the row a^T W, which is
+    tested against each probe ray of B's.  Polyhedral factors contribute
+    all their effect generators, so for two of them the answer is exact
+    (on exact data the tolerance is zero); a PSD factor contributes its
+    basis projectors and seeded pure states, so the check is sampled."""
+    a_rays, b_rays = probe_rays(A.effect_cone), probe_rays(B.effect_cone)
+    tol = tolerance_for(omega, a_rays, b_rays) if tolerance is None else tolerance
+    Wt = transpose(vec_to_matrix(omega, A.dim, B.dim))
+    for a in a_rays:
+        row = matvec(Wt, a)
+        if any(dot(row, b) < -tol for b in b_rays):
             return False
     return True
-
-
-def _random_pure_effect(rng, M: Com):
-    dims = M.state_cone.hilbert_dims
-    d = int(np.prod(dims))
-    v = rng.normal(size=d) + 1j * rng.normal(size=d)
-    v = v / np.linalg.norm(v)
-    return hermitian.coords(np.outer(v, v.conj()), dims)
 
 
 def is_composite(AB: Com, A: Com, B: Com, seed: int = 0) -> list[str]:
@@ -200,30 +197,14 @@ def is_composite(AB: Com, A: Com, B: Com, seed: int = 0) -> list[str]:
                         )
         return violations
 
-    # Spectral composite: sampled product checks.
-    rng = np.random.default_rng(seed)
-    tol = numeric_tolerance()
-    dims = AB.state_cone.hilbert_dims
-    for _ in range(16):
-        alpha = _random_pure_effect(rng, A)
-        beta = _random_pure_effect(rng, B)
-        if not AB.state_cone.member(tensor_vector(alpha, beta)):
-            violations.append("a sampled product state left the composite cone")
-            break
-    for _ in range(16):
-        w = _random_density(rng, dims)
-        if not in_max_cone(w, A, B):
-            violations.append("a sampled composite state is negative on a product effect")
-            break
+    # Spectral composite: products of the factors' i-th probe rays, and
+    # the probe rays of the composite itself.
+    pairs = zip(probe_rays(A.state_cone, seed), probe_rays(B.state_cone, seed + 1))
+    if any(not AB.state_cone.member(tensor_vector(alpha, beta)) for alpha, beta in pairs):
+        violations.append("a sampled product state left the composite cone")
+    if any(not in_max_cone(w, A, B) for w in probe_rays(AB.state_cone, seed)):
+        violations.append("a sampled composite state is negative on a product effect")
     return violations
-
-
-def _random_density(rng, dims):
-    d = int(np.prod(dims))
-    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = g @ g.conj().T
-    rho = rho / np.trace(rho).real
-    return hermitian.coords(rho, dims)
 
 
 def separability_check(omega, AB_min: CompositeCom) -> bool:

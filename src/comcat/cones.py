@@ -9,11 +9,18 @@ directions are the same computation, since the generators of a cone are
 the facet normals of its dual.  A PSD cone is the Hermitian
 positive-semidefinite cone in its fixed real coordinatization; it is
 self-dual and its membership test is spectral.
+
+Whether a linear map carries one cone into another is decided on the
+source's probe rays (``rays_leaving``): every generator of a polyhedral
+cone, and a fixed seeded set of pure states of a PSD cone.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from math import prod
+from typing import Iterable, Iterator, Optional, Sequence
+
+import numpy as np
 
 from . import hermitian
 from .config import numeric_tolerance
@@ -23,6 +30,7 @@ from .linalg import (
     canonical_rays,
     dot,
     frac_vector,
+    matvec,
     primitive,
     rank,
 )
@@ -30,6 +38,7 @@ from .lp import eq, in_cone, lp_feasible, solve_lp
 
 POLYHEDRAL = "polyhedral"
 PSD = "psd"
+PROBE_SAMPLES = 24  # seeded pure states per PSD probe set
 
 
 class Cone:
@@ -288,6 +297,28 @@ def cones_equal(C: Cone, D: Cone) -> bool:
     if C.kind == PSD:
         return C.hilbert_dims == D.hilbert_dims
     return canonical_rays(C.generators) == canonical_rays(D.generators)
+
+
+def probe_rays(C: Cone, seed: int = 0) -> tuple:
+    """The rays on which inclusion checks test a cone: the generators of a
+    polyhedral cone (exact); for a PSD cone on C^d the d computational-basis
+    projectors, then PROBE_SAMPLES pure states drawn from the seeded normal
+    stream (real part, then imaginary part, of each vector in turn)."""
+    if C.kind == POLYHEDRAL:
+        return C.generators
+    d = prod(C.hilbert_dims)
+    z = np.random.default_rng(seed).normal(size=(PROBE_SAMPLES, 2, d))
+    v = z[:, 0] + 1j * z[:, 1]
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    rays = hermitian.projector_coords(np.concatenate([np.eye(d), v]), C.hilbert_dims)
+    return tuple(map(tuple, rays.tolist()))
+
+
+def rays_leaving(M, source: Cone, target: Cone, seed: int = 0) -> Iterator[tuple]:
+    """Lazily, the probe rays x of source whose image M x is not in target.
+    When there are none, M carries source into target: proven for a
+    polyhedral source, checked on samples for a PSD one."""
+    return (x for x in probe_rays(source, seed) if not target.member(matvec(M, x)))
 
 
 def member(C: Cone, x, tolerance: Optional[float] = None) -> bool:

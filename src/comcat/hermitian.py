@@ -17,6 +17,7 @@ for the spatial two-qubit composite.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import prod, sqrt
 
 import numpy as np
@@ -25,13 +26,24 @@ import numpy as np
 @lru_cache(maxsize=None)
 def basis(dims: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     """Orthonormal Hermitian basis for the given factor dimensions."""
+    return tuple(_stacked(dims))
+
+
+@lru_cache(maxsize=None)
+def _stacked(dims: tuple[int, ...]) -> np.ndarray:
+    """The basis as one read-only (n, d, d) array; a composite basis holds
+    the Kronecker products of the factor bases, left factor major."""
     if len(dims) == 0:
         raise ValueError("at least one factor dimension required")
     if len(dims) == 1:
-        return _single_basis(dims[0])
-    left = basis(dims[:1])
-    right = basis(dims[1:])
-    return tuple(np.kron(a, b) for a in left for b in right)
+        B = np.array(_single_basis(dims[0]))
+    else:
+        left, right = _stacked(dims[:1]), _stacked(dims[1:])
+        B = np.empty((len(left) * len(right), prod(dims), prod(dims)), dtype=complex)
+        for k, (a, b) in enumerate(product(left, right)):
+            B[k] = np.kron(a, b)
+    B.flags.writeable = False
+    return B
 
 
 def _single_basis(d: int) -> tuple[np.ndarray, ...]:
@@ -73,15 +85,16 @@ def coords(M: np.ndarray, dims: tuple[int, ...]) -> tuple[float, ...]:
 
 def matrix(x, dims: tuple[int, ...]) -> np.ndarray:
     """Hermitian matrix with the given coordinates."""
-    B = basis(dims)
+    B = _stacked(dims)
     if len(x) != len(B):
         raise ValueError(f"expected {len(B)} coordinates, got {len(x)}")
-    d = prod(dims)
-    M = np.zeros((d, d), dtype=complex)
-    for c, b in zip(x, B):
-        if c != 0:
-            M = M + float(c) * b
-    return M
+    return np.tensordot(np.asarray(x, dtype=float), B, axes=1)
+
+
+def projector_coords(V: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Coordinates of the projectors |v><v|, one row for each row v of V."""
+    B = _stacked(dims)
+    return np.einsum("ki,nij,kj->kn", V.conj(), B, V).real
 
 
 def eigenvalues(x, dims: tuple[int, ...]) -> np.ndarray:

@@ -14,9 +14,9 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
-from .cones import Cone
-from .errors import UnsupportedKind
-from .linalg import canonical_rays, dot, inverse, matvec, rank
+from .cones import Cone, rays_leaving
+from .errors import SingularMatrix, UnsupportedKind
+from .linalg import canonical_rays, dot, inverse, transpose
 from .lp import eq, ge, solve_lp
 
 MAX_RAYS = 8
@@ -116,16 +116,13 @@ def _solve_matching(sources, targets, rows, cols, symmetric=False, extra_rows=No
 
 
 def _verify_order_iso(M, source: Cone, target: Cone) -> bool:
-    if rank(M) != len(M):
+    try:
+        Minv = inverse(M)
+    except SingularMatrix:
         return False
-    for g in source.generators:
-        if not target.member(matvec(M, g)):
-            return False
-    Minv = inverse(M)
-    for h in target.generators:
-        if not source.member(matvec(Minv, h)):
-            return False
-    return True
+    return not any(rays_leaving(M, source, target)) and not any(
+        rays_leaving(Minv, target, source)
+    )
 
 
 def find_order_isomorphism(
@@ -141,8 +138,6 @@ def com_isomorphism(A, B) -> Optional[tuple]:
     """An order isomorphism of models: maps state cone onto state cone,
     pulls the unit back correctly, and its inverse-transpose carries the
     effect cone onto the effect cone.  None if the search exhausts."""
-    from .linalg import transpose
-
     unit_rows = []
     # u_B(M alpha) = u_A(alpha) for all alpha: M^T u_B = u_A, n linear rows.
     n = A.dim
@@ -152,10 +147,9 @@ def com_isomorphism(A, B) -> Optional[tuple]:
             row[r][col] = Fraction(B.unit[r])
         unit_rows.append((row, Fraction(A.unit[col])))
     for M in order_isomorphisms(A.state_cone, B.state_cone, extra_rows=unit_rows):
-        Mt_inv = inverse(transpose(M))
-        images = [matvec(Mt_inv, e) for e in A.effect_cone.generators]
-        if all(B.effect_cone.member(v) for v in images):
-            back = [matvec(transpose(M), e) for e in B.effect_cone.generators]
-            if all(A.effect_cone.member(v) for v in back):
-                return M
+        Mt = transpose(M)
+        if not any(rays_leaving(inverse(Mt), A.effect_cone, B.effect_cone)) and not any(
+            rays_leaving(Mt, B.effect_cone, A.effect_cone)
+        ):
+            return M
     return None

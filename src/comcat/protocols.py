@@ -28,11 +28,12 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Optional, Sequence
 
+from . import hermitian
 from .com import Com
 from .composites import CompositeCom, in_max_cone
-from .cones import POLYHEDRAL
+from .cones import POLYHEDRAL, PSD, rays_leaving
 from .config import numeric_tolerance, tolerance_for
-from .errors import InvalidStructure, UnsupportedKind
+from .errors import InvalidStructure, MixedKindUnsupported, UnsupportedKind
 from .linalg import (
     canonical_rays,
     dot,
@@ -40,7 +41,6 @@ from .linalg import (
     is_exact,
     matmul,
     matrix_to_vec,
-    matvec,
     max_abs,
     scale_vector,
     sub_matrices,
@@ -304,22 +304,10 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
     if abs(norm - 1) > tol:
         violations.append(f"shared state has normalization {norm}")
 
-    # positivity of r_hat on state generators
-    if exact:
-        for g in A.state_cone.generators:
-            if not B.effect_cone.member(matvec(r_hat, g)):
-                violations.append(f"r_hat image of state generator {g} leaves the effect cone")
-                break
-    else:
-        from . import hermitian
-        from .com import _psd_state_samples
-
-        dims_a = A.state_cone.hilbert_dims
-        dims_b = B.effect_cone.hilbert_dims
-        for x in _psd_state_samples(dims_a, seed=6):
-            if hermitian.min_eigenvalue(matvec(r_hat, x), dims_b) < -numeric_tolerance():
-                violations.append("r_hat image of a sampled pure state leaves the effect cone")
-                break
+    # positivity of r_hat on the probe rays of A's state cone
+    g = next(rays_leaving(r_hat, A.state_cone, B.effect_cone, seed=6), None)
+    if g is not None:
+        violations.append(f"r_hat image of state generator {g} leaves the effect cone")
 
     # identity equation
     W = vec_to_matrix(omega, n_b, n_a)
@@ -343,13 +331,14 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
         if not E.member(tuple(x - y for x, y in zip(u, f))):
             violations.append("unit minus scaled form is not in the composite effect cone")
     else:
-        from . import hermitian
-
-        dims = (
-            composite_ab.state_cone.hilbert_dims
-            if composite_ab is not None
-            else A.state_cone.hilbert_dims + B.state_cone.hilbert_dims
-        )
+        if composite_ab is not None:
+            dims = composite_ab.state_cone.hilbert_dims
+        elif A.kind == B.kind == PSD:
+            dims = A.state_cone.hilbert_dims + B.state_cone.hilbert_dims
+        else:
+            raise MixedKindUnsupported(
+                "the effect check needs a designated composite unless both factors are PSD"
+            )
         eigs = hermitian.eigenvalues(f, dims)
         residuals["effect_spectrum"] = (float(eigs[0]), float(eigs[-1]))
         if eigs[0] < -numeric_tolerance():
@@ -363,8 +352,6 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
 def max_effect_scale_psd(r_hat, A: Com, B: Com) -> float:
     """Largest c with c * r_form a valid spectral effect: one over the top
     eigenvalue of the form operator."""
-    from . import hermitian
-
     n_a, n_b = A.dim, B.dim
     r_form = _r_form_vector(r_hat, n_a, n_b)
     dims = A.state_cone.hilbert_dims + B.state_cone.hilbert_dims

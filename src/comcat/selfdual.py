@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .com import Com, is_saturated
-from .cones import PSD, POLYHEDRAL
+from .cones import PSD, POLYHEDRAL, rays_leaving
 from .config import numeric_tolerance, tolerance_for
 from .errors import InvalidStructure, SingularMatrix, UnsupportedKind
 from .linalg import (
@@ -64,52 +65,44 @@ class DualityStructure:
         return is_exact(self.gamma_hat) and is_exact(self.f_hat)
 
 
+def _invert(M):
+    """Exact inverse of exact data; otherwise the numerical inverse, with a
+    smallest singular value within the tolerance counted as singular.
+    Raises SingularMatrix."""
+    if is_exact(M):
+        return inverse(M)
+    m = np.array(M, dtype=float)
+    if np.linalg.svd(m, compute_uv=False)[-1] <= numeric_tolerance():
+        raise SingularMatrix("matrix is numerically singular")
+    return tuple(map(tuple, np.linalg.inv(m).tolist()))
+
+
 def verify_isomorphism_state(gamma, A: Com) -> list[str]:
     """Violations of the isomorphism-state contract for a bipartite form
-    over (A, A): invertible conditioning map carrying the effect cone onto
-    the state cone, both directions checked on generators."""
-    violations: list[str] = []
+    over (A, A): invertible conditioning map carrying the effect cone into
+    the state cone and, by its inverse, the state cone into the effect
+    cone.  Both directions go through ``cones.rays_leaving``: exact over
+    the generators of a polyhedral model, on the seeded probe states of a
+    PSD one (seeds 3 and 4).  Exact data is inverted exactly, float data
+    numerically."""
     n = A.dim
     if len(gamma) != n * n:
         return [f"form has length {len(gamma)}, expected {n * n}"]
-    G = vec_to_matrix(gamma, n, n)
-    ghat = transpose(G)
-    if A.kind == POLYHEDRAL:
-        if rank(ghat) < n:
-            violations.append(f"conditioning map has rank {rank(ghat)} < {n}")
-            return violations
-        for e in A.effect_cone.generators:
-            if not A.state_cone.member(matvec(ghat, e)):
-                violations.append(f"image of effect generator {e} leaves the state cone")
-        inv = inverse(ghat)
-        for g in A.state_cone.generators:
-            if not A.effect_cone.member(matvec(inv, g)):
-                violations.append(
-                    f"inverse image of state generator {g} leaves the effect cone"
-                )
-        return violations
-
-    # Spectral model: invertibility and two-sided positivity, sampled.
-    gm = np.array([[float(x) for x in row] for row in ghat])
-    svals = np.linalg.svd(gm, compute_uv=False)
-    if svals[-1] <= numeric_tolerance():
-        violations.append("conditioning map is numerically singular")
-        return violations
-    from .com import _psd_state_samples
-
-    dims = A.state_cone.hilbert_dims
-    inv = np.linalg.inv(gm)
-    tol = numeric_tolerance()
-    from . import hermitian
-
-    for x in _psd_state_samples(dims, seed=3):
-        if hermitian.min_eigenvalue(tuple(gm @ np.array(x)), dims) < -tol:
-            violations.append("image of a sampled effect leaves the state cone")
-            break
-    for x in _psd_state_samples(dims, seed=4):
-        if hermitian.min_eigenvalue(tuple(inv @ np.array(x)), dims) < -tol:
-            violations.append("inverse image of a sampled state leaves the effect cone")
-            break
+    ghat = transpose(vec_to_matrix(gamma, n, n))
+    try:
+        inv = _invert(ghat)
+    except SingularMatrix:
+        if is_exact(ghat):
+            return [f"conditioning map has rank {rank(ghat)} < {n}"]
+        return ["conditioning map is numerically singular"]
+    violations = [
+        f"image of effect generator {e} leaves the state cone"
+        for e in rays_leaving(ghat, A.effect_cone, A.state_cone, seed=3)
+    ]
+    violations += [
+        f"inverse image of state generator {g} leaves the effect cone"
+        for g in rays_leaving(inv, A.state_cone, A.effect_cone, seed=4)
+    ]
     return violations
 
 
@@ -124,11 +117,7 @@ def build_structure(A: Com, gamma_hat, f_hat=None) -> DualityStructure:
     if violations:
         raise InvalidStructure("; ".join(violations))
     if f_hat is None:
-        if is_exact(gamma_hat):
-            f_hat = inverse(gamma_hat)
-        else:
-            gm = np.linalg.inv(np.array([[float(x) for x in r] for r in gamma_hat]))
-            f_hat = tuple(tuple(gm[i, j] for j in range(n)) for i in range(n))
+        f_hat = _invert(gamma_hat)
     f = matrix_to_vec(transpose(f_hat))
     left = matmul(f_hat, gamma_hat)
     right = matmul(gamma_hat, f_hat)
@@ -157,28 +146,13 @@ def build_structure(A: Com, gamma_hat, f_hat=None) -> DualityStructure:
 
 
 def _tau_is_automorphism(struct: DualityStructure) -> bool:
-    A = struct.com
-    tau = struct.tau
-    if A.kind == PSD:
-        from . import hermitian
-        from .com import _psd_state_samples
-
-        dims = A.state_cone.hilbert_dims
-        tm = np.array([[float(x) for x in row] for row in tau])
-        inv = np.linalg.inv(tm)
-        tol = numeric_tolerance()
-        for x in _psd_state_samples(dims, seed=5, count=12):
-            if hermitian.min_eigenvalue(tuple(tm @ np.array(x)), dims) < -tol:
-                return False
-            if hermitian.min_eigenvalue(tuple(inv @ np.array(x)), dims) < -tol:
-                return False
-        return True
+    cone, tau = struct.com.state_cone, struct.tau
     try:
-        inv = inverse(tau)
+        inv = _invert(tau)
     except SingularMatrix:
         return False
-    return all(A.state_cone.member(matvec(tau, g)) for g in A.state_cone.generators) and all(
-        A.state_cone.member(matvec(inv, g)) for g in A.state_cone.generators
+    return not any(rays_leaving(tau, cone, cone, seed=5)) and not any(
+        rays_leaving(inv, cone, cone, seed=5)
     )
 
 
@@ -236,12 +210,7 @@ def tau_is_identity(D_A: DualityStructure) -> bool:
 def double_dual_check(phi, D_A: DualityStructure, D_B: DualityStructure) -> dict:
     """Compare the twice-adjoint of phi with tau_B^{-1} . phi . tau_A."""
     twice = canonical_adjoint(canonical_adjoint(phi, D_A, D_B), D_B, D_A)
-    if is_exact(D_B.tau):
-        tb_inv = inverse(D_B.tau)
-    else:
-        tb_inv = np.linalg.inv(np.array(D_B.tau, dtype=float))
-        tb_inv = tuple(tuple(row) for row in tb_inv)
-    direct = matmul(tb_inv, matmul(phi, D_A.tau))
+    direct = matmul(_invert(D_B.tau), matmul(phi, D_A.tau))
     diff = max_abs(sub_matrices(twice, direct))
     deviation = max_abs(sub_matrices(twice, phi))
     return {
@@ -259,26 +228,25 @@ def symmetry_equivalence_report(A: Com, D_A: DualityStructure) -> dict:
     (ii)  the twist automorphism is the identity,
     (iii) gamma and f are symmetric bilinear forms.
 
-    The consistent flag records whether the three booleans agree."""
+    The consistent flag records whether the three booleans agree; the
+    witness is the first basis map (in row-major order) on which (i) fails.
+
+    The double adjoint of phi is P phi Q with P = gamma_hat^T f_hat and
+    Q = gamma_hat f_hat^T (``double_dual_check`` computes it map by map),
+    so on the basis map E_ab it is the outer product P[:, a] Q[b, :]."""
     n = A.dim
-    one = Fraction(1) if D_A.exact() else 1.0
-    zero = one - one
+    P = matmul(transpose(D_A.gamma_hat), D_A.f_hat)
+    Q = matmul(D_A.gamma_hat, transpose(D_A.f_hat))
+    tol = tolerance_for(P, Q)
     witness = None
-    cond_i = True
-    for a in range(n):
-        for b in range(n):
-            unit = tuple(
-                tuple(one if (r, c) == (a, b) else zero for c in range(n))
-                for r in range(n)
-            )
-            rep = double_dual_check(unit, D_A, D_A)
-            if not rep["involutive_on_this_map"]:
-                cond_i = False
-                if witness is None:
-                    witness = {
-                        "basis_map": (a, b),
-                        "deviation": rep["deviation_from_identity_behaviour"],
-                    }
+    for a, b in product(range(n), repeat=2):
+        twice_minus_unit = [[p[a] * q for q in Q[b]] for p in P]
+        twice_minus_unit[a][b] -= 1
+        deviation = max_abs(twice_minus_unit)
+        if deviation > tol:
+            witness = {"basis_map": (a, b), "deviation": deviation}
+            break
+    cond_i = witness is None
     cond_ii = tau_is_identity(D_A)
     cond_iii = D_A.symmetric
     return {

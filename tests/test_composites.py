@@ -127,6 +127,19 @@ def test_spatial_entangled_state_in_spatial_and_max():
     assert abs(dot(QQ.unit, w) - 1) < 1e-12
 
 
+def _classically_correlated_qc():
+    # (|0><0| (x) e_0 + |1><1| (x) e_1) / 2 over (qubit, classical bit)
+    p0, p1 = (hermitian.coords(np.diag(d).astype(complex), (2,)) for d in ([1, 0], [0, 1]))
+    return tuple(x / 2 for x in np.add(tensor_vector(p0, (1, 0)), tensor_vector(p1, (0, 1))))
+
+
+def test_in_max_cone_mixed_kinds(c2):
+    q = quantum(2)
+    w = _classically_correlated_qc()
+    assert in_max_cone(w, q, c2)
+    assert not in_max_cone(tuple(-x for x in w), q, c2)
+
+
 def test_is_composite_min_max(gbit_pair_min, gbit_pair_max, g):
     assert is_composite(gbit_pair_min, g, g) == []
     assert is_composite(gbit_pair_max, g, g) == []

@@ -7,7 +7,7 @@ import pytest
 from comcat import hermitian
 from comcat.com import random_positive_map
 from comcat.composites import max_tensor, min_tensor, spatial_quantum_composite
-from comcat.errors import UnsupportedKind
+from comcat.errors import MixedKindUnsupported, UnsupportedKind
 from comcat.linalg import identity, scale_vector
 from comcat.lp import eq, lp_feasible
 from comcat.models import (
@@ -137,6 +137,18 @@ def test_qubit_teleportation_verifies(qubit):
     assert report.residuals["identity"] <= 1e-10
     lo, hi = report.residuals["effect_spectrum"]
     assert lo >= -1e-10 and abs(hi - 1.0) <= 1e-9
+
+
+def test_verify_mixed_kinds_without_composites_refused(c2, qubit):
+    # A classical bit through a qubit: the correlated state over (B, A) and
+    # the measurement map r_hat(e_i) = |i><i| pass every check up to the
+    # effect spectrum, which has no composite to take its dimensions from.
+    p = [hermitian.coords(np.diag(d).astype(complex), (2,)) for d in ([1, 0], [0, 1])]
+    omega = tuple(np.add(*(np.outer(p[i], np.eye(2)[i]).ravel() for i in range(2))) / 2)
+    r_hat = tuple(tuple(2 * p[j][t] for j in range(2)) for t in range(4))
+    cert = TeleportationCertificate(omega=omega, r_hat=r_hat, c=1, f=None, residual=0)
+    with pytest.raises(MixedKindUnsupported):
+        verify_teleportation(cert, c2, qubit)
 
 
 def test_qubit_overscaled_fails(qubit):

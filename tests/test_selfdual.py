@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from comcat.linalg import (
     transpose,
 )
 from comcat.models import (
+    builtin_structure,
     classical,
     classical_symmetric_structure,
     gbit,
@@ -223,6 +225,25 @@ def test_symmetry_equivalence_trio():
         assert rep["consistent"]
         if name == "rotation":
             assert rep["witness"] is not None
+
+
+def _condition_i_by_double_dual(D):
+    """Condition (i) and its first witness, one double_dual_check per basis map."""
+    n = D.com.dim
+    one = F(1) if D.exact() else 1.0
+    for a, b in product(range(n), repeat=2):
+        unit = tuple(tuple(one if (r, c) == (a, b) else one - one for c in range(n)) for r in range(n))
+        rep = double_dual_check(unit, D, D)
+        if not rep["involutive_on_this_map"]:
+            return False, {"basis_map": (a, b), "deviation": rep["deviation_from_identity_behaviour"]}
+    return True, None
+
+
+@pytest.mark.parametrize("name", ["gbit:rotation", "gbit:reflection", "qubit:choi"])
+def test_condition_i_matches_double_dual_loop(name):
+    D = builtin_structure(name)
+    rep = symmetry_equivalence_report(D.com, D)
+    assert (rep["i"], rep["witness"]) == _condition_i_by_double_dual(D)
 
 
 def test_counit_dual_identity_all_structures():
