@@ -7,6 +7,7 @@ Exit codes: 0 property verified / object produced, 1 property refuted
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -300,7 +301,9 @@ def _cmd_dagger(args) -> int:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--seed", type=int, default=DEFAULT_SEED, help="PRNG seed recorded in reports"

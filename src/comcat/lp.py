@@ -1,8 +1,15 @@
 """Exact rational linear programming via two-phase simplex with Bland's rule.
 
 Variables are free unless declared nonnegative; constraints are equalities
-or one-sided inequalities with rational data.  Answers are exact: a
-returned point satisfies every constraint with Fraction arithmetic, and
+or one-sided inequalities with rational data.  The simplex runs on an
+integer-preserving tableau (Edmonds' fraction-free pivoting, as in Bareiss
+elimination): every row is kept as integers over one common denominator,
+the determinant of the current basis, and each pivot divides exactly.
+Each constraint row is scaled to integers by the lcm s_i of its own
+denominators, which makes the starting (artificial) basis diag(s_i) and
+the starting denominator prod s_i; one lcm shared by all rows is not a
+basis determinant and would break the exact divisions.  Answers are exact:
+a returned point satisfies every constraint with Fraction arithmetic, and
 "infeasible" is a proof, not a tolerance call.
 """
 
@@ -10,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from .linalg import frac, frac_vector
@@ -56,74 +64,84 @@ class LpResult:
 
 
 class _Tableau:
-    """Dense simplex tableau over Fractions, Bland's rule (no cycling)."""
+    """Dense simplex tableau in integers over one common denominator.
 
-    def __init__(self, rows, rhs, ncols):
-        self.rows = rows          # list[list[Fraction]]
-        self.rhs = rhs            # list[Fraction]
-        self.ncols = ncols
-        self.basis: list[int] = []
+    ``rows[i]`` is ``d`` times row i of the Fraction tableau B^-1 A, with
+    its right-hand side as the last entry, and ``cost`` is ``d`` times the
+    reduced costs followed by ``d`` times the negated objective value.
+    With ``d`` the determinant of the basis B (up to sign) in the
+    integer-scaled constraint matrix, every entry is an integer by Cramer's
+    rule, and Edmonds' pivot update below divides exactly.  The cost row is
+    updated by the same rule as every other row, never recomputed.
 
-    def add_artificials(self):
-        m = len(self.rows)
-        for i, row in enumerate(self.rows):
-            row.extend(Fraction(1) if j == i else Fraction(0) for j in range(m))
-        self.basis = [self.ncols + i for i in range(m)]
-        self.ncols += m
+    Pivots follow Bland's rule (no cycling): the entering column is the
+    smallest with a negative reduced cost, the leaving row has the least
+    ratio rhs / entry, ties going to the smallest basic column.
+    """
+
+    def __init__(self, rows, d, basis, cost):
+        self.rows = rows          # list[list[int]]
+        self.d = d                # positive common denominator
+        self.basis = basis        # list[int]: basic column of each row
+        self.cost = cost          # list[int], or None outside the simplex
 
     def pivot(self, r, c):
-        pr = self.rows[r]
-        pv = pr[c]
-        self.rows[r] = pr = [x / pv for x in pr]
-        self.rhs[r] = self.rhs[r] / pv
-        for i, row in enumerate(self.rows):
-            if i != r and row[c] != 0:
-                f = row[c]
-                self.rows[i] = [a - f * b for a, b in zip(row, pr)]
-                self.rhs[i] = self.rhs[i] - f * self.rhs[r]
+        """Make column c basic in row r; the old pivot p becomes ``d``."""
+        rows, d = self.rows, self.d
+        pr = rows[r]
+        p = pr[c]
+        if p < 0:
+            # Only when an artificial is driven out.  Dividing row r by its
+            # pivot makes its sign irrelevant; negating it first keeps d > 0.
+            pr = rows[r] = [-x for x in pr]
+            p = -p
+        for i, row in enumerate(rows):
+            if i != r:
+                rows[i] = _update(row, pr, c, p, d)
+        if self.cost is not None:
+            self.cost = _update(self.cost, pr, c, p, d)
+        self.d = p
         self.basis[r] = c
 
-    def reduced_costs(self, cost):
-        # z_j = sum over basic rows of cost[basic] * row[j]; rc_j = cost_j - z_j
-        rc = list(cost)
-        for i, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb != 0:
-                row = self.rows[i]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        rc[j] -= cb * row[j]
-        return rc
-
-    def objective(self, cost) -> Fraction:
-        return sum(cost[b] * self.rhs[i] for i, b in enumerate(self.basis))
-
-    def minimize(self, cost, forbidden=frozenset()) -> str:
+    def minimize(self) -> str:
+        rows, basis, n = self.rows, self.basis, len(self.cost) - 1
         while True:
-            rc = self.reduced_costs(cost)
-            enter = None
-            for j in range(self.ncols):
-                if j in forbidden:
-                    continue
-                if rc[j] < 0:
-                    enter = j  # Bland: smallest index
-                    break
+            cost = self.cost
+            enter = next((j for j in range(n) if cost[j] < 0), None)
             if enter is None:
                 return "optimal"
             leave = None
-            best = None
-            for i in range(len(self.rows)):
-                a = self.rows[i][enter]
+            for i, row in enumerate(rows):
+                a = row[enter]
                 if a > 0:
-                    ratio = self.rhs[i] / a
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                    b = row[-1]
+                    if leave is None:
+                        leave, best_a, best_b = i, a, b
+                        continue
+                    # b / a < best_b / best_a, both denominators positive
+                    lhs, rhs = b * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave, best_a, best_b = i, a, b
             if leave is None:
                 return "unbounded"
             self.pivot(leave, enter)
+
+
+def _update(row, pr, c, p, d):
+    """Edmonds' exact step for one row: (p * row - row[c] * pr) / d."""
+    f = row[c]
+    if f:
+        return [(p * x - f * y) // d for x, y in zip(row, pr)]
+    if p == d:
+        return row
+    return [p * x // d for x in row]
+
+
+def _integral(values) -> tuple[int, list[int]]:
+    """(s, ints): the least s > 0 with every s * value an integer, and those."""
+    values = [v if isinstance(v, (int, Fraction)) else frac(v) for v in values]
+    s = lcm(*(v.denominator for v in values))
+    return s, [v.numerator * (s // v.denominator) for v in values]
 
 
 def solve_lp(
@@ -150,83 +168,93 @@ def solve_lp(
             col_of.append((ncols, ncols + 1))
             ncols += 2
 
-    def expand(coeffs):
-        row = [Fraction(0)] * ncols
-        for i, c in enumerate(coeffs):
-            if c == 0:
-                continue
-            c = frac(c)
-            p, m = col_of[i]
-            row[p] += c
-            if m is not None:
-                row[m] -= c
+    def expand(ints, width):
+        row = [0] * width
+        for i, v in enumerate(ints):
+            if v:
+                p, m = col_of[i]
+                row[p] = v
+                if m is not None:
+                    row[m] = -v
         return row
 
-    rows, rhs, slack_cols = [], [], 0
-    raw = []
     for con in constraints:
         if len(con.coeffs) != num_vars:
             raise ValueError("constraint arity does not match num_vars")
-        raw.append((expand(con.coeffs), con.rel, frac(con.rhs)))
+    nrows = len(constraints)
+    slack_cols = sum(con.rel in (LE, GE) for con in constraints)
+    art_start = ncols + slack_cols
+
+    # Row i, scaled by the lcm s_i of its denominators: structural and
+    # slack columns, s_i in its own artificial column, then the rhs.  The
+    # artificial basis is diag(s_i), so d0 = prod s_i and the tableau rows
+    # start as d0 times the Fraction rows.
+    scaled, scales = [], []
+    slack = ncols
+    for i, con in enumerate(constraints):
+        s, ints = _integral((*con.coeffs, con.rhs))
+        row = expand(ints[:-1], art_start + nrows + 1)
         if con.rel in (LE, GE):
-            slack_cols += 1
-    total = ncols + slack_cols
-    s = ncols
-    for row, rel, b in raw:
-        row = row + [Fraction(0)] * slack_cols
-        if rel == LE:
-            row[s] = Fraction(1)
-            s += 1
-        elif rel == GE:
-            row[s] = Fraction(-1)
-            s += 1
-        if b < 0:
+            row[slack] = s if con.rel == LE else -s
+            slack += 1
+        if ints[-1] < 0:
             row = [-x for x in row]
-            b = -b
-        rows.append(row)
-        rhs.append(b)
+        row[art_start + i] = s
+        row[-1] = abs(ints[-1])
+        scaled.append(row)
+        scales.append(s)
+    d = prod(scales)
+    rows = [row if s == d else [x * (d // s) for x in row] for row, s in zip(scaled, scales)]
 
-    tab = _Tableau(rows, rhs, total)
-    art_start = tab.ncols
-    tab.add_artificials()
-
-    phase1 = [Fraction(0)] * art_start + [Fraction(1)] * (tab.ncols - art_start)
-    tab.minimize(phase1)
-    if tab.objective(phase1) != 0:
+    # Phase 1 minimizes the sum of the artificials, which are basic with
+    # cost 1: their reduced costs are 0 and every other column's is minus
+    # its column sum.
+    cost = [-sum(col) for col in zip(*rows)] if rows else [0] * (art_start + 1)
+    cost[art_start:-1] = [0] * nrows
+    tab = _Tableau(rows, d, list(range(art_start, art_start + nrows)), cost)
+    tab.minimize()
+    if tab.cost[-1] != 0:
         return LpResult("infeasible")
 
-    # Drive surviving artificials out of the basis.
-    for i in range(len(tab.rows)):
+    # Drive surviving artificials (all at level 0) out of the basis; the
+    # artificial columns take no further part.
+    tab.cost = None
+    tab.rows = [row[:art_start] + row[-1:] for row in tab.rows]
+    for i in range(nrows):
         if tab.basis[i] >= art_start:
-            pivot_col = next(
-                (j for j in range(art_start) if tab.rows[i][j] != 0), None
-            )
+            pivot_col = next((j for j in range(art_start) if tab.rows[i][j]), None)
             if pivot_col is not None:
                 tab.pivot(i, pivot_col)
-    keep = [i for i in range(len(tab.rows)) if tab.basis[i] < art_start]
+    keep = [i for i in range(nrows) if tab.basis[i] < art_start]
     tab.rows = [tab.rows[i] for i in keep]
-    tab.rhs = [tab.rhs[i] for i in keep]
     tab.basis = [tab.basis[i] for i in keep]
 
     value = None
     if objective is not None:
-        obj = expand(objective) + [Fraction(0)] * (tab.ncols - ncols)
+        # Objective scaled to integers by the lcm of its denominators: the
+        # reduced costs keep their signs, so the pivots do not change.
+        scale, ints = _integral(objective)
+        obj = expand(ints, art_start)
         if maximize:
             obj = [-x for x in obj]
-        status = tab.minimize(obj, forbidden=frozenset(range(art_start, tab.ncols)))
-        if status == "unbounded":
+        cost = [tab.d * x for x in obj] + [0]
+        for row, b in zip(tab.rows, tab.basis):
+            if obj[b]:
+                cost = [x - obj[b] * y for x, y in zip(cost, row)]
+        tab.cost = cost
+        if tab.minimize() == "unbounded":
             return LpResult("unbounded")
-        value = tab.objective(obj)
+        value = Fraction(-tab.cost[-1], tab.d * scale)
         if maximize:
             value = -value
 
-    solution = [Fraction(0)] * tab.ncols
-    for i, b in enumerate(tab.basis):
-        solution[b] = tab.rhs[i]
-    x = []
-    for p, m in col_of:
-        x.append(solution[p] - (solution[m] if m is not None else 0))
-    return LpResult("optimal", tuple(x), value)
+    level = [0] * art_start
+    for row, b in zip(tab.rows, tab.basis):
+        level[b] = row[-1]
+    x = tuple(
+        Fraction(level[p] - (level[m] if m is not None else 0), tab.d) for p, m in col_of
+    )
+    return LpResult("optimal", x, value)
 
 
 def lp_feasible(

@@ -140,7 +140,6 @@ def from_mackey(triple: MackeyTriple) -> Com:
         if rank(candidate) == len(candidate):
             basis_idx.append(i)
     basis = [merged[i] for i in basis_idx]
-    m = len(basis)
 
     # coordinates of every merged column over the chosen basis
     coords = []

@@ -156,7 +156,6 @@ def _candidate_omegas_stage2(A: Com, B: Com, composite_ba: CompositeCom):
         return
     n_a, n_b = A.dim, B.dim
     gens_ba = composite_ba.state_cone.generators
-    k = len(gens_ba)
     for image in permutations(range(len(b_rays)), len(a_rays)):
         r_hat = _solve_matching(a_rays, [b_rays[j] for j in image], n_b, n_a)
         if r_hat is None or all(x == 0 for row in r_hat for x in row):
@@ -420,7 +419,6 @@ def factor_morphism(phi, structure: CompactStructure) -> dict:
     A = structure.obj
     n = A.dim
     m = structure.dual_obj.dim
-    n_b = len(phi)
     report = verify_compact_structure(structure.obj, structure.dual_obj, structure.eta, structure.epsilon)
     if not report.ok:
         raise InvalidStructure("compact structure does not verify")

@@ -173,9 +173,8 @@ def _self_duality_search(A: Com, symmetric: bool) -> Optional[DualityStructure]:
             "self-duality search needs a polyhedral model; verify an explicit candidate instead"
         )
     for phi in order_isomorphisms(A.state_cone, A.effect_cone, symmetric=symmetric):
-        gamma_hat = inverse(phi)
         try:
-            return build_structure(A, gamma_hat)
+            return build_structure(A, inverse(phi), f_hat=phi)
         except InvalidStructure:
             continue
     return None

@@ -1,4 +1,4 @@
-"""Fraction Gauss-Jordan elimination, kept as a test oracle.
+"""Fraction Gauss-Jordan elimination and simplex, kept as test oracles.
 
 ``rref`` below is the elimination the package used before its exact
 routines moved onto the integer Bareiss kernel (``linalg._eliminate``),
@@ -6,6 +6,11 @@ with ``solve``, ``nullspace``, ``inverse`` and ``primitive`` as they were
 then.  It works on Fractions throughout, shares no code with the kernel,
 and the reduced row echelon form is unique, so the kernel's results must
 equal these exactly.
+
+``_Tableau`` and ``solve_lp`` are the two-phase Fraction simplex the
+package used before ``comcat.lp`` moved onto an integer tableau.  The
+integer solver makes the same pivots (Bland's rule, the same ratio-test
+tie-break), so its status, point and value must equal these exactly.
 """
 
 from fractions import Fraction
@@ -14,6 +19,7 @@ from typing import Optional, Sequence
 
 from comcat.errors import DimensionMismatch, SingularMatrix
 from comcat.linalg import frac
+from comcat.lp import GE, LE, Constraint, LpResult
 
 Vector = tuple
 Matrix = tuple
@@ -121,3 +127,177 @@ def kernel_if_corank_one(rows, n: int):
     for r, c in enumerate(pivots):
         v[c] = -reduced[r][free]
     return primitive(v)
+
+
+class _Tableau:
+    """Dense simplex tableau over Fractions, Bland's rule (no cycling)."""
+
+    def __init__(self, rows, rhs, ncols):
+        self.rows = rows          # list[list[Fraction]]
+        self.rhs = rhs            # list[Fraction]
+        self.ncols = ncols
+        self.basis: list[int] = []
+
+    def add_artificials(self):
+        m = len(self.rows)
+        for i, row in enumerate(self.rows):
+            row.extend(Fraction(1) if j == i else Fraction(0) for j in range(m))
+        self.basis = [self.ncols + i for i in range(m)]
+        self.ncols += m
+
+    def pivot(self, r, c):
+        pr = self.rows[r]
+        pv = pr[c]
+        self.rows[r] = pr = [x / pv for x in pr]
+        self.rhs[r] = self.rhs[r] / pv
+        for i, row in enumerate(self.rows):
+            if i != r and row[c] != 0:
+                f = row[c]
+                self.rows[i] = [a - f * b for a, b in zip(row, pr)]
+                self.rhs[i] = self.rhs[i] - f * self.rhs[r]
+        self.basis[r] = c
+
+    def reduced_costs(self, cost):
+        # z_j = sum over basic rows of cost[basic] * row[j]; rc_j = cost_j - z_j
+        rc = list(cost)
+        for i, b in enumerate(self.basis):
+            cb = cost[b]
+            if cb != 0:
+                row = self.rows[i]
+                for j in range(self.ncols):
+                    if row[j] != 0:
+                        rc[j] -= cb * row[j]
+        return rc
+
+    def objective(self, cost) -> Fraction:
+        return sum(cost[b] * self.rhs[i] for i, b in enumerate(self.basis))
+
+    def minimize(self, cost, forbidden=frozenset()) -> str:
+        while True:
+            rc = self.reduced_costs(cost)
+            enter = None
+            for j in range(self.ncols):
+                if j in forbidden:
+                    continue
+                if rc[j] < 0:
+                    enter = j  # Bland: smallest index
+                    break
+            if enter is None:
+                return "optimal"
+            leave = None
+            best = None
+            for i in range(len(self.rows)):
+                a = self.rows[i][enter]
+                if a > 0:
+                    ratio = self.rhs[i] / a
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[leave]
+                    ):
+                        best = ratio
+                        leave = i
+            if leave is None:
+                return "unbounded"
+            self.pivot(leave, enter)
+
+
+def solve_lp(
+    num_vars: int,
+    constraints: Sequence[Constraint],
+    objective: Optional[Sequence] = None,
+    maximize: bool = False,
+    nonneg: Optional[Sequence[bool]] = None,
+) -> LpResult:
+    """Solve min/max objective . x subject to the constraints.
+
+    With objective None, any feasible point is returned.  nonneg[i] marks
+    variable i as >= 0 (saving the free-variable split).
+    """
+    if nonneg is None:
+        nonneg = [False] * num_vars
+    col_of: list[tuple[int, Optional[int]]] = []  # (plus column, minus column)
+    ncols = 0
+    for i in range(num_vars):
+        if nonneg[i]:
+            col_of.append((ncols, None))
+            ncols += 1
+        else:
+            col_of.append((ncols, ncols + 1))
+            ncols += 2
+
+    def expand(coeffs):
+        row = [Fraction(0)] * ncols
+        for i, c in enumerate(coeffs):
+            if c == 0:
+                continue
+            c = frac(c)
+            p, m = col_of[i]
+            row[p] += c
+            if m is not None:
+                row[m] -= c
+        return row
+
+    rows, rhs, slack_cols = [], [], 0
+    raw = []
+    for con in constraints:
+        if len(con.coeffs) != num_vars:
+            raise ValueError("constraint arity does not match num_vars")
+        raw.append((expand(con.coeffs), con.rel, frac(con.rhs)))
+        if con.rel in (LE, GE):
+            slack_cols += 1
+    total = ncols + slack_cols
+    s = ncols
+    for row, rel, b in raw:
+        row = row + [Fraction(0)] * slack_cols
+        if rel == LE:
+            row[s] = Fraction(1)
+            s += 1
+        elif rel == GE:
+            row[s] = Fraction(-1)
+            s += 1
+        if b < 0:
+            row = [-x for x in row]
+            b = -b
+        rows.append(row)
+        rhs.append(b)
+
+    tab = _Tableau(rows, rhs, total)
+    art_start = tab.ncols
+    tab.add_artificials()
+
+    phase1 = [Fraction(0)] * art_start + [Fraction(1)] * (tab.ncols - art_start)
+    tab.minimize(phase1)
+    if tab.objective(phase1) != 0:
+        return LpResult("infeasible")
+
+    # Drive surviving artificials out of the basis.
+    for i in range(len(tab.rows)):
+        if tab.basis[i] >= art_start:
+            pivot_col = next(
+                (j for j in range(art_start) if tab.rows[i][j] != 0), None
+            )
+            if pivot_col is not None:
+                tab.pivot(i, pivot_col)
+    keep = [i for i in range(len(tab.rows)) if tab.basis[i] < art_start]
+    tab.rows = [tab.rows[i] for i in keep]
+    tab.rhs = [tab.rhs[i] for i in keep]
+    tab.basis = [tab.basis[i] for i in keep]
+
+    value = None
+    if objective is not None:
+        obj = expand(objective) + [Fraction(0)] * (tab.ncols - ncols)
+        if maximize:
+            obj = [-x for x in obj]
+        status = tab.minimize(obj, forbidden=frozenset(range(art_start, tab.ncols)))
+        if status == "unbounded":
+            return LpResult("unbounded")
+        value = tab.objective(obj)
+        if maximize:
+            value = -value
+
+    solution = [Fraction(0)] * tab.ncols
+    for i, b in enumerate(tab.basis):
+        solution[b] = tab.rhs[i]
+    x = []
+    for p, m in col_of:
+        x.append(solution[p] - (solution[m] if m is not None else 0))
+    return LpResult("optimal", tuple(x), value)

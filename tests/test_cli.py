@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
-from comcat.cli import main
+import comcat
+from comcat.cli import build_parser, main
 from comcat.models import classical, gbit, quantum
 from comcat.composites import min_tensor
 from comcat.serialize import (
@@ -193,3 +198,21 @@ def test_tolerance_env_override(monkeypatch):
     assert numeric_tolerance() == 1e-6
     monkeypatch.delenv("COMCAT_TOLERANCE")
     assert numeric_tolerance() == 1e-9
+
+
+def test_cached_parser_keeps_no_state_between_commands(capsys):
+    # The parser is built once per process.  A --tolerance on one command
+    # must not reach the next: its body equals that of a fresh process.
+    assert build_parser() is build_parser()
+    code, _, _ = run(capsys, "dagger", "builtin:qubit", "--tolerance", "1e-3")
+    assert code == 0
+    code, out, _ = run(capsys, "validate", "builtin:quantum2")
+    assert code == 0
+    fresh = subprocess.run(
+        [sys.executable, "-m", "comcat.cli", "validate", "builtin:quantum2"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(comcat.__file__).parent.parent)},
+    )
+    assert body_of(out) == body_of(fresh.stdout)

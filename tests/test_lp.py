@@ -4,8 +4,10 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_oracle as oracle
 from comcat import linalg as la
-from comcat.lp import Constraint, eq, ge, le, lp_feasible, in_cone, solve_lp
+from comcat import lp
+from comcat.lp import EQ, GE, LE, Constraint, eq, ge, le, lp_feasible, in_cone, solve_lp
 
 
 def test_infeasible_interval():
@@ -132,3 +134,70 @@ def test_feasibility_matches_vertex_enumeration(raw):
     else:
         assert got is not None
         assert all(c.holds(got) for c in boxed)
+
+
+def _same_as_oracle(num_vars, constraints, **kwargs):
+    got = solve_lp(num_vars, constraints, **kwargs)
+    want = oracle.solve_lp(num_vars, constraints, **kwargs)
+    assert (got.status, got.x, got.value) == (want.status, want.x, want.value)
+    return got
+
+
+@st.composite
+def _lps(draw):
+    n = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        scalar = st.fractions(-3, 3, max_denominator=4)
+    else:
+        scalar = st.integers(-3, 3).map(F)
+    row = st.tuples(*[scalar] * n)
+    constraints = draw(
+        st.lists(
+            st.builds(Constraint, row, st.sampled_from([LE, GE, EQ]), st.just(F(0)) | scalar),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    kwargs = {
+        "objective": draw(st.none() | row),
+        "maximize": draw(st.booleans()),
+        "nonneg": draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+    }
+    return n, constraints, kwargs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lps())
+def test_integer_tableau_matches_fraction_simplex(lp_data):
+    # Same pivots as the Fraction simplex, so the same status, point and
+    # value, on integer and rational data, feasible, infeasible, unbounded
+    # and degenerate alike.
+    n, constraints, kwargs = lp_data
+    _same_as_oracle(n, constraints, **kwargs)
+
+
+def test_redundant_equality_with_negative_drive_out_pivot(monkeypatch):
+    # The third row is the second minus the first.  After phase 1 two
+    # artificials sit at level 0: one leaves on a pivot of -1, the other
+    # row has no structural entry left and is dropped.
+    drive_out_pivots = []
+    pivot = lp._Tableau.pivot
+
+    def recording_pivot(tab, r, c):
+        if tab.cost is None:
+            drive_out_pivots.append(tab.rows[r][c])
+        pivot(tab, r, c)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", recording_pivot)
+    cons = [eq((0, -1, 0), -2), eq((-1, 0, 0), 0), eq((-1, 1, 0), 2)]
+    res = _same_as_oracle(3, cons, objective=(0, 2, 1), nonneg=[True] * 3)
+    assert drive_out_pivots == [-1]
+    assert res.x == (F(0), F(2), F(0)) and res.value == 4
+
+
+def test_ratio_tie_goes_to_smallest_basic_column():
+    # x is optimal at -1 along a whole edge; the tie-break of the ratio
+    # test decides the vertex (y = 0, not y = 2).
+    cons = [le((2, -1), 0), le((2, 1), 0), le((-1, 0), 1), le((2, -1), 2)]
+    res = _same_as_oracle(2, cons, objective=(1, 0), nonneg=[False, True])
+    assert res.x == (F(-1), F(0)) and res.value == -1

@@ -93,6 +93,25 @@ def test_wsd_gbit_found():
     assert D is not None
 
 
+def test_wsd_candidate_inverted_four_times(monkeypatch):
+    # The first candidate is accepted: one inverse verifies the order
+    # isomorphism phi, one gives gamma_hat, and verify_isomorphism_state
+    # and the twist check each invert gamma_hat; f_hat is phi itself.
+    from comcat import linalg, matching, selfdual
+
+    calls = []
+
+    def counting_inverse(M):
+        calls.append(M)
+        return linalg.inverse(M)
+
+    monkeypatch.setattr(matching, "inverse", counting_inverse)
+    monkeypatch.setattr(selfdual, "inverse", counting_inverse)
+    D = check_weak_self_duality(gbit())
+    assert D is not None and len(calls) == 4
+    assert D.f_hat == linalg.inverse(D.gamma_hat)
+
+
 def test_ssd_gbit_reflection():
     D = check_symmetric_self_duality(gbit())
     assert D is not None and D.symmetric
