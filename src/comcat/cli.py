@@ -100,7 +100,7 @@ def _cmd_model(args) -> int:
         triple = models.mackey_triple(
             data["outcomes"],
             data["states"],
-            [[serialize.num_from_json(v) for v in row] for row in data["table"]],
+            [serialize.exact_vector_from_json(row, "table") for row in data["table"]],
         )
         com = models.from_mackey(triple)
     _emit(com_to_json(com), args.output)
@@ -178,6 +178,8 @@ def _load_theory(spec: str):
             com, _ = _resolve_model(entry)
         else:
             com = com_from_json(entry)
+        if any(other.label == com.label for other in objs):
+            raise SchemaError(f"duplicate object label {com.label!r} in theory {spec}")
         objs.append(com)
     composites = data.get("composites", {})
     structures = data.get("structures", {})
@@ -185,9 +187,12 @@ def _load_theory(spec: str):
 
 
 def _default_kind(A: Com, B: Com) -> str:
+    """spatial for two quantum factors; min when a factor is polyhedral
+    with a simplicial state cone (as many extreme rays as dimensions),
+    where min and max coincide; max otherwise."""
     if A.kind == "psd" and B.kind == "psd":
         return "spatial"
-    if A.label.startswith("classical") or B.label.startswith("classical"):
+    if any(X.kind == "polyhedral" and len(X.state_cone.generators) == X.dim for X in (A, B)):
         return "min"
     return "max"
 

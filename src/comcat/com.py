@@ -17,12 +17,10 @@ from .errors import DimensionMismatch, NotAMorphism, ZeroMap
 from .linalg import (
     dot,
     fmt,
-    frac_vector,
     matvec,
     scale_matrix,
     transpose,
 )
-from .lp import in_cone
 
 
 @dataclass(frozen=True)
@@ -80,22 +78,14 @@ def validate_com(com: Com) -> list[str]:
 
 
 def _effect_cone_in_dual(A: Cone, E: Cone) -> list[str]:
+    """E lies in the dual of A iff every effect generator is nonnegative
+    on every state generator; each effect generator that is not is named
+    with the first state generator it is negative on."""
     out = []
-    if E.has_generators() or not A.has_generators():
-        for e in E.generators:
-            bad = [g for g in A.generators if dot(e, g) < 0]
-            if bad:
-                out.append(
-                    f"effect generator {fmt(e)} is negative on state generator {fmt(bad[0])}"
-                )
-    else:
-        # effect cone known only by facets: E sub dual(A) iff every state
-        # generator lies in the cone spanned by those facet normals.
-        for g in A.generators:
-            if not in_cone(frac_vector(g), E.facets):
-                out.append(
-                    f"state generator {fmt(g)} violates duality with the effect cone"
-                )
+    for e in E.generators:
+        bad = next((g for g in A.generators if dot(e, g) < 0), None)
+        if bad is not None:
+            out.append(f"effect generator {fmt(e)} is negative on state generator {fmt(bad)}")
     return out
 
 

@@ -46,7 +46,7 @@ from .linalg import (
     transpose,
     vec_to_matrix,
 )
-from .lp import in_cone, le, solve_lp
+from .lp import le, solve_lp
 
 MIN, MAX, SPATIAL, CUSTOM = "min", "max", "spatial_quantum", "custom"
 
@@ -208,11 +208,11 @@ def is_composite(AB: Com, A: Com, B: Com, seed: int = 0) -> list[str]:
 
 
 def separability_check(omega, AB_min: CompositeCom) -> bool:
-    """Exact LP membership of the state in the separable (min) cone;
-    False means entangled."""
+    """Exact facet-sign membership of the state in the separable (min)
+    cone; False means entangled."""
     if AB_min.kind != POLYHEDRAL:
-        raise MixedKindUnsupported("separability LP needs polyhedral factors")
-    return in_cone(frac_vector(omega), AB_min.state_cone.generators)
+        raise MixedKindUnsupported("separability check needs polyhedral factors")
+    return AB_min.state_cone.member(omega)
 
 
 def separating_functional(omega, generators) -> Optional[tuple]:

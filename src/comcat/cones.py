@@ -6,9 +6,14 @@ construction; the other is derived on demand by the double-description
 method in exact integer arithmetic: start from the simplicial cone of n
 independent rows and insert the remaining rows one at a time.  Both
 directions are the same computation, since the generators of a cone are
-the facet normals of its dual.  A PSD cone is the Hermitian
-positive-semidefinite cone in its fixed real coordinatization; it is
-self-dual and its membership test is spectral.
+the facet normals of its dual.  Each predicate reads the description
+that decides it by sign checks alone: membership the facets, strict
+positivity of a functional the generators; a missing description is
+converted once and kept.  Linear programs remain only in construction
+(pointedness and redundancy) and in ``member_by_lp``, the reference
+membership test.  A PSD cone is the Hermitian positive-semidefinite cone
+in its fixed real coordinatization; it is self-dual and its membership
+test is spectral.
 
 Whether a linear map carries one cone into another is decided on the
 source's probe rays (``rays_leaving``): every generator of a polyhedral
@@ -34,7 +39,7 @@ from .linalg import (
     primitive,
     rank,
 )
-from .lp import eq, in_cone, lp_feasible, solve_lp
+from .lp import eq, in_cone, lp_feasible
 
 POLYHEDRAL = "polyhedral"
 PSD = "psd"
@@ -88,24 +93,19 @@ class Cone:
             object.__setattr__(self, "_facets", facets)
         return self._facets
 
-    def has_generators(self) -> bool:
-        return self._generators is not None
-
-    def has_facets(self) -> bool:
-        return self._facets is not None
-
     # -- predicates -----------------------------------------------------
 
     def member(self, x, tolerance: Optional[float] = None) -> bool:
-        """Cone membership: exact facet signs (polyhedral) or spectral."""
+        """Cone membership: h.x >= 0 on every facet normal h, in exact
+        arithmetic (polyhedral; a generator-only cone converts its facets
+        once), or the least eigenvalue against the tolerance (PSD)."""
         if len(x) != self.dim:
             raise DimensionMismatch(f"vector of length {len(x)} vs cone dim {self.dim}")
         if self.kind == PSD:
             tol = numeric_tolerance() if tolerance is None else tolerance
             return hermitian.min_eigenvalue(x, self.hilbert_dims) >= -tol
-        if self._facets is not None:
-            return all(dot(h, x) >= 0 for h in self._facets)
-        return in_cone(frac_vector(x), self._generators)
+        x = frac_vector(x)
+        return all(dot(h, x) >= 0 for h in self.facets)
 
     def member_by_lp(self, x) -> bool:
         """Exact membership via LP over the generator description."""
@@ -124,27 +124,12 @@ class Cone:
         return tuple(out)
 
     def strictly_positive(self, u) -> bool:
-        """Is the functional u strictly positive on the cone minus 0?"""
+        """Is the functional u strictly positive on the cone minus 0?
+        Polyhedral: u.g > 0 on every generator g; PSD: u is positive
+        definite beyond the tolerance."""
         if self.kind == PSD:
             return hermitian.min_eigenvalue(u, self.hilbert_dims) > numeric_tolerance()
-        if self._generators is not None:
-            return all(dot(u, g) > 0 for g in self._generators)
-        # u interior to the dual cone spanned by the facet normals:
-        # u - t*p stays in that cone for some t > 0, p an interior point.
-        facets = self._facets
-        p = [sum(col) for col in zip(*facets)]
-        k = len(facets)
-        cons = [
-            eq(tuple(h[i] for h in facets) + (p[i],), u[i]) for i in range(self.dim)
-        ]
-        res = solve_lp(
-            k + 1,
-            cons,
-            objective=(0,) * k + (1,),
-            maximize=True,
-            nonneg=[True] * (k + 1),
-        )
-        return res.status == "optimal" and res.value > 0
+        return all(dot(u, g) > 0 for g in self.generators)
 
 
 def cone_from_generators(gens: Sequence[Sequence]) -> Cone:

@@ -1,10 +1,11 @@
 """Exact rational linear programming via two-phase simplex with Bland's rule.
 
 Variables are free unless declared nonnegative; constraints are equalities
-or one-sided inequalities with rational data.  The simplex runs on an
-integer-preserving tableau (Edmonds' fraction-free pivoting, as in Bareiss
-elimination): every row is kept as integers over one common denominator,
-the determinant of the current basis, and each pivot divides exactly.
+or one-sided inequalities whose exact data (int, Fraction) is stored as
+given.  The simplex runs on an integer-preserving tableau (Edmonds'
+fraction-free pivoting, as in Bareiss elimination): every row is kept as
+integers over one common denominator, the determinant of the current
+basis, and each pivot divides exactly.
 Each constraint row is scaled to integers by the lcm s_i of its own
 denominators, which makes the starting (artificial) basis diag(s_i) and
 the starting denominator prod s_i; one lcm shared by all rows is not a
@@ -20,16 +21,19 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Optional, Sequence
 
-from .linalg import frac, frac_vector
+from .linalg import frac
 
 LE, GE, EQ = "<=", ">=", "=="
 
 
 @dataclass(frozen=True)
 class Constraint:
+    """coeffs . x  rel  rhs, with the exact numbers (int, Fraction) as
+    given; ``solve_lp`` scales each row to integers itself."""
+
     coeffs: tuple
     rel: str
-    rhs: Fraction
+    rhs: object
 
     def holds(self, x) -> bool:
         lhs = sum(c * v for c, v in zip(self.coeffs, x))
@@ -41,15 +45,15 @@ class Constraint:
 
 
 def le(coeffs, rhs) -> Constraint:
-    return Constraint(frac_vector(coeffs), LE, frac(rhs))
+    return Constraint(tuple(coeffs), LE, rhs)
 
 
 def ge(coeffs, rhs) -> Constraint:
-    return Constraint(frac_vector(coeffs), GE, frac(rhs))
+    return Constraint(tuple(coeffs), GE, rhs)
 
 
 def eq(coeffs, rhs) -> Constraint:
-    return Constraint(frac_vector(coeffs), EQ, frac(rhs))
+    return Constraint(tuple(coeffs), EQ, rhs)
 
 
 @dataclass

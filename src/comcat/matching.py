@@ -10,7 +10,6 @@ most eight extreme rays; larger inputs are refused.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
@@ -85,29 +84,25 @@ def _solve_matching(sources, targets, rows, cols, symmetric=False, extra_rows=No
     cons = []
     for i, (s, t) in enumerate(zip(sources, targets)):
         for row in range(rows):
-            coeffs = [Fraction(0)] * nvars
-            for col in range(cols):
-                coeffs[row * cols + col] = Fraction(s[col])
-            coeffs[rows * cols + i] = -Fraction(t[row])
-            cons.append(eq(tuple(coeffs), 0))
+            coeffs = [0] * nvars
+            coeffs[row * cols : (row + 1) * cols] = s
+            coeffs[rows * cols + i] = -t[row]
+            cons.append(eq(coeffs, 0))
     for i in range(k):
-        coeffs = [Fraction(0)] * nvars
-        coeffs[rows * cols + i] = Fraction(1)
-        cons.append(ge(tuple(coeffs), 1))
+        coeffs = [0] * nvars
+        coeffs[rows * cols + i] = 1
+        cons.append(ge(coeffs, 1))
     if symmetric:
         for a in range(rows):
             for b in range(a + 1, rows):
-                coeffs = [Fraction(0)] * nvars
-                coeffs[a * cols + b] = Fraction(1)
-                coeffs[b * cols + a] = Fraction(-1)
-                cons.append(eq(tuple(coeffs), 0))
+                coeffs = [0] * nvars
+                coeffs[a * cols + b] = 1
+                coeffs[b * cols + a] = -1
+                cons.append(eq(coeffs, 0))
     for coeff_matrix, value in extra_rows or ():
-        coeffs = [Fraction(0)] * nvars
-        for a in range(rows):
-            for b in range(cols):
-                coeffs[a * cols + b] = Fraction(coeff_matrix[a][b])
-        cons.append(eq(tuple(coeffs), value))
-    objective = [Fraction(0)] * (rows * cols) + [Fraction(1)] * k
+        coeffs = [x for matrix_row in coeff_matrix for x in matrix_row] + [0] * k
+        cons.append(eq(coeffs, value))
+    objective = [0] * (rows * cols) + [1] * k
     res = solve_lp(nvars, cons, objective=objective)
     if res.status != "optimal":
         return None
@@ -142,10 +137,10 @@ def com_isomorphism(A, B) -> Optional[tuple]:
     # u_B(M alpha) = u_A(alpha) for all alpha: M^T u_B = u_A, n linear rows.
     n = A.dim
     for col in range(n):
-        row = [[Fraction(0)] * n for _ in range(n)]
+        row = [[0] * n for _ in range(n)]
         for r in range(n):
-            row[r][col] = Fraction(B.unit[r])
-        unit_rows.append((row, Fraction(A.unit[col])))
+            row[r][col] = B.unit[r]
+        unit_rows.append((row, A.unit[col]))
     for M in order_isomorphisms(A.state_cone, B.state_cone, extra_rows=unit_rows):
         Mt = transpose(M)
         if not any(rays_leaving(inverse(Mt), A.effect_cone, B.effect_cone)) and not any(

@@ -78,47 +78,20 @@ def _r_form_vector(r_hat, n_a, n_b) -> tuple:
 
 
 def _effect_interval_max_scale(r_form, composite_ab: CompositeCom):
-    """Largest c >= 0 with c*r_form and u - c*r_form in the effect cone."""
-    E = composite_ab.effect_cone
+    """Largest c >= 0 with c*r_form and u - c*r_form in the effect cone,
+    from the facets alone: the least ratio h.u / h.r_form over facets h
+    with h.r_form > 0, or None when some h.r_form < 0 (no positive
+    multiple of r_form is an effect) or none is positive."""
     u = composite_ab.unit
-    if E.has_facets():
-        best = None
-        for h in E.facets:
-            den = dot(h, r_form)
-            if den < 0:
-                return None  # no positive multiple enters the cone
-            if den > 0:
-                ratio = dot(h, u) / den
-                best = ratio if best is None else min(best, ratio)
-        return best
-    gens = E.generators
-    k = len(gens)
-    n = composite_ab.dim
-    # variables: c, mu1 (k), mu2 (k); G mu1 = c r, G mu2 = u - c r
-    nvars = 1 + 2 * k
-    cons = []
-    for i in range(n):
-        row = [Fraction(0)] * nvars
-        row[0] = -Fraction(r_form[i])
-        for j, g in enumerate(gens):
-            row[1 + j] = Fraction(g[i])
-        cons.append(eq(tuple(row), 0))
-    for i in range(n):
-        row = [Fraction(0)] * nvars
-        row[0] = Fraction(r_form[i])
-        for j, g in enumerate(gens):
-            row[1 + k + j] = Fraction(g[i])
-        cons.append(eq(tuple(row), u[i]))
-    res = solve_lp(
-        nvars,
-        cons,
-        objective=tuple([Fraction(1)] + [Fraction(0)] * (2 * k)),
-        maximize=True,
-        nonneg=[True] * nvars,
-    )
-    if res.status != "optimal":
-        return None
-    return res.value
+    best = None
+    for h in composite_ab.effect_cone.facets:
+        den = dot(h, r_form)
+        if den < 0:
+            return None
+        if den > 0:
+            ratio = dot(h, u) / den
+            best = ratio if best is None else min(best, ratio)
+    return best
 
 
 def _solve_r_hat(omega_hat, A: Com, B: Com) -> Optional[tuple]:
@@ -128,18 +101,15 @@ def _solve_r_hat(omega_hat, A: Com, B: Com) -> Optional[tuple]:
     cons = []
     for i in range(n_a):
         for j in range(n_a):
-            row = [Fraction(0)] * nvars
+            row = [0] * nvars
             for t in range(n_b):
-                row[t * n_a + j] = Fraction(omega_hat[i][t])
-            cons.append(eq(tuple(row), Fraction(1 if i == j else 0)))
+                row[t * n_a + j] = omega_hat[i][t]
+            cons.append(eq(row, 1 if i == j else 0))
     eff_facets = B.effect_cone.facets
     for g in A.state_cone.generators:
         for h in eff_facets:
-            row = [Fraction(0)] * nvars
-            for t in range(n_b):
-                for s in range(n_a):
-                    row[t * n_a + s] = row[t * n_a + s] + Fraction(h[t]) * Fraction(g[s])
-            cons.append(ge(tuple(row), 0))
+            # (r_hat g).h >= 0: the row-major outer product of h and g
+            cons.append(ge([ht * gs for ht in h for gs in g], 0))
     res = solve_lp(nvars, cons)
     if res.status != "optimal":
         return None
@@ -172,17 +142,15 @@ def _solve_omega(r_hat, A: Com, B: Com, gens_ba) -> Optional[tuple]:
     cons = []
     # hat(omega) = W^T with W the (n_b x n_a) reshape of omega;
     # (hat(omega) r_hat)[i][j] = sum_t W[t][i] r_hat[t][j]
+    Ws = [vec_to_matrix(g, n_b, n_a) for g in gens_ba]
     for i in range(n_a):
         for j in range(n_a):
-            row = []
-            for g in gens_ba:
-                W = vec_to_matrix(g, n_b, n_a)
-                row.append(sum(Fraction(W[t][i]) * Fraction(r_hat[t][j]) for t in range(n_b)))
-            cons.append(eq(tuple(row), Fraction(1 if i == j else 0)))
+            row = [sum(W[t][i] * r_hat[t][j] for t in range(n_b)) for W in Ws]
+            cons.append(eq(row, 1 if i == j else 0))
     mu = solve_lp(k, cons, nonneg=[True] * k)
     if mu.status != "optimal":
         return None
-    omega = [Fraction(0)] * (n_a * n_b)
+    omega = [0] * (n_a * n_b)
     for coef, g in zip(mu.x, gens_ba):
         if coef:
             omega = [w + coef * x for w, x in zip(omega, g)]

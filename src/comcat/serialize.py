@@ -1,7 +1,9 @@
 """JSON codecs for cones, models, composites, structures and certificates.
 
 Rationals serialize as "p/q" strings (plain ints when integral) so that
-round-trips are lossless; floats pass through as JSON numbers.
+round-trips are lossless; floats pass through as JSON numbers.  Exact
+(polyhedral) data refuses floats: the generators of a polyhedral cone and
+the unit of a polyhedral model must be integers or "p/q" strings.
 """
 
 from __future__ import annotations
@@ -50,6 +52,15 @@ def vector_from_json(v):
     return tuple(num_from_json(x) for x in v)
 
 
+def exact_vector_from_json(v, field: str):
+    """A vector of exact (polyhedral) data; a float is refused, since its
+    binary value is seldom the rational that was meant."""
+    for x in v:
+        if isinstance(x, float):
+            raise SchemaError(f"{field}: float {x!r} in exact data; write it as an integer or a \"p/q\" string")
+    return vector_from_json(v)
+
+
 def matrix_to_json(M):
     return [vector_to_json(row) for row in M]
 
@@ -78,7 +89,7 @@ def cone_from_json(data: dict) -> Cone:
         return psd_cone(dims)
     if kind != "polyhedral":
         raise SchemaError(f"unknown cone kind {kind!r}")
-    gens = [vector_from_json(g) for g in data["generators"]]
+    gens = [exact_vector_from_json(g, "generators") for g in data["generators"]]
     C = cone_from_generators(gens)
     if C.dim != data.get("dim", C.dim):
         raise SchemaError("declared dimension does not match the generators")
@@ -103,7 +114,10 @@ def com_from_json(data: dict) -> Com:
     label = data.get("label", "unnamed")
     state = cone_from_json(data["state_cone"])
     effect = cone_from_json(data["effect_cone"])
-    unit = vector_from_json(data["unit"])
+    if state.kind == PSD:
+        unit = vector_from_json(data["unit"])
+    else:
+        unit = exact_vector_from_json(data["unit"], "unit")
     if "composite_kind" in data and "factors" in data:
         factors = tuple(com_from_json(f) for f in data["factors"])
         return CompositeCom(

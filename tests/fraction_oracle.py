@@ -11,6 +11,15 @@ equal these exactly.
 package used before ``comcat.lp`` moved onto an integer tableau.  The
 integer solver makes the same pivots (Bland's rule, the same ratio-test
 tie-break), so its status, point and value must equal these exactly.
+
+The last three functions are the LP routes that the polyhedral predicates
+took when the cone at hand lacked the description they now read:
+``Cone.strictly_positive`` on a facet-only cone, the effect-interval scale
+of ``protocols`` on a generator-only effect cone, and the effect-cone
+duality check of ``com`` on a facet-only effect cone.  The LP route of
+``Cone.member`` (and of ``separability_check``) on a generator-only cone
+is ``Cone.member_by_lp``, which the package keeps as its reference.
+The first two run on the Fraction simplex above.
 """
 
 from fractions import Fraction
@@ -18,8 +27,8 @@ from math import gcd
 from typing import Optional, Sequence
 
 from comcat.errors import DimensionMismatch, SingularMatrix
-from comcat.linalg import frac
-from comcat.lp import GE, LE, Constraint, LpResult
+from comcat.linalg import fmt, frac, frac_vector
+from comcat.lp import GE, LE, Constraint, LpResult, eq, in_cone
 
 Vector = tuple
 Matrix = tuple
@@ -301,3 +310,69 @@ def solve_lp(
     for p, m in col_of:
         x.append(solution[p] - (solution[m] if m is not None else 0))
     return LpResult("optimal", tuple(x), value)
+
+
+def strictly_positive_by_facets(u, facets) -> bool:
+    """Is u strictly positive on the cone with these facet normals?"""
+    dim = len(facets[0])
+    # u interior to the dual cone spanned by the facet normals:
+    # u - t*p stays in that cone for some t > 0, p an interior point.
+    p = [sum(col) for col in zip(*facets)]
+    k = len(facets)
+    cons = [
+        eq(tuple(h[i] for h in facets) + (p[i],), u[i]) for i in range(dim)
+    ]
+    res = solve_lp(
+        k + 1,
+        cons,
+        objective=(0,) * k + (1,),
+        maximize=True,
+        nonneg=[True] * (k + 1),
+    )
+    return res.status == "optimal" and res.value > 0
+
+
+def effect_interval_max_scale_by_generators(r_form, composite_ab):
+    """Largest c >= 0 with c*r_form and u - c*r_form in the effect cone."""
+    E = composite_ab.effect_cone
+    u = composite_ab.unit
+    gens = E.generators
+    k = len(gens)
+    n = E.dim
+    # variables: c, mu1 (k), mu2 (k); G mu1 = c r, G mu2 = u - c r
+    nvars = 1 + 2 * k
+    cons = []
+    for i in range(n):
+        row = [Fraction(0)] * nvars
+        row[0] = -Fraction(r_form[i])
+        for j, g in enumerate(gens):
+            row[1 + j] = Fraction(g[i])
+        cons.append(eq(tuple(row), 0))
+    for i in range(n):
+        row = [Fraction(0)] * nvars
+        row[0] = Fraction(r_form[i])
+        for j, g in enumerate(gens):
+            row[1 + k + j] = Fraction(g[i])
+        cons.append(eq(tuple(row), u[i]))
+    res = solve_lp(
+        nvars,
+        cons,
+        objective=tuple([Fraction(1)] + [Fraction(0)] * (2 * k)),
+        maximize=True,
+        nonneg=[True] * nvars,
+    )
+    if res.status != "optimal":
+        return None
+    return res.value
+
+
+def effect_cone_in_dual_by_facets(A, E) -> list[str]:
+    """E inside the dual of A, with E known by facets: every state
+    generator lies in the cone spanned by those facet normals."""
+    out = []
+    for g in A.generators:
+        if not in_cone(frac_vector(g), E.facets):
+            out.append(
+                f"state generator {fmt(g)} violates duality with the effect cone"
+            )
+    return out

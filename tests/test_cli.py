@@ -216,3 +216,53 @@ def test_cached_parser_keeps_no_state_between_commands(capsys):
         env={**os.environ, "PYTHONPATH": str(Path(comcat.__file__).parent.parent)},
     )
     assert body_of(out) == body_of(fresh.stdout)
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_float_in_exact_data_exits_two_naming_field_and_value(tmp_path, capsys):
+    gen = com_to_json(gbit())
+    gen["state_cone"]["generators"][0] = [0.1, 1, 1]
+    unit = com_to_json(classical(2))
+    unit["unit"] = [0.5, 1]
+    table = {"outcomes": [0, 1], "states": ["s", "t"], "table": [[1, 0.25], [0, 1]]}
+    for argv, field, value in [
+        (("validate", _write(tmp_path, "gen.json", gen)), "generators", "0.1"),
+        (("validate", _write(tmp_path, "unit.json", unit)), "unit", "0.5"),
+        (("model", "mackey", _write(tmp_path, "table.json", table)), "table", "0.25"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert f"{field}: float {value}" in err
+
+
+def test_float_unit_of_quantum_model_still_loads(tmp_path, capsys):
+    data = com_to_json(quantum(2))
+    data["unit"] = [float(x) for x in data["unit"]]
+    code, out, _ = run(capsys, "validate", _write(tmp_path, "qubit.json", data))
+    assert code == 0
+    assert body_of(out)["verdicts"]["valid"] is True
+
+
+def test_duplicate_theory_label_exits_two(tmp_path, capsys):
+    fake = com_to_json(gbit())
+    fake["label"] = "classical2"
+    theory = _write(tmp_path, "theory.json", {"objects": ["builtin:classical2", fake]})
+    for command in ("compact-check", "dagger"):
+        code, out, err = run(capsys, command, theory)
+        assert code == 2 and not out
+        assert "duplicate object label 'classical2'" in err
+
+
+def test_default_composite_does_not_depend_on_the_label(tmp_path, capsys):
+    verdicts = []
+    for label in ("gbit", "classicalish"):
+        square = com_to_json(gbit())
+        square["label"] = label
+        code, out, _ = run(capsys, "compact-check", _write(tmp_path, f"{label}.json", {"objects": [square]}))
+        verdicts.append((code, body_of(out)["verdicts"]["objects"][label]["compact"]))
+    assert verdicts == [(0, True), (0, True)]

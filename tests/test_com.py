@@ -17,7 +17,7 @@ from comcat.com import (
     random_positive_map,
     validate_com,
 )
-from comcat.cones import cone_from_generators
+from comcat.cones import cone_from_facets, cone_from_generators
 from comcat.com import Com
 from comcat.errors import NotAMorphism, ZeroMap
 from comcat.linalg import dot, identity, matmul, matvec, transpose
@@ -48,6 +48,13 @@ def test_validate_effect_cone_outside_dual():
     bad = Com("bad", orthant, bad_effects, (F(1), F(1)))
     violations = validate_com(bad)
     assert any("negative on state generator" in v for v in violations)
+
+
+def test_validate_facet_only_effect_cone_names_the_generator_pair():
+    orthant = cone_from_generators([(1, 0), (0, 1)])
+    bad_effects = cone_from_facets(cone_from_generators([(1, 0), (-1, 4)]).facets)
+    violations = validate_com(Com("bad", orthant, bad_effects, (F(1), F(1))))
+    assert violations == ["effect generator (-1, 4) is negative on state generator (1, 0)"]
 
 
 def test_violations_are_collected_not_fail_fast():

@@ -1,0 +1,52 @@
+"""Golden report bodies: the ``body_sha256`` of a fixed set of CLI reports.
+
+A report body holds only deterministic content (command, input hashes,
+seed, tolerance, verdicts, residuals, certificates), so any change to a
+verdict, a certificate or its serialization changes one of these hashes.
+A change that means to alter a body must update its hash here and say so.
+
+To print the current hashes: ``python tests/test_report_bodies.py``.
+"""
+
+import json
+
+import pytest
+
+from comcat.cli import main
+
+GOLDEN = {
+    ("teleport", "builtin:gbit", "builtin:gbit", "--composite", "max"): "9e38d7b526b1da2c88a7215d076d0452b115fac9e2160b7d1aa37319ce7606a6",
+    ("teleport", "builtin:gbit", "builtin:gbit", "--composite", "min"): "90a8744a1110c13400f1dbcf7cc677211df2c7075e9d135edf1fc801036f0ecc",
+    ("teleport", "builtin:classical2", "builtin:classical3"): "cd67f79121184e6fcccad4dbd190009ad787f8297e3691bb1e46f91760e59f61",
+    ("compact-check", "builtin:gbit"): "ecf913aab875d85326ac3a72079b2e1c3e8c979ed52f6edc0665319ac5ef30ca",
+    ("compact-check", "builtin:gbit", "--composite", "max"): "ecf913aab875d85326ac3a72079b2e1c3e8c979ed52f6edc0665319ac5ef30ca",
+    ("compact-check", "builtin:gbit", "--composite", "min"): "d655eddd0386c6a9e1d1b1e15b6c107b7a1ce778b0175475645e6e374b45940a",
+    ("dagger", "builtin:gbit", "--structure", "gbit=reflection"): "4735046a91375db6c41241f6fa1e4cd0c8b29b45ceea57dfa741fb4d97a9e04d",
+    ("dagger", "builtin:gbit", "--structure", "gbit=rotation"): "b5e50e1be15672fccbe80890cb99ede337a8e651d7bf0fc5346839893de40719",
+    ("wsd", "builtin:gbit"): "81a528a25f76103f9885882ab2c3f21ebe46f9e12b0da80a55d09bef4dc53e5c",
+    ("wsd", "builtin:gbit", "--symmetric"): "52b5b835b64e172ce4dfe5b6aa88ebced0b677b1590b8eb2d6110f5d045924f0",
+    ("validate", "builtin:gbit"): "fb56c3ee32876505b0f1c0149f52a4df3040811275f810bc999a412a7a6bf9b5",
+    ("validate", "builtin:classical3"): "989c3fb522e7718715b822b852b4aa1bdc8f4470b419c390eb0a224c9c61c769",
+}
+
+
+def body_sha256(argv, capsys) -> str:
+    main(list(argv))
+    return json.loads(capsys.readouterr().out)["body_sha256"]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_report_body_is_pinned(argv, capsys):
+    assert body_sha256(argv, capsys) == GOLDEN[argv]
+
+
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    for argv in GOLDEN:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main(list(argv))
+        key = ", ".join(json.dumps(a) for a in argv)
+        print(f'    ({key}): "{json.loads(buf.getvalue())["body_sha256"]}",')
