@@ -119,9 +119,12 @@ def _cmd_remote_eval(args) -> int:
     A, da = _resolve_model(args.models[0])
     B, db = _resolve_model(args.models[1])
     C, dc = _resolve_model(args.models[2])
-    f = state_from_json(_load_json(args.f))
-    omega = state_from_json(_load_json(args.omega))
-    alpha = state_from_json(_load_json(args.alpha))
+    # Exact models take exact vectors only; a float is an input error.
+    exact = all(X.kind == "polyhedral" for X in (A, B, C))
+    f, omega, alpha = (
+        state_from_json(_load_json(getattr(args, name)), name if exact else None)
+        for name in ("f", "omega", "alpha")
+    )
     result = remote_evaluate(f, omega, alpha, A, B, C)
     return _finish(
         args,
@@ -384,10 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.tolerance is not None:
-        set_tolerance(args.tolerance)
     args.started = time.perf_counter()
     try:
+        if args.tolerance is not None:
+            set_tolerance(args.tolerance)
         return args.func(args)
     except (OSError, json.JSONDecodeError, SchemaError, KeyError, ValueError) as exc:
         print(f"comcat: input error: {exc}", file=sys.stderr)

@@ -101,7 +101,7 @@ def normalized_state_vertices(com: Com) -> tuple:
     out = []
     for g in com.state_cone.generators:
         s = dot(com.unit, g)
-        out.append(tuple(x / s for x in g))
+        out.append(tuple(Fraction(x) / s for x in g))
     return tuple(out)
 
 

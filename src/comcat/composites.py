@@ -37,9 +37,7 @@ from .cones import (
 from .config import numeric_tolerance, tolerance_for
 from .errors import KindMismatch, MixedKindUnsupported
 from .linalg import (
-    canonical_rays,
     dot,
-    frac_vector,
     matvec,
     swap_matrix,
     tensor_vector,
@@ -66,10 +64,6 @@ def product_state(alpha, beta) -> tuple:
     return tensor_vector(alpha, beta)
 
 
-def _product_rays(gens_a, gens_b):
-    return canonical_rays(tensor_vector(g, h) for g in gens_a for h in gens_b)
-
-
 def _require_polyhedral(A: Com, B: Com):
     if A.kind != POLYHEDRAL or B.kind != POLYHEDRAL:
         raise MixedKindUnsupported(
@@ -81,8 +75,9 @@ def min_tensor(A: Com, B: Com) -> CompositeCom:
     """Separable composite: states are mixtures of products, effects are
     everything positive on them (the full dual)."""
     _require_polyhedral(A, B)
-    state_products = _product_rays(A.state_cone.generators, B.state_cone.generators)
-    state_cone = cone_from_generators(state_products)
+    state_cone = cone_from_generators(
+        tensor_vector(g, h) for g in A.state_cone.generators for h in B.state_cone.generators
+    )
     effect_cone = cone_from_facets(state_cone.generators)
     return CompositeCom(
         label=f"{A.label}(min){B.label}",
@@ -98,7 +93,9 @@ def max_tensor(A: Com, B: Com) -> CompositeCom:
     """Nonsignaling composite: states are all bilinear forms positive on
     product effects; effects are generated by the product effects."""
     _require_polyhedral(A, B)
-    effect_products = _product_rays(A.effect_cone.generators, B.effect_cone.generators)
+    effect_products = [
+        tensor_vector(a, b) for a in A.effect_cone.generators for b in B.effect_cone.generators
+    ]
     state_cone = cone_from_facets(effect_products)
     effect_cone = cone_from_generators(effect_products)
     return CompositeCom(
@@ -219,7 +216,6 @@ def separating_functional(omega, generators) -> Optional[tuple]:
     """An exact functional s with s nonpositive on every generator but
     s(omega) > 0, certifying that omega is outside the generated cone.
     Entries are box-bounded so the separation LP stays bounded."""
-    omega = frac_vector(omega)
     n = len(omega)
     cons = [le(g, 0) for g in generators]
     for i in range(n):

@@ -1,4 +1,4 @@
-"""Regular cones: exact polyhedral (rational) and spectral PSD (float).
+"""Regular cones: exact polyhedral (integer rays) and spectral PSD (float).
 
 A polyhedral cone keeps two interchangeable descriptions: extreme
 generators and facet inequalities.  Either may be supplied at
@@ -6,14 +6,23 @@ construction; the other is derived on demand by the double-description
 method in exact integer arithmetic: start from the simplicial cone of n
 independent rows and insert the remaining rows one at a time.  Both
 directions are the same computation, since the generators of a cone are
-the facet normals of its dual.  Each predicate reads the description
-that decides it by sign checks alone: membership the facets, strict
-positivity of a functional the generators; a missing description is
-converted once and kept.  Linear programs remain only in construction
-(pointedness and redundancy) and in ``member_by_lp``, the reference
-membership test.  A PSD cone is the Hermitian positive-semidefinite cone
-in its fixed real coordinatization; it is self-dual and its membership
-test is spectral.
+the facet normals of its dual.
+
+Storage invariant: each polyhedral description, from either factory,
+``dual_cone`` or a lazy conversion, is a tuple of sorted, distinct,
+primitive ``int`` tuples (the ``canonical_rays`` form).  Only this module
+produces it; callers use rays as they are, and two cones are equal
+exactly when their generator tuples are.
+
+Each predicate reads the description that decides it by integer sign
+checks: membership the facets, strict positivity of a functional the
+generators; a missing description is converted once and kept.  LPs
+remain only in construction (``_pointed``, ``_drop_redundant``) and in
+``member_by_lp``, the reference membership test; all three keep their
+names and LPs because the benchmark's tracer patches them by name and
+pins its LP counts per round.  A PSD cone is the Hermitian
+positive-semidefinite cone in its fixed real coordinatization; it is
+self-dual and its membership test is spectral.
 
 Whether a linear map carries one cone into another is decided on the
 source's probe rays (``rays_leaving``): every generator of a polyhedral
@@ -30,15 +39,7 @@ import numpy as np
 from . import hermitian
 from .config import numeric_tolerance
 from .errors import DimensionMismatch, KindMismatch, NotGenerating, NotPointed
-from .linalg import (
-    _eliminate,
-    canonical_rays,
-    dot,
-    frac_vector,
-    matvec,
-    primitive,
-    rank,
-)
+from .linalg import _eliminate, canonical_rays, dot, matvec, primitive, rank
 from .lp import eq, in_cone, lp_feasible
 
 POLYHEDRAL = "polyhedral"
@@ -96,22 +97,23 @@ class Cone:
     # -- predicates -----------------------------------------------------
 
     def member(self, x, tolerance: Optional[float] = None) -> bool:
-        """Cone membership: h.x >= 0 on every facet normal h, in exact
-        arithmetic (polyhedral; a generator-only cone converts its facets
-        once), or the least eigenvalue against the tolerance (PSD)."""
+        """Cone membership: h.x >= 0 on every facet normal h, on x scaled
+        once to primitive integers (polyhedral; a generator-only cone
+        converts its facets once), or the least eigenvalue against the
+        tolerance (PSD)."""
         if len(x) != self.dim:
             raise DimensionMismatch(f"vector of length {len(x)} vs cone dim {self.dim}")
         if self.kind == PSD:
             tol = numeric_tolerance() if tolerance is None else tolerance
             return hermitian.min_eigenvalue(x, self.hilbert_dims) >= -tol
-        x = frac_vector(x)
+        x = primitive(x)
         return all(dot(h, x) >= 0 for h in self.facets)
 
     def member_by_lp(self, x) -> bool:
         """Exact membership via LP over the generator description."""
         if self.kind != POLYHEDRAL:
             raise KindMismatch("LP membership needs a polyhedral cone")
-        return in_cone(frac_vector(x), self.generators)
+        return in_cone(x, self.generators)
 
     def interior_point(self) -> tuple:
         """Sum of generators (polyhedral) or identity coordinates (PSD)."""
@@ -125,26 +127,33 @@ class Cone:
 
     def strictly_positive(self, u) -> bool:
         """Is the functional u strictly positive on the cone minus 0?
-        Polyhedral: u.g > 0 on every generator g; PSD: u is positive
-        definite beyond the tolerance."""
+        Polyhedral: u.g > 0 on every generator g, with u scaled once to
+        primitive integers; PSD: u is positive definite beyond the
+        tolerance."""
         if self.kind == PSD:
             return hermitian.min_eigenvalue(u, self.hilbert_dims) > numeric_tolerance()
+        u = primitive(u)
         return all(dot(u, g) > 0 for g in self.generators)
 
 
-def cone_from_generators(gens: Sequence[Sequence]) -> Cone:
+def _canonical_input(vectors: Iterable[Sequence], what: str) -> tuple[int, list]:
+    """(n, the nonzero canonical rays of the given vectors, all of length n)."""
+    rows = [tuple(v) for v in vectors]
+    if not rows:
+        raise NotGenerating(f"no {what} given")
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch(f"{what} of mixed length")
+    return n, [r for r in canonical_rays(rows) if any(r)]
+
+
+def cone_from_generators(gens: Iterable[Sequence]) -> Cone:
     """Exact polyhedral cone from generating rays.
 
     Zero vectors are dropped, redundant generators removed (LP test),
     and regularity enforced: raises NotPointed / NotGenerating.
     """
-    rows = [frac_vector(g) for g in gens]
-    if not rows:
-        raise NotGenerating("no generators given")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatch("generators of mixed length")
-    rays = [r for r in canonical_rays(rows) if any(x != 0 for x in r)]
+    n, rays = _canonical_input(gens, "generators")
     if not rays:
         raise NotGenerating("all generators are zero")
     if rank(rays) < n:
@@ -152,24 +161,18 @@ def cone_from_generators(gens: Sequence[Sequence]) -> Cone:
     if not _pointed(rays, n):
         raise NotPointed("cone contains a line")
     rays = _drop_redundant(rays)
-    return Cone(POLYHEDRAL, n, generators=tuple(frac_vector(r) for r in rays))
+    return Cone(POLYHEDRAL, n, generators=tuple(rays))
 
 
-def cone_from_facets(facets: Sequence[Sequence]) -> Cone:
+def cone_from_facets(facets: Iterable[Sequence]) -> Cone:
     """Polyhedral cone {x : h.x >= 0 for all h}; h-list must be regular."""
-    rows = [frac_vector(h) for h in facets]
-    if not rows:
-        raise NotGenerating("no facet inequalities given")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatch("facets of mixed length")
-    normals = [r for r in canonical_rays(rows) if any(x != 0 for x in r)]
+    n, normals = _canonical_input(facets, "facets")
     if rank(normals) < n:
         raise NotPointed("facet normals do not span; cone contains a line")
     if not _pointed(normals, n):
         raise NotGenerating("facet system admits no interior; cone not generating")
     normals = _drop_redundant(normals)
-    return Cone(POLYHEDRAL, n, facets=tuple(frac_vector(h) for h in normals))
+    return Cone(POLYHEDRAL, n, facets=tuple(normals))
 
 
 def psd_cone(hilbert_dims: Iterable[int] | int) -> Cone:
@@ -211,8 +214,7 @@ def _enumerate_facets(rays, n) -> tuple:
     share at least n-2 tight rows and no third ray is tight on all of
     them (Fukuda & Prodon 1996, Proposition 7)."""
     if n == 1:
-        h = primitive(rays[0])
-        return (frac_vector(h),)
+        return (primitive(rays[0]),)
     prim = [primitive(r) for r in rays]
     basis, _ = _eliminate(list(zip(*prim)))  # the first n independent rows
     basis_mask = sum(1 << i for i in basis)
@@ -247,7 +249,7 @@ def _enumerate_facets(rays, n) -> tuple:
                 new = primitive([sp * b - sq * a for a, b in zip(p, q)])
                 kept.append((new, common | bit))
         current = kept
-    return tuple(frac_vector(h) for h in sorted(ray for ray, _ in current))
+    return tuple(sorted(ray for ray, _ in current))
 
 
 def _kernel_if_corank_one(rows: list[list[int]], n: int):
@@ -276,12 +278,12 @@ def dual_cone(C: Cone) -> Cone:
 
 
 def cones_equal(C: Cone, D: Cone) -> bool:
-    """Equality as sets: canonical generators match up to positive scaling."""
+    """Equality as sets: the stored canonical generators coincide."""
     if C.kind != D.kind or C.dim != D.dim:
         return False
     if C.kind == PSD:
         return C.hilbert_dims == D.hilbert_dims
-    return canonical_rays(C.generators) == canonical_rays(D.generators)
+    return C.generators == D.generators
 
 
 def probe_rays(C: Cone, seed: int = 0) -> tuple:

@@ -7,6 +7,7 @@ is the one place that picks between exact equality and the tolerance.
 
 from __future__ import annotations
 
+import math
 import os
 
 from .linalg import is_exact
@@ -37,6 +38,6 @@ def tolerance_for(*objs) -> float:
 def set_tolerance(value: float | None) -> None:
     """Set (or clear, with None) the process-wide tolerance override."""
     global _override
-    if value is not None and value <= 0:
-        raise ValueError("tolerance must be positive")
+    if value is not None and not 0 < value < math.inf:  # also refuses NaN
+        raise ValueError("tolerance must be positive and finite")
     _override = value

@@ -1,15 +1,16 @@
 """Small dense linear algebra over nested tuples.
 
-Exact polyhedral data is Fraction-valued end to end; spectral data is
-float-valued.  The generic routines below work for both because they only
-use +, -, *, / and comparisons.  The exact eliminations (rref, rank,
-solve, nullspace, inverse) scale each row to primitive integers and run
-on integers through one fraction-free Bareiss kernel, ``_eliminate``;
-only their results are Fractions.  The characteristic polynomial is
-computed over Fractions.
+Exact polyhedral data is int- or Fraction-valued (cone rays are primitive
+int tuples); spectral data is float-valued.  The generic routines below
+work for all of them because they only use +, -, *, / and comparisons.
+The exact eliminations (rref, rank, solve, nullspace, inverse) scale each
+row to primitive integers and run on integers through one fraction-free
+Bareiss kernel, ``_eliminate``; only their results are Fractions.  The
+characteristic polynomial is computed over Fractions.
 
 Vectors are tuples, matrices are tuples of row tuples.  Integer entries
-are acceptable everywhere and promote as expected.
+are acceptable everywhere, but int / int is a float: exact callers that
+divide two ints go through Fraction.
 """
 
 from __future__ import annotations

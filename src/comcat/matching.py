@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 
 from .cones import Cone, rays_leaving
 from .errors import SingularMatrix, UnsupportedKind
-from .linalg import canonical_rays, dot, inverse, transpose
+from .linalg import dot, inverse, transpose
 from .lp import eq, ge, solve_lp
 
 MAX_RAYS = 8
@@ -45,8 +45,8 @@ def order_isomorphisms(
     n = source.dim
     if target.dim != n:
         return
-    src = list(canonical_rays(source.generators))
-    tgt = list(canonical_rays(target.generators))
+    src = source.generators
+    tgt = target.generators
     if len(src) != len(tgt):
         return
     k = len(src)

@@ -35,7 +35,6 @@ from .cones import POLYHEDRAL, PSD, rays_leaving
 from .config import numeric_tolerance, tolerance_for
 from .errors import InvalidStructure, MixedKindUnsupported, UnsupportedKind
 from .linalg import (
-    canonical_rays,
     dot,
     identity,
     is_exact,
@@ -72,7 +71,7 @@ class VerificationReport:
     residuals: dict = field(default_factory=dict)
 
 
-def _r_form_vector(r_hat, n_a, n_b) -> tuple:
+def _r_form_vector(r_hat) -> tuple:
     """Bipartite form over (A, B) of the map r_hat: f(a, b) = r_hat(a).b."""
     return matrix_to_vec(transpose(r_hat))
 
@@ -89,7 +88,7 @@ def _effect_interval_max_scale(r_form, composite_ab: CompositeCom):
         if den < 0:
             return None
         if den > 0:
-            ratio = dot(h, u) / den
+            ratio = Fraction(dot(h, u)) / den
             best = ratio if best is None else min(best, ratio)
     return best
 
@@ -120,8 +119,8 @@ def _solve_r_hat(omega_hat, A: Com, B: Com) -> Optional[tuple]:
 def _candidate_omegas_stage2(A: Com, B: Com, composite_ba: CompositeCom):
     """(omega, r_hat) pairs from injective ray matchings A-states -> B-effects,
     solving an exact LP for omega in the composite cone."""
-    a_rays = list(canonical_rays(A.state_cone.generators))
-    b_rays = list(canonical_rays(B.effect_cone.generators))
+    a_rays = A.state_cone.generators
+    b_rays = B.effect_cone.generators
     if len(a_rays) > len(b_rays) or len(b_rays) > MAX_RAYS:
         return
     n_a, n_b = A.dim, B.dim
@@ -202,7 +201,7 @@ def find_teleportation(
         residual = max_abs(sub_matrices(matmul(omega_hat, r_scaled), identity(n_a, Fraction(1))))
         if residual > tolerance_for(omega_hat, r_scaled):
             return None
-        r_form = _r_form_vector(r_scaled, n_a, n_b)
+        r_form = _r_form_vector(r_scaled)
         c = _effect_interval_max_scale(r_form, composite_ab)
         if c is None or c <= 0:
             return None
@@ -218,7 +217,7 @@ def find_teleportation(
         )
 
     # Stage 1: pure shared states (extreme rays of the composite cone).
-    for ray in canonical_rays(composite_ba.state_cone.generators):
+    for ray in composite_ba.state_cone.generators:
         W = vec_to_matrix(ray, n_b, n_a)
         omega_hat = transpose(W)
         r_hat = _solve_r_hat(omega_hat, A, B)
@@ -255,13 +254,9 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
     tol = 0 if exact else numeric_tolerance()
 
     # shared state: in the composite cone (or spectral cone), normalized
-    if composite_ba is not None and composite_ba.kind == POLYHEDRAL:
+    if composite_ba is not None:
         if not composite_ba.state_cone.member(omega):
             violations.append("shared state is outside the designated composite cone")
-        u_ba = composite_ba.unit
-    elif composite_ba is not None:
-        if not composite_ba.state_cone.member(omega):
-            violations.append("shared state is outside the spatial composite cone")
         u_ba = composite_ba.unit
     else:
         u_ba = tensor_vector(B.unit, A.unit)
@@ -286,7 +281,7 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
         violations.append(f"hat(omega) . r_hat deviates from the identity by {res_id}")
 
     # effect interval for f = c * r_form
-    r_form = _r_form_vector(r_hat, n_a, n_b)
+    r_form = _r_form_vector(r_hat)
     f = scale_vector(c, r_form)
     if cert.f is not None:
         residuals["f_consistency"] = max_abs(tuple(x - y for x, y in zip(f, cert.f)))
@@ -319,8 +314,7 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
 def max_effect_scale_psd(r_hat, A: Com, B: Com) -> float:
     """Largest c with c * r_form a valid spectral effect: one over the top
     eigenvalue of the form operator."""
-    n_a, n_b = A.dim, B.dim
-    r_form = _r_form_vector(r_hat, n_a, n_b)
+    r_form = _r_form_vector(r_hat)
     dims = A.state_cone.hilbert_dims + B.state_cone.hilbert_dims
     top = float(hermitian.eigenvalues(r_form, dims)[-1])
     if top <= 0:

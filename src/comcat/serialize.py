@@ -164,10 +164,12 @@ def certificate_to_json(cert) -> dict:
     }
 
 
-def state_from_json(data) -> tuple:
+def state_from_json(data, field: str | None = None) -> tuple:
+    """A vector, bare or as {"vector": [...]}; given a field name it is
+    exact data, read by ``exact_vector_from_json``."""
     if isinstance(data, dict):
-        return vector_from_json(data["vector"])
-    return vector_from_json(data)
+        data = data["vector"]
+    return vector_from_json(data) if field is None else exact_vector_from_json(data, field)
 
 
 def dumps(obj, **kwargs) -> str:

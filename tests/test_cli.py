@@ -173,6 +173,49 @@ def test_remote_eval_cli(tmp_path, capsys):
     assert body_of(out)["verdicts"]["result"] == ["1/12", "1/6"]
 
 
+def _write_vectors(tmp_path, vectors):
+    """JSON files for remote-eval's --f/--omega/--alpha, as argv."""
+    argv = []
+    for name, vector in vectors.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(vector))
+        argv += [f"--{name}", str(path)]
+    return argv
+
+
+def test_remote_eval_refuses_floats_for_exact_models(tmp_path, capsys):
+    exact = {"f": ["1/2", 0, 0, "1/2"], "omega": ["1/2", 0, 0, "1/2"], "alpha": ["1/10", "9/10"]}
+    floats = {"f": [0.5, 0, 0, 0.5], "omega": [0.5, 0, 0, 0.5], "alpha": [0.1, 0.9]}
+    for name in exact:
+        vectors = dict(exact, **{name: floats[name]})
+        code, out, err = run(
+            capsys, "remote-eval", *_write_vectors(tmp_path, vectors),
+            "--models", "builtin:classical2", "builtin:classical2", "builtin:classical2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"comcat: input error: {name}: float ")
+
+
+def test_remote_eval_accepts_floats_for_psd_models(tmp_path, capsys):
+    vectors = {"f": [0.5] + [0] * 15, "omega": [0.25] + [0] * 15, "alpha": [0.5, 0, 0, 0.5]}
+    code, out, _ = run(
+        capsys, "remote-eval", *_write_vectors(tmp_path, vectors),
+        "--models", "builtin:qubit", "builtin:qubit", "builtin:qubit",
+    )
+    assert code == 0
+    assert body_of(out)["verdicts"]["result"] == [0.0625, 0.0, 0.0, 0.0]
+
+
+def test_bad_tolerance_is_an_input_error(capsys):
+    from comcat.config import DEFAULT_TOLERANCE, numeric_tolerance
+
+    for value in ("-1", "0", "nan", "inf"):
+        code, out, err = run(capsys, "validate", "builtin:qubit", "--tolerance", value)
+        assert (code, out) == (2, "")
+        assert err == "comcat: input error: tolerance must be positive and finite\n"
+        assert numeric_tolerance() == DEFAULT_TOLERANCE
+
+
 def test_seed_recorded_and_bodies_reproducible(capsys):
     code1, out1, _ = run(capsys, "dagger", "builtin:gbit", "--seed", "7")
     code2, out2, _ = run(capsys, "dagger", "builtin:gbit", "--seed", "7")

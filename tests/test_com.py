@@ -17,7 +17,7 @@ from comcat.com import (
     random_positive_map,
     validate_com,
 )
-from comcat.cones import cone_from_facets, cone_from_generators
+from comcat.cones import cone_from_facets, cone_from_generators, dual_cone
 from comcat.com import Com
 from comcat.errors import NotAMorphism, ZeroMap
 from comcat.linalg import dot, identity, matmul, matvec, transpose
@@ -79,6 +79,18 @@ def test_saturation():
     sub = Com("sub", g.state_cone, shrunk, g.unit)
     assert validate_com(sub) == []
     assert not is_saturated(sub)
+
+
+def test_exact_scales_stay_fractions_on_an_integer_unit():
+    # integer generators and an integer unit: a bare x / s would be a float
+    states = cone_from_generators([(1, 2), (2, 1)])
+    com = Com("ints", states, dual_cone(states), (1, 1))
+    assert validate_com(com) == []
+    vertices = normalized_state_vertices(com)
+    assert vertices == ((F(1, 3), F(2, 3)), (F(2, 3), F(1, 3)))
+    assert all(type(x) is F for v in vertices for x in v)
+    scale = process_scale(((1, 0), (0, 0)), com, com)
+    assert type(scale) is F and scale == F(2, 3)
 
 
 def test_is_morphism_identity():

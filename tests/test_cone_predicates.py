@@ -1,4 +1,5 @@
-"""Sign-only polyhedral predicates against the LP routes they replaced.
+"""Sign-only polyhedral predicates against the LP routes they replaced,
+and the integer form in which every polyhedral description is stored.
 
 Membership reads facets and strict positivity reads generators, whichever
 description a cone was built from; the effect-interval scale reads the
@@ -7,6 +8,8 @@ compared with the LP route (``fraction_oracle``) on cones built from
 generators only and from facets only.
 """
 
+from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
 from hypothesis import assume, given, settings
@@ -14,7 +17,7 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from comcat.com import _effect_cone_in_dual
-from comcat.cones import cone_from_facets, cone_from_generators
+from comcat.cones import cone_from_facets, cone_from_generators, dual_cone
 from comcat.errors import NotPointed
 from comcat.protocols import _effect_interval_max_scale
 from test_double_description import spanning_rays
@@ -37,6 +40,16 @@ def _sum(vectors):
     return tuple(map(sum, zip(*vectors)))
 
 
+def _with_rational_and_float_copies(vectors, d):
+    """The integer vectors, then each divided by d as Fractions, then as
+    floats (whose binary values both routes read exactly)."""
+    return (
+        vectors
+        + [tuple(Fraction(x, d) for x in v) for v in vectors]
+        + [tuple(x / d for x in v) for v in vectors]
+    )
+
+
 @settings(max_examples=80, deadline=None)
 @given(spanning_rays(), st.data())
 def test_member_and_strict_positivity_match_lp(case, data):
@@ -44,15 +57,41 @@ def test_member_and_strict_positivity_match_lp(case, data):
     ref = _pointed(rays)
     assume(ref is not None)
     vectors = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=4))
-    # boundary and interior points of the cone and of its dual
+    d = data.draw(st.integers(1, 7))
+    # boundary and interior points of the cone and of its dual, each also
+    # divided by d as Fractions and as floats
     xs = vectors + list(ref.generators) + [_sum(ref.generators)]
     us = vectors + list(ref.facets) + [_sum(ref.facets)]
+    xs, us = (_with_rational_and_float_copies(vs, d) for vs in (xs, us))
     for C in _one_description(ref):
         assert [C.member(x) for x in xs] == [ref.member_by_lp(x) for x in xs]
     for C in _one_description(ref):
         assert [C.strictly_positive(u) for u in us] == [
             oracle.strictly_positive_by_facets(u, ref.facets) for u in us
         ]
+
+
+def _canonical(rays) -> bool:
+    """A tuple of sorted, distinct, primitive int tuples."""
+    return (
+        type(rays) is tuple
+        and all(type(r) is tuple and all(type(x) is int for x in r) and gcd(*r) == 1 for r in rays)
+        and list(rays) == sorted(set(rays))
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(spanning_rays())
+def test_every_polyhedral_description_is_stored_canonical(case):
+    n, rays = case
+    C = _pointed(rays)
+    assume(C is not None)
+    # rays as given (duplicated, Fraction-scaled, redundant) into both
+    # factories; the dual; each missing description by lazy conversion
+    built = [C, cone_from_facets(rays), dual_cone(C), cone_from_generators(C.facets)]
+    for K in built:
+        assert K.dim == n
+        assert _canonical(K.generators) and _canonical(K.facets)
 
 
 @settings(max_examples=60, deadline=None)
