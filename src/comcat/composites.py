@@ -25,10 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
+from . import hermitian
 from .com import Com
 from .cones import (
     PSD,
     POLYHEDRAL,
+    _probe_array,
     cone_from_facets,
     cone_from_generators,
     probe_rays,
@@ -143,19 +147,27 @@ def in_max_cone(omega, A: Com, B: Com, tolerance: Optional[float] = None) -> boo
     """Is the form omega(a, b) = a^T W b nonnegative on every pair of probe
     rays of the two effect cones (``cones.probe_rays``)?
 
-    Each probe ray a of A's effect cone gives the row a^T W, which is
-    tested against each probe ray of B's.  Polyhedral factors contribute
-    all their effect generators, so for two of them the answer is exact
-    (on exact data the tolerance is zero); a PSD factor contributes its
-    basis projectors and seeded pure states, so the check is sampled."""
-    a_rays, b_rays = probe_rays(A.effect_cone), probe_rays(B.effect_cone)
-    tol = tolerance_for(omega, a_rays, b_rays) if tolerance is None else tolerance
-    Wt = transpose(vec_to_matrix(omega, A.dim, B.dim))
-    for a in a_rays:
-        row = matvec(Wt, a)
-        if any(dot(row, b) < -tol for b in b_rays):
-            return False
-    return True
+    Polyhedral factors contribute all their effect generators, so for two
+    of them the answer is exact: on exact data the tolerance is zero, and
+    each probe ray a gives the row a^T W, tested against each probe ray of
+    B in integer or Fraction arithmetic.  A PSD factor contributes its
+    basis projectors and seeded pure states, so the check is sampled; with
+    a nonzero tolerance all pairs are read at once as the least entry of
+    Ra W Rb^T, Ra and Rb the probe rays as float arrays."""
+    if tolerance is None:
+        exact_rays = A.kind == B.kind == POLYHEDRAL
+        tolerance = tolerance_for(omega) if exact_rays else numeric_tolerance()
+    if tolerance == 0:
+        Wt = transpose(vec_to_matrix(omega, A.dim, B.dim))
+        b_rays = probe_rays(B.effect_cone)
+        for a in probe_rays(A.effect_cone):
+            row = matvec(Wt, a)
+            if any(dot(row, b) < 0 for b in b_rays):
+                return False
+        return True
+    W = np.asarray(omega, dtype=float).reshape(A.dim, B.dim)
+    Ra, Rb = _probe_array(A.effect_cone), _probe_array(B.effect_cone)
+    return bool((Ra @ W @ Rb.T).min() >= -tolerance)
 
 
 def is_composite(AB: Com, A: Com, B: Com, seed: int = 0) -> list[str]:
@@ -195,11 +207,17 @@ def is_composite(AB: Com, A: Com, B: Com, seed: int = 0) -> list[str]:
         return violations
 
     # Spectral composite: products of the factors' i-th probe rays, and
-    # the probe rays of the composite itself.
-    pairs = zip(probe_rays(A.state_cone, seed), probe_rays(B.state_cone, seed + 1))
-    if any(not AB.state_cone.member(tensor_vector(alpha, beta)) for alpha, beta in pairs):
+    # the probe rays of the composite itself, each set tested in one batch
+    # (the second as in_max_cone does, one form matrix W per probe ray).
+    tol = numeric_tolerance()
+    Xa, Xb = _probe_array(A.state_cone, seed), _probe_array(B.state_cone, seed + 1)
+    k = min(len(Xa), len(Xb))
+    products = np.einsum("ki,kj->kij", Xa[:k], Xb[:k]).reshape(k, AB.dim)
+    if hermitian.min_eigenvalues(products, AB.state_cone.hilbert_dims).min() < -tol:
         violations.append("a sampled product state left the composite cone")
-    if any(not in_max_cone(w, A, B) for w in probe_rays(AB.state_cone, seed)):
+    Ra, Rb = _probe_array(A.effect_cone), _probe_array(B.effect_cone)
+    W = _probe_array(AB.state_cone, seed).reshape(-1, A.dim, B.dim)
+    if (Ra @ W @ Rb.T).min() < -tol:
         violations.append("a sampled composite state is negative on a product effect")
     return violations
 

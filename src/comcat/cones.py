@@ -26,7 +26,11 @@ self-dual and its membership test is spectral.
 
 Whether a linear map carries one cone into another is decided on the
 source's probe rays (``rays_leaving``): every generator of a polyhedral
-cone, and a fixed seeded set of pure states of a PSD cone.
+cone, and a fixed seeded set of pure states of a PSD cone.  A polyhedral
+target is tested ray by ray in exact arithmetic; a PSD target in one
+batch of float arrays (``_probe_array``, one matrix product and one
+batched eigenvalue call), which is built anew for each check and cached
+nowhere.
 """
 
 from __future__ import annotations
@@ -293,19 +297,39 @@ def probe_rays(C: Cone, seed: int = 0) -> tuple:
     stream (real part, then imaginary part, of each vector in turn)."""
     if C.kind == POLYHEDRAL:
         return C.generators
+    return tuple(map(tuple, _probe_array(C, seed).tolist()))
+
+
+def _probe_array(C: Cone, seed: int = 0) -> np.ndarray:
+    """``probe_rays`` as one (k, n) float array, built anew on each call."""
+    if C.kind == POLYHEDRAL:
+        return np.array(C.generators, dtype=float)
     d = prod(C.hilbert_dims)
     z = np.random.default_rng(seed).normal(size=(PROBE_SAMPLES, 2, d))
     v = z[:, 0] + 1j * z[:, 1]
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    rays = hermitian.projector_coords(np.concatenate([np.eye(d), v]), C.hilbert_dims)
-    return tuple(map(tuple, rays.tolist()))
+    return hermitian.projector_coords(np.concatenate([np.eye(d), v]), C.hilbert_dims)
 
 
 def rays_leaving(M, source: Cone, target: Cone, seed: int = 0) -> Iterator[tuple]:
-    """Lazily, the probe rays x of source whose image M x is not in target.
-    When there are none, M carries source into target: proven for a
-    polyhedral source, checked on samples for a PSD one."""
-    return (x for x in probe_rays(source, seed) if not target.member(matvec(M, x)))
+    """The probe rays x of source whose image M x is not in target, in
+    probe order.  When there are none, M carries source into target:
+    proven for a polyhedral source, checked on samples for a PSD one.
+
+    A polyhedral target tests the rays lazily, one exact ``member`` call
+    each.  A PSD target tests them in one batch: all images as one matrix
+    product, their least eigenvalues in one batched eigvalsh."""
+    if target.kind == POLYHEDRAL:
+        return (x for x in probe_rays(source, seed) if not target.member(matvec(M, x)))
+    M = np.asarray(M, dtype=float)
+    if M.shape != (target.dim, source.dim):
+        raise DimensionMismatch(f"map of shape {M.shape} vs cones of dims {source.dim}, {target.dim}")
+    X = _probe_array(source, seed)
+    low = hermitian.min_eigenvalues(X @ M.T, target.hilbert_dims)
+    leaving = np.flatnonzero(low < -numeric_tolerance())
+    if source.kind == POLYHEDRAL:
+        return iter([source.generators[i] for i in leaving])
+    return iter([tuple(X[i].tolist()) for i in leaving])
 
 
 def member(C: Cone, x, tolerance: Optional[float] = None) -> bool:

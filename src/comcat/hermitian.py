@@ -92,9 +92,12 @@ def matrix(x, dims: tuple[int, ...]) -> np.ndarray:
 
 
 def projector_coords(V: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
-    """Coordinates of the projectors |v><v|, one row for each row v of V."""
+    """Coordinates of the projectors |v><v|, one row for each row v of V:
+    sum_ij conj(v_i) B_ij v_j for each basis matrix B, as one matrix
+    product of the flattened outer products with the flattened basis."""
     B = _stacked(dims)
-    return np.einsum("ki,nij,kj->kn", V.conj(), B, V).real
+    outer = np.einsum("ki,kj->kij", V.conj(), V).reshape(len(V), -1)
+    return (outer @ B.reshape(len(B), -1).T).real
 
 
 def eigenvalues(x, dims: tuple[int, ...]) -> np.ndarray:
@@ -103,6 +106,12 @@ def eigenvalues(x, dims: tuple[int, ...]) -> np.ndarray:
 
 def min_eigenvalue(x, dims: tuple[int, ...]) -> float:
     return float(eigenvalues(x, dims)[0])
+
+
+def min_eigenvalues(X: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Least eigenvalue of the Hermitian matrix of each row of the (k, n)
+    coordinate array X, by one batched eigvalsh."""
+    return np.linalg.eigvalsh(np.tensordot(X, _stacked(dims), axes=1))[:, 0]
 
 
 def unit_coords(dims: tuple[int, ...]) -> tuple[float, ...]:

@@ -31,6 +31,7 @@ def order_isomorphisms(
     symmetric: bool = False,
     extra_rows: Optional[Sequence[tuple[tuple, tuple]]] = None,
     limit: Optional[int] = None,
+    with_inverse: bool = False,
 ) -> Iterator[tuple]:
     """Yield matrices M with M(source) = target, extreme rays to extreme
     rays; optionally only symmetric M, optionally subject to additional
@@ -38,7 +39,8 @@ def order_isomorphisms(
     sum_ij row[i][j] * M[i][j] == value.
 
     Results are verified (invertibility plus two-sided cone inclusion on
-    generators) before being yielded, in deterministic order.
+    generators) before being yielded, in deterministic order; with_inverse
+    yields the pairs (M, M^-1) instead, reusing the verification's inverse.
     """
     if source.kind != "polyhedral" or target.kind != "polyhedral":
         raise UnsupportedKind("ray matching needs polyhedral cones")
@@ -66,9 +68,10 @@ def order_isomorphisms(
         M = _solve_matching(src, [tgt[j] for j in perm], n, n, symmetric, extra_rows)
         if M is None:
             continue
-        if not _verify_order_iso(M, source, target):
+        Minv = _verified_inverse(M, source, target)
+        if Minv is None:
             continue
-        yield M
+        yield (M, Minv) if with_inverse else M
         found += 1
         if limit is not None and found >= limit:
             return
@@ -110,14 +113,15 @@ def _solve_matching(sources, targets, rows, cols, symmetric=False, extra_rows=No
     return tuple(tuple(flat[row * cols + col] for col in range(cols)) for row in range(rows))
 
 
-def _verify_order_iso(M, source: Cone, target: Cone) -> bool:
+def _verified_inverse(M, source: Cone, target: Cone):
+    """M^-1 when M is an order isomorphism from source onto target, else None."""
     try:
         Minv = inverse(M)
     except SingularMatrix:
-        return False
-    return not any(rays_leaving(M, source, target)) and not any(
-        rays_leaving(Minv, target, source)
-    )
+        return None
+    if any(rays_leaving(M, source, target)) or any(rays_leaving(Minv, target, source)):
+        return None
+    return Minv
 
 
 def find_order_isomorphism(

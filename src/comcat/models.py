@@ -233,11 +233,12 @@ def maximally_entangled_structure(d: int):
     proj = psi @ psi.conj().T
 
     B = hermitian.basis((d,))
+    BB = hermitian._stacked((d, d))  # BB[k * n + l] = kron(B[k], B[l])
     n = d * d
     G = [[0.0] * n for _ in range(n)]
     for k in range(n):
         for l in range(n):
-            G[k][l] = float(np.trace(proj @ np.kron(B[k], B[l])).real)
+            G[k][l] = float(np.trace(proj @ BB[k * n + l]).real)
     gamma_hat = tuple(tuple(G[l][k] for l in range(n)) for k in range(n))
 
     # transpose superoperator in the fixed basis, scaled by d

@@ -27,14 +27,11 @@ from .linalg import (
     identity,
     inverse,
     is_exact,
-    kron,
     matmul,
     matrix_to_vec,
-    matvec,
     max_abs,
     rank,
     sub_matrices,
-    swap_matrix,
     symmetric_inertia,
     transpose,
     vec_to_matrix,
@@ -77,47 +74,55 @@ def _invert(M):
     return tuple(map(tuple, np.linalg.inv(m).tolist()))
 
 
-def verify_isomorphism_state(gamma, A: Com) -> list[str]:
+def verify_isomorphism_state(gamma, A: Com, ghat_inverse=None) -> list[str]:
     """Violations of the isomorphism-state contract for a bipartite form
     over (A, A): invertible conditioning map carrying the effect cone into
     the state cone and, by its inverse, the state cone into the effect
     cone.  Both directions go through ``cones.rays_leaving``: exact over
     the generators of a polyhedral model, on the seeded probe states of a
     PSD one (seeds 3 and 4).  Exact data is inverted exactly, float data
-    numerically."""
+    numerically; a caller that already holds the inverse of the
+    conditioning map passes it as ghat_inverse."""
     n = A.dim
     if len(gamma) != n * n:
         return [f"form has length {len(gamma)}, expected {n * n}"]
     ghat = transpose(vec_to_matrix(gamma, n, n))
-    try:
-        inv = _invert(ghat)
-    except SingularMatrix:
-        if is_exact(ghat):
-            return [f"conditioning map has rank {rank(ghat)} < {n}"]
-        return ["conditioning map is numerically singular"]
+    if ghat_inverse is None:
+        try:
+            ghat_inverse = _invert(ghat)
+        except SingularMatrix:
+            return [_singular_message(ghat)]
     violations = [
         f"image of effect generator {e} leaves the state cone"
         for e in rays_leaving(ghat, A.effect_cone, A.state_cone, seed=3)
     ]
     violations += [
         f"inverse image of state generator {g} leaves the effect cone"
-        for g in rays_leaving(inv, A.state_cone, A.effect_cone, seed=4)
+        for g in rays_leaving(ghat_inverse, A.state_cone, A.effect_cone, seed=4)
     ]
     return violations
+
+
+def _singular_message(ghat) -> str:
+    if is_exact(ghat):
+        return f"conditioning map has rank {rank(ghat)} < {len(ghat)}"
+    return "conditioning map is numerically singular"
 
 
 def build_structure(A: Com, gamma_hat, f_hat=None) -> DualityStructure:
     """Assemble and verify a duality structure from its conditioning map.
 
     f_hat defaults to the exact (or numerical) inverse; when supplied it is
-    checked against the inverse and the deviation recorded as a residual."""
+    checked against gamma_hat first and the deviation recorded as a
+    residual.  Either way the isomorphism-state check reuses it as the
+    inverse instead of inverting gamma_hat again."""
     n = A.dim
     gamma = matrix_to_vec(transpose(gamma_hat))
-    violations = verify_isomorphism_state(gamma, A)
-    if violations:
-        raise InvalidStructure("; ".join(violations))
     if f_hat is None:
-        f_hat = _invert(gamma_hat)
+        try:
+            f_hat = _invert(gamma_hat)
+        except SingularMatrix:
+            raise InvalidStructure(_singular_message(gamma_hat)) from None
     f = matrix_to_vec(transpose(f_hat))
     left = matmul(f_hat, gamma_hat)
     right = matmul(gamma_hat, f_hat)
@@ -126,6 +131,9 @@ def build_structure(A: Com, gamma_hat, f_hat=None) -> DualityStructure:
     tol = tolerance_for(gamma_hat, f_hat)
     if res_inv > tol:
         raise InvalidStructure(f"f_hat is not the inverse of gamma_hat (residual {res_inv})")
+    violations = verify_isomorphism_state(gamma, A, ghat_inverse=f_hat)
+    if violations:
+        raise InvalidStructure("; ".join(violations))
     tau = matmul(gamma_hat, transpose(f_hat))
     struct = DualityStructure(
         com=A,
@@ -172,9 +180,10 @@ def _self_duality_search(A: Com, symmetric: bool) -> Optional[DualityStructure]:
         raise UnsupportedKind(
             "self-duality search needs a polyhedral model; verify an explicit candidate instead"
         )
-    for phi in order_isomorphisms(A.state_cone, A.effect_cone, symmetric=symmetric):
+    isos = order_isomorphisms(A.state_cone, A.effect_cone, symmetric=symmetric, with_inverse=True)
+    for phi, phi_inverse in isos:
         try:
-            return build_structure(A, inverse(phi), f_hat=phi)
+            return build_structure(A, phi_inverse, f_hat=phi)
         except InvalidStructure:
             continue
     return None
@@ -232,16 +241,21 @@ def symmetry_equivalence_report(A: Com, D_A: DualityStructure) -> dict:
 
     The double adjoint of phi is P phi Q with P = gamma_hat^T f_hat and
     Q = gamma_hat f_hat^T (``double_dual_check`` computes it map by map),
-    so on the basis map E_ab it is the outer product P[:, a] Q[b, :]."""
+    so on the basis map E_ab it is the outer product P[:, a] Q[b, :].  Its
+    largest absolute deviation from E_ab is read in O(1) per map from the
+    column maxima of |P| and the row maxima of |Q| with the diagonal entry
+    left out, and |P[a][a] Q[b][b] - 1|.  Rounding a product of
+    nonnegative floats is monotone, so this equals the entrywise maximum
+    to the bit."""
     n = A.dim
     P = matmul(transpose(D_A.gamma_hat), D_A.f_hat)
     Q = matmul(D_A.gamma_hat, transpose(D_A.f_hat))
     tol = tolerance_for(P, Q)
+    p_off, p_all = _maxima_off_diagonal(transpose(P))
+    q_off, q_all = _maxima_off_diagonal(Q)
     witness = None
     for a, b in product(range(n), repeat=2):
-        twice_minus_unit = [[p[a] * q for q in Q[b]] for p in P]
-        twice_minus_unit[a][b] -= 1
-        deviation = max_abs(twice_minus_unit)
+        deviation = max(p_off[a] * q_all[b], abs(P[a][a]) * q_off[b], abs(P[a][a] * Q[b][b] - 1))
         if deviation > tol:
             witness = {"basis_map": (a, b), "deviation": deviation}
             break
@@ -257,16 +271,28 @@ def symmetry_equivalence_report(A: Com, D_A: DualityStructure) -> dict:
     }
 
 
+def _maxima_off_diagonal(rows) -> tuple[list, list]:
+    """For each row i of a square matrix: the largest |entry| off the
+    diagonal (0 when there is none), and the largest |entry| of the row."""
+    off, whole = [], []
+    for i, row in enumerate(rows):
+        m = max((abs(x) for j, x in enumerate(row) if j != i), default=0)
+        off.append(m)
+        whole.append(max(m, abs(row[i])))
+    return off, whole
+
+
 def counit_dual_check(D_A: DualityStructure) -> dict:
     """The adjoint of f as a preparation equals the swapped gamma.
 
-    The adjoint is computed through the composite-structure machinery
-    ((gamma_hat^* tensor gamma_hat^*) applied to f) and compared with
+    The adjoint is computed through the composite-structure machinery,
+    (gamma_hat^* tensor gamma_hat^*) applied to f, as vec(K F K^T) with
+    K = gamma_hat^* and F the form matrix of f, and compared with
     sigma . gamma."""
     n = D_A.com.dim
     K = transpose(D_A.gamma_hat)
-    f_adjoint = matvec(kron(K, K), D_A.f)
-    swapped_gamma = matvec(swap_matrix(n, n), D_A.gamma)
+    f_adjoint = matrix_to_vec(matmul(matmul(K, vec_to_matrix(D_A.f, n, n)), transpose(K)))
+    swapped_gamma = _swap(D_A.gamma, n)
     residual = max_abs(tuple(x - y for x, y in zip(f_adjoint, swapped_gamma)))
     return {
         "f_adjoint": f_adjoint,
@@ -274,6 +300,12 @@ def counit_dual_check(D_A: DualityStructure) -> dict:
         "residual": residual,
         "holds": residual <= tolerance_for(f_adjoint, swapped_gamma),
     }
+
+
+def _swap(v, n: int) -> tuple:
+    """sigma . v for a vector over (A, A), dim A = n: vec of the transposed
+    form matrix."""
+    return matrix_to_vec(transpose(vec_to_matrix(v, n, n)))
 
 
 def strongly_self_dual(D_A: DualityStructure) -> bool:
@@ -337,8 +369,7 @@ def dagger_compactness_verdict(structures: Sequence[DualityStructure]) -> dict:
             cd = counit_dual_check(D)
             # dagger axiom: unit = sigma . (co-unit adjoint); the adjoint of f
             # is sigma . gamma, so the axiom reduces to gamma = sigma(sigma(gamma)).
-            n = D.com.dim
-            eta_from_dagger = matvec(swap_matrix(n, n), cd["f_adjoint"])
+            eta_from_dagger = _swap(cd["f_adjoint"], D.com.dim)
             axiom_res = max_abs(
                 tuple(x - y for x, y in zip(eta_from_dagger, D.gamma))
             )

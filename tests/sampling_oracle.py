@@ -5,13 +5,24 @@ used before they moved onto ``cones.probe_rays``, and ``matrix`` is the
 coordinate-to-matrix loop that ``hermitian.matrix`` replaced with one
 ``tensordot``.  Both are as they were then: one trace product per basis
 matrix, one matrix sum per coordinate.
+
+``rays_leaving``, ``in_max_cone`` and ``symmetry_equivalence_report`` are
+the per-ray, per-pair and per-basis-map loops that the batched array
+kernels and the O(n^2) symmetry report replaced, as they were then.
 """
 
+from itertools import product
 from math import prod
+from typing import Iterator, Optional
 
 import numpy as np
 
 from comcat import hermitian
+from comcat.com import Com
+from comcat.cones import Cone, probe_rays
+from comcat.config import tolerance_for
+from comcat.linalg import dot, matmul, matvec, max_abs, transpose, vec_to_matrix
+from comcat.selfdual import DualityStructure, tau_is_identity
 
 
 def psd_state_samples(dims, seed=0, count=24):
@@ -36,3 +47,66 @@ def matrix(x, dims: tuple[int, ...]) -> np.ndarray:
         if c != 0:
             M = M + float(c) * b
     return M
+
+
+def rays_leaving(M, source: Cone, target: Cone, seed: int = 0) -> Iterator[tuple]:
+    """Lazily, the probe rays x of source whose image M x is not in target.
+    When there are none, M carries source into target: proven for a
+    polyhedral source, checked on samples for a PSD one."""
+    return (x for x in probe_rays(source, seed) if not target.member(matvec(M, x)))
+
+
+def in_max_cone(omega, A: Com, B: Com, tolerance: Optional[float] = None) -> bool:
+    """Is the form omega(a, b) = a^T W b nonnegative on every pair of probe
+    rays of the two effect cones (``cones.probe_rays``)?
+
+    Each probe ray a of A's effect cone gives the row a^T W, which is
+    tested against each probe ray of B's.  Polyhedral factors contribute
+    all their effect generators, so for two of them the answer is exact
+    (on exact data the tolerance is zero); a PSD factor contributes its
+    basis projectors and seeded pure states, so the check is sampled."""
+    a_rays, b_rays = probe_rays(A.effect_cone), probe_rays(B.effect_cone)
+    tol = tolerance_for(omega, a_rays, b_rays) if tolerance is None else tolerance
+    Wt = transpose(vec_to_matrix(omega, A.dim, B.dim))
+    for a in a_rays:
+        row = matvec(Wt, a)
+        if any(dot(row, b) < -tol for b in b_rays):
+            return False
+    return True
+
+
+def symmetry_equivalence_report(A: Com, D_A: DualityStructure) -> dict:
+    """Three equivalent symmetry conditions, each checked independently:
+
+    (i)   the canonical adjoint is involutive on a basis of the map space,
+    (ii)  the twist automorphism is the identity,
+    (iii) gamma and f are symmetric bilinear forms.
+
+    The consistent flag records whether the three booleans agree; the
+    witness is the first basis map (in row-major order) on which (i) fails.
+
+    The double adjoint of phi is P phi Q with P = gamma_hat^T f_hat and
+    Q = gamma_hat f_hat^T (``double_dual_check`` computes it map by map),
+    so on the basis map E_ab it is the outer product P[:, a] Q[b, :]."""
+    n = A.dim
+    P = matmul(transpose(D_A.gamma_hat), D_A.f_hat)
+    Q = matmul(D_A.gamma_hat, transpose(D_A.f_hat))
+    tol = tolerance_for(P, Q)
+    witness = None
+    for a, b in product(range(n), repeat=2):
+        twice_minus_unit = [[p[a] * q for q in Q[b]] for p in P]
+        twice_minus_unit[a][b] -= 1
+        deviation = max_abs(twice_minus_unit)
+        if deviation > tol:
+            witness = {"basis_map": (a, b), "deviation": deviation}
+            break
+    cond_i = witness is None
+    cond_ii = tau_is_identity(D_A)
+    cond_iii = D_A.symmetric
+    return {
+        "i": cond_i,
+        "ii": cond_ii,
+        "iii": cond_iii,
+        "consistent": (cond_i == cond_ii == cond_iii),
+        "witness": witness,
+    }

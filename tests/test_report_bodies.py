@@ -27,6 +27,10 @@ GOLDEN = {
     ("wsd", "builtin:gbit", "--symmetric"): "52b5b835b64e172ce4dfe5b6aa88ebced0b677b1590b8eb2d6110f5d045924f0",
     ("validate", "builtin:gbit"): "fb56c3ee32876505b0f1c0149f52a4df3040811275f810bc999a412a7a6bf9b5",
     ("validate", "builtin:classical3"): "989c3fb522e7718715b822b852b4aa1bdc8f4470b419c390eb0a224c9c61c769",
+    ("dagger", "builtin:qubit"): "f07e5b6b0e790cf67b3bb5c41ddc5104692b398238dec4da51e737a0f98f307d",
+    ("dagger", "builtin:quantum3"): "ae3fc127035179ea3688a421e8891c5dd30f934b920d02104ec36c013da747d6",
+    ("dagger", "builtin:quantum4"): "f2cabb05436dfaba4c3d4e1529ee481ce42581770e6f5e515814070a87b5cae9",
+    ("validate", "builtin:quantum3"): "b3c09af7ecb6e40cbc471e1bf51f3934483f734c704cb7ffdb5b37dbd0d4069c",
 }
 
 

@@ -1,14 +1,30 @@
-"""The seeded probe rays and the vectorized Hermitian kernel against the
-loop versions in ``sampling_oracle``."""
+"""The seeded probe rays, the vectorized Hermitian kernel, the batched
+inclusion checks and the O(n^2) symmetry report against the loop versions
+in ``sampling_oracle``."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sampling_oracle as oracle
-from comcat import hermitian
-from comcat.composites import in_max_cone, spatial_quantum_composite
+from comcat import cones, hermitian, selfdual
+from comcat.composites import in_max_cone, is_composite, spatial_quantum_composite
+from comcat.config import set_tolerance
 from comcat.cones import PROBE_SAMPLES, probe_rays, psd_cone
-from comcat.models import classical, quantum
+from comcat.errors import DimensionMismatch, SingularMatrix
+from comcat.linalg import inverse, kron, matmul, matvec, swap_matrix, transpose
+from comcat.models import (
+    builtin,
+    classical,
+    classical_symmetric_structure,
+    gbit_reflection_structure,
+    gbit_rotation_structure,
+    maximally_entangled_structure,
+    quantum,
+)
 
 
 @pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (3, 3)])
@@ -38,15 +54,243 @@ def test_matrix_equals_loop(dims):
         assert np.array_equal(hermitian.matrix(x, dims), oracle.matrix(x, dims))
 
 
+def swap_coords(d) -> tuple:
+    swap = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            swap[d * i + j, d * j + i] = 1.0
+    return hermitian.coords(swap.astype(complex), (d, d))
+
+
 def test_in_max_cone_accepts_block_positive_swap():
     # SWAP on C^2 (x) C^2 is positive on every product Tr(SWAP (a (x) b)) =
     # Tr(ab) >= 0, so it is in the max cone, but it has eigenvalue -1.
     q = quantum(2)
-    swap = np.zeros((4, 4))
-    for i in range(2):
-        for j in range(2):
-            swap[2 * i + j, 2 * j + i] = 1.0
-    w = hermitian.coords(swap.astype(complex), (2, 2))
+    w = swap_coords(2)
     assert in_max_cone(w, q, q)
     assert not spatial_quantum_composite(q, q).state_cone.member(w)
     assert not in_max_cone(tuple(-x for x in w), q, q)
+
+
+# -- batched kernels against the loop oracles ---------------------------------
+
+SPECTRAL_DIMS = [(2,), (3,), (4,), (2, 2)]
+
+
+def superoperator(phi, dims_in, dims_out) -> tuple:
+    """Coordinate matrix of the linear map X -> phi(X) on Hermitians."""
+    B_in, B_out = hermitian._stacked(dims_in), hermitian._stacked(dims_out)
+    images = [phi(b) for b in B_in]
+    return tuple(
+        tuple(float(np.trace(c @ img).real) for img in images) for c in B_out
+    )
+
+
+def random_map(kind, dims, rng, shift):
+    """A CP map (three random Kraus operators), the transpose (co-CP), or a
+    CP map minus shift times the identity map (not positive for shift > 0
+    large enough)."""
+    d = int(np.prod(dims))
+    if kind == "transpose":
+        M = superoperator(lambda X: X.T, dims, dims)
+    else:
+        kraus = rng.normal(size=(3, d, d)) + 1j * rng.normal(size=(3, d, d))
+        kraus /= np.sqrt(3 * d)
+        M = superoperator(lambda X: sum(K @ X @ K.conj().T for K in kraus), dims, dims)
+    if kind == "shifted":
+        M = tuple(
+            tuple(m - (shift if i == j else 0.0) for j, m in enumerate(row)) for i, row in enumerate(M)
+        )
+    return M
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(SPECTRAL_DIMS),
+    st.sampled_from(["cp", "transpose", "shifted"]),
+    st.integers(0, 2**31 - 1),
+    st.floats(0.01, 1.0),
+    st.integers(0, 6),
+)
+def test_batched_rays_leaving_equals_loop(dims, kind, map_seed, shift, seed):
+    cone = psd_cone(dims)
+    M = random_map(kind, dims, np.random.default_rng(map_seed), shift)
+    assert list(cones.rays_leaving(M, cone, cone, seed)) == list(oracle.rays_leaving(M, cone, cone, seed))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_batched_rays_leaving_from_polyhedral_source(d):
+    # classical(d) -> quantum(d): the diagonal embedding is positive, a
+    # negated coordinate sends one generator out; leaving rays stay ints.
+    A, Q = classical(d).state_cone, quantum(d).state_cone
+    M = tuple(tuple(1.0 if i == j else 0.0 for j in range(d)) for i in range(d * d))
+    assert list(cones.rays_leaving(M, A, Q)) == list(oracle.rays_leaving(M, A, Q)) == []
+    flipped = tuple(tuple(-x if j == d - 1 else x for j, x in enumerate(row)) for row in M)
+    leaving = list(cones.rays_leaving(flipped, A, Q))
+    assert leaving == list(oracle.rays_leaving(flipped, A, Q)) == [A.generators[0]]
+    assert all(type(x) is int for x in leaving[0])
+
+
+def test_batched_rays_leaving_refuses_a_map_of_the_wrong_shape():
+    q2, q3 = psd_cone(2), psd_cone(3)
+    square = tuple(tuple(1.0 if i == j else 0.0 for j in range(4)) for i in range(4))
+    for source, target in ((q2, q3), (q3, q2)):
+        with pytest.raises(DimensionMismatch):
+            list(cones.rays_leaving(square, source, target))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_rays_leaving_keeps_an_image_on_the_tolerance_boundary(d):
+    # X -> X - t <0|X|0> I sends the projector onto |0> to an image with
+    # least eigenvalue exactly -t, and every seeded pure state well inside
+    # -t; at tolerance t that ray stays, a hair beyond t it leaves.
+    t = 2.0**-20
+    cone = psd_cone(d)
+    ident = superoperator(lambda X: X, (d,), (d,))
+    unit = hermitian.unit_coords((d,))
+    try:
+        for shift, expected in ((t, []), (t + 2.0**-40, [probe_rays(cone)[0]])):
+            M = tuple(
+                tuple(m - (shift * unit[i] if j == 0 else 0.0) for j, m in enumerate(row))
+                for i, row in enumerate(ident)
+            )
+            set_tolerance(t)
+            assert list(cones.rays_leaving(M, cone, cone)) == expected
+            assert list(oracle.rays_leaving(M, cone, cone)) == expected
+    finally:
+        set_tolerance(None)
+
+
+def random_form(kind, dims, rng, shift) -> tuple:
+    """Coordinates over dims of a pure state (PSD), a random Hermitian
+    form, or SWAP (block-positive, not PSD); "shifted" subtracts shift
+    times the identity."""
+    if kind.endswith("swap"):
+        w = swap_coords(dims[0])
+    elif kind.endswith("pure"):
+        v = rng.normal(size=(int(np.prod(dims)), 2)) @ np.array([1, 1j])
+        w = hermitian.coords(np.outer(v, v.conj()), dims)
+    else:
+        w = tuple(rng.normal(size=hermitian.ambient_dim(dims)).tolist())
+    if kind.startswith("shifted"):
+        w = tuple(x - shift * u for x, u in zip(w, hermitian.unit_coords(dims)))
+    return w
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(
+        [(dims, kind) for dims in [(2, 2), (2, 3), (3, 2), (3, 3)] for kind in ("pure", "hermitian", "shifted pure")]
+        + [(dims, kind) for dims in [(2, 2), (3, 3)] for kind in ("swap", "shifted swap")]
+    ),
+    st.integers(0, 2**31 - 1),
+    st.floats(0.0, 0.6),
+)
+def test_batched_in_max_cone_equals_loop(case, form_seed, shift):
+    dims, kind = case
+    A, B = quantum(dims[0]), quantum(dims[1])
+    w = random_form(kind, dims, np.random.default_rng(form_seed), shift)
+    assert in_max_cone(w, A, B) == oracle.in_max_cone(w, A, B)
+
+
+@pytest.mark.parametrize("A_name", ["classical2", "gbit", "qubit"])
+@pytest.mark.parametrize("B_name", ["classical3", "gbit", "qubit"])
+def test_in_max_cone_equals_loop_across_kinds(A_name, B_name):
+    # A product of interior states, which is in the max cone, plus noise
+    # of growing scale, which sooner or later takes it out.
+    A, B = builtin(A_name), builtin(B_name)
+    rng = np.random.default_rng(len(A_name) * 7 + len(B_name))
+    inside = np.outer(A.state_cone.interior_point(), B.state_cone.interior_point()).ravel()
+    inside = inside / np.abs(inside).max()
+    for scale in np.linspace(0.0, 1.0, 21):
+        w = tuple((inside + scale * rng.normal(size=A.dim * B.dim)).tolist())
+        assert in_max_cone(w, A, B) == oracle.in_max_cone(w, A, B)
+    if A.kind == B.kind == "polyhedral":
+        exact = tuple(Fraction(int(x), 3) for x in rng.integers(-1, 6, size=A.dim * B.dim))
+        assert in_max_cone(exact, A, B) == oracle.in_max_cone(exact, A, B)
+
+
+def test_in_max_cone_keeps_a_form_on_the_tolerance_boundary():
+    t = 2.0**-20
+    c2 = classical(2)
+    for w, expected in (((1.0, -t, 0.5, 1.0), True), ((1.0, -2 * t, 0.5, 1.0), False)):
+        assert in_max_cone(w, c2, c2, tolerance=t) is expected
+        assert oracle.in_max_cone(w, c2, c2, tolerance=t) is expected
+
+
+def test_batched_is_composite_on_the_spatial_composites():
+    for d in (2, 3):
+        q = quantum(d)
+        assert is_composite(spatial_quantum_composite(q, q), q, q, seed=d) == []
+
+
+def structure_from(gamma_hat, f_hat, com) -> selfdual.DualityStructure:
+    """An unverified structure, enough for the symmetry report."""
+    return selfdual.DualityStructure(
+        com=com,
+        gamma=(),
+        f=(),
+        gamma_hat=gamma_hat,
+        f_hat=f_hat,
+        tau=matmul(gamma_hat, transpose(f_hat)),
+    )
+
+
+def assert_same_report(D):
+    new = selfdual.symmetry_equivalence_report(D.com, D)
+    old = oracle.symmetry_equivalence_report(D.com, D)
+    assert new == old
+    if new["witness"] is not None:
+        assert type(new["witness"]["deviation"]) is type(old["witness"]["deviation"])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [gbit_rotation_structure, gbit_reflection_structure]
+    + [lambda n=n: classical_symmetric_structure(n) for n in (1, 2, 3, 5)]
+    + [lambda d=d: maximally_entangled_structure(d) for d in (2, 3)],
+)
+def test_symmetry_report_equals_loop_on_builtin_structures(make):
+    assert_same_report(make())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(0, 2**31 - 1), st.sampled_from([1e-12, 1e-8, 1e-3]))
+def test_symmetry_report_equals_loop_on_perturbed_quantum(d, seed, scale):
+    D = maximally_entangled_structure(d)
+    rng = np.random.default_rng(seed)
+    n = d * d
+    gamma_hat = tuple(map(tuple, (np.array(D.gamma_hat) + scale * rng.normal(size=(n, n))).tolist()))
+    f_hat = tuple(map(tuple, np.linalg.inv(np.array(gamma_hat)).tolist()))
+    assert_same_report(structure_from(gamma_hat, f_hat, D.com))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_symmetry_report_equals_loop_on_exact_maps(n, data):
+    entries = st.integers(-3, 3)
+    gamma_hat = tuple(tuple(data.draw(entries) for _ in range(n)) for _ in range(n))
+    try:
+        f_hat = inverse(gamma_hat)
+    except SingularMatrix:
+        return
+    assert_same_report(structure_from(gamma_hat, f_hat, classical(n)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [gbit_rotation_structure, gbit_reflection_structure, lambda: classical_symmetric_structure(3)]
+    + [lambda d=d: maximally_entangled_structure(d) for d in (2, 3)],
+)
+def test_counit_dual_check_equals_kron_route(make):
+    D = make()
+    n = D.com.dim
+    K = transpose(D.gamma_hat)
+    check = selfdual.counit_dual_check(D)
+    by_kron = matvec(kron(K, K), D.f)
+    swapped = matvec(swap_matrix(n, n), D.gamma)
+    assert check["swapped_gamma"] == swapped
+    if D.exact():
+        assert check["f_adjoint"] == by_kron
+    else:
+        assert np.max(np.abs(np.subtract(check["f_adjoint"], by_kron))) <= 1e-12

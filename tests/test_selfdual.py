@@ -93,10 +93,11 @@ def test_wsd_gbit_found():
     assert D is not None
 
 
-def test_wsd_candidate_inverted_four_times(monkeypatch):
+def test_wsd_candidate_inverted_twice(monkeypatch):
     # The first candidate is accepted: one inverse verifies the order
-    # isomorphism phi, one gives gamma_hat, and verify_isomorphism_state
-    # and the twist check each invert gamma_hat; f_hat is phi itself.
+    # isomorphism phi and is reused as gamma_hat, verify_isomorphism_state
+    # reuses phi (= f_hat) as the inverse of gamma_hat, and the twist
+    # check inverts the twist.
     from comcat import linalg, matching, selfdual
 
     calls = []
@@ -108,7 +109,7 @@ def test_wsd_candidate_inverted_four_times(monkeypatch):
     monkeypatch.setattr(matching, "inverse", counting_inverse)
     monkeypatch.setattr(selfdual, "inverse", counting_inverse)
     D = check_weak_self_duality(gbit())
-    assert D is not None and len(calls) == 4
+    assert D is not None and len(calls) == 2
     assert D.f_hat == linalg.inverse(D.gamma_hat)
 
 
@@ -298,8 +299,18 @@ def test_dagger_verdicts():
 
 def test_build_structure_rejects_non_isomorphism():
     c2 = classical(2)
-    with pytest.raises(InvalidStructure):
+    with pytest.raises(InvalidStructure, match="rank 1 < 2"):
         build_structure(c2, ((F(1), F(1)), (F(1), F(1))))
+
+
+def test_build_structure_checks_a_supplied_inverse_before_using_it():
+    # f_hat stands in for the inverse of gamma_hat in the isomorphism-state
+    # check, so a wrong one must be refused first, by its residual.
+    c2 = classical(2)
+    half = ((F(1, 2), F(0)), (F(0), F(1, 2)))
+    assert build_structure(c2, half, f_hat=((F(2), F(0)), (F(0), F(2)))).symmetric
+    with pytest.raises(InvalidStructure, match="not the inverse"):
+        build_structure(c2, half, f_hat=((F(2), F(1)), (F(0), F(2))))
 
 
 def test_structure_inverse_residuals():
