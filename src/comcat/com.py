@@ -40,9 +40,6 @@ class Com:
     def kind(self) -> str:
         return self.state_cone.kind
 
-    def is_exact(self) -> bool:
-        return self.kind == POLYHEDRAL
-
     def __repr__(self):
         return f"Com({self.label!r}, dim={self.dim}, kind={self.kind})"
 
@@ -184,11 +181,7 @@ def normalize_morphism(phi, A: Com, B: Com):
     M = process_scale(phi, A, B)
     if M == 0:
         raise ZeroMap("unit never fires on the image; no finite normalization")
-    if A.kind == POLYHEDRAL:
-        inv = Fraction(1) / M
-    else:
-        inv = 1.0 / M
-    return scale_matrix(inv, phi), M
+    return scale_matrix(Fraction(1) / M, phi), M
 
 
 def random_positive_map(rng, A: Com, B: Com, terms: int = 3):

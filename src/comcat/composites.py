@@ -43,6 +43,8 @@ from .errors import KindMismatch, MixedKindUnsupported
 from .linalg import (
     dot,
     matvec,
+    max_abs,
+    sub_vectors,
     swap_matrix,
     tensor_vector,
     transpose,
@@ -178,16 +180,12 @@ def is_composite(AB: Com, A: Com, B: Com, seed: int = 0) -> list[str]:
     violations: list[str] = []
     if AB.dim != A.dim * B.dim:
         return [f"carrier dim {AB.dim} is not {A.dim}*{B.dim}"]
-    exact = AB.kind == POLYHEDRAL
-
     u_prod = tensor_vector(A.unit, B.unit)
-    if exact:
-        if tuple(AB.unit) != tuple(u_prod):
-            violations.append("unit is not the product of the factor units")
-    elif max(abs(x - y) for x, y in zip(AB.unit, u_prod)) > numeric_tolerance():
+    unit_residual = max_abs(sub_vectors(AB.unit, u_prod))
+    if len(AB.unit) != len(u_prod) or unit_residual > tolerance_for(AB.unit, u_prod):
         violations.append("unit is not the product of the factor units")
 
-    if exact:
+    if AB.kind == POLYHEDRAL:
         for g in A.state_cone.generators:
             for h in B.state_cone.generators:
                 if not AB.state_cone.member(tensor_vector(g, h)):

@@ -20,6 +20,8 @@ contraction) and compared before a result is returned.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .com import Com
 from .composites import in_max_cone
 from .config import tolerance_for
@@ -31,7 +33,6 @@ from .errors import (
 )
 from .linalg import (
     dot,
-    is_exact,
     matvec,
     max_abs,
     scale_vector,
@@ -85,12 +86,7 @@ def conditional_state(omega, b, A: Com, B: Com):
     prob = dot(omega_b, b)
     if prob <= tolerance_for(omega, b):
         raise ZeroProbabilityCondition(f"conditioning probability {prob} is not positive")
-    unnormalized = matvec(W, b)
-    if is_exact(unnormalized) and is_exact(prob):
-        from fractions import Fraction
-
-        return scale_vector(Fraction(1) / prob, unnormalized)
-    return scale_vector(1.0 / prob, unnormalized)
+    return scale_vector(Fraction(1) / prob, matvec(W, b))
 
 
 def _tripartite_left(f, omega, alpha, A: Com, B: Com, C: Com):

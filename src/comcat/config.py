@@ -1,8 +1,21 @@
 """Numeric tolerance used by all floating-point (spectral) checks.
 
-Exact polyhedral paths never consult this; only PSD-cone membership,
-eigenvalue checks and float residual comparisons do.  ``tolerance_for``
-is the one place that picks between exact equality and the tolerance.
+The data decides between exact and float.  ``tolerance_for`` is the one
+place that picks between exact equality (0, when every operand is an int
+or a Fraction) and the tolerance; Python's number types pick the
+arithmetic: ``identity(n)`` holds the int 1, which stays exact against
+Fractions and becomes float against floats, and ``Fraction(1) / x`` is
+exactly ``1.0 / x`` when x is a float.
+
+Three choices stay with a model's kind, because the kind, not the data,
+decides them:
+
+- which cone description decides a predicate: facet or generator signs
+  for a polyhedral cone, eigenvalues for a PSD one;
+- the default tolerance of ``composites.in_max_cone``, because a PSD
+  factor's probe rays are float data even when the form is exact;
+- the refusal of floats in exact models by ``cli``'s ``remote-eval``, an
+  input-format rule.
 """
 
 from __future__ import annotations
@@ -20,13 +33,19 @@ _override: float | None = None
 
 
 def numeric_tolerance() -> float:
-    """Current tolerance: explicit override > environment > default."""
+    """Current tolerance: explicit override > environment > default.
+
+    A COMCAT_TOLERANCE that is not positive and finite raises ValueError,
+    as ``set_tolerance`` does."""
     if _override is not None:
         return _override
     raw = os.environ.get(_ENV_VAR)
-    if raw is not None and raw != "":
-        return float(raw)
-    return DEFAULT_TOLERANCE
+    if raw is None or raw == "":
+        return DEFAULT_TOLERANCE
+    value = float(raw)
+    if not 0 < value < math.inf:  # the rule of set_tolerance
+        raise ValueError(f"{_ENV_VAR}={raw}: tolerance must be positive and finite")
+    return value
 
 
 def tolerance_for(*objs) -> float:

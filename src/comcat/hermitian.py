@@ -76,11 +76,7 @@ def ambient_dim(dims: tuple[int, ...]) -> int:
 
 def coords(M: np.ndarray, dims: tuple[int, ...]) -> tuple[float, ...]:
     """Coordinates of a Hermitian matrix in the named basis."""
-    out = []
-    for B in basis(dims):
-        v = np.trace(B @ M)
-        out.append(float(v.real))
-    return tuple(out)
+    return tuple(np.trace(_stacked(dims) @ M, axis1=1, axis2=2).real.tolist())
 
 
 def matrix(x, dims: tuple[int, ...]) -> np.ndarray:

@@ -232,22 +232,17 @@ def maximally_entangled_structure(d: int):
     psi /= np.sqrt(d)
     proj = psi @ psi.conj().T
 
-    B = hermitian.basis((d,))
-    BB = hermitian._stacked((d, d))  # BB[k * n + l] = kron(B[k], B[l])
     n = d * d
-    G = [[0.0] * n for _ in range(n)]
-    for k in range(n):
-        for l in range(n):
-            G[k][l] = float(np.trace(proj @ BB[k * n + l]).real)
-    gamma_hat = tuple(tuple(G[l][k] for l in range(n)) for k in range(n))
+    # G[k, l] = Tr(proj kron(B_k, B_l)), the composite basis being kron(B_k, B_l)
+    BB = hermitian._stacked((d, d))
+    G = np.trace(proj @ BB, axis1=1, axis2=2).real.reshape(n, n)
+    gamma_hat = tuple(map(tuple, G.T.tolist()))
 
-    # transpose superoperator in the fixed basis, scaled by d
-    f_hat_rows = [[0.0] * n for _ in range(n)]
-    for l in range(n):
-        tcoords = hermitian.coords(B[l].T, (d,))
-        for k in range(n):
-            f_hat_rows[k][l] = d * tcoords[k]
-    f_hat = tuple(tuple(row) for row in f_hat_rows)
+    # transpose superoperator in the fixed basis, scaled by d:
+    # f_hat[k, l] = d Tr(B_k B_l^T)
+    B = hermitian._stacked((d,))
+    F = d * np.trace(B[:, None] @ B.transpose(0, 2, 1)[None], axis1=2, axis2=3).real
+    f_hat = tuple(map(tuple, F.tolist()))
     return build_structure(quantum(d), gamma_hat, f_hat=f_hat)
 
 

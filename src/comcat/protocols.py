@@ -37,12 +37,12 @@ from .errors import InvalidStructure, MixedKindUnsupported, UnsupportedKind
 from .linalg import (
     dot,
     identity,
-    is_exact,
     matmul,
     matrix_to_vec,
     max_abs,
     scale_vector,
     sub_matrices,
+    sub_vectors,
     tensor_vector,
     transpose,
     vec_to_matrix,
@@ -160,9 +160,7 @@ def _normalize_state(omega, composite: CompositeCom):
     total = dot(composite.unit, omega)
     if total == 0:
         return None
-    if is_exact(omega):
-        return scale_vector(Fraction(1) / total, omega)
-    return scale_vector(1.0 / total, omega)
+    return scale_vector(Fraction(1) / total, omega)
 
 
 def find_teleportation(
@@ -198,7 +196,7 @@ def find_teleportation(
                 elif prod[i][j] != 0:
                     return None
         r_scaled = tuple(tuple(x / scale for x in row) for row in r_hat)
-        residual = max_abs(sub_matrices(matmul(omega_hat, r_scaled), identity(n_a, Fraction(1))))
+        residual = max_abs(sub_matrices(matmul(omega_hat, r_scaled), identity(n_a)))
         if residual > tolerance_for(omega_hat, r_scaled):
             return None
         r_form = _r_form_vector(r_scaled)
@@ -250,9 +248,6 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
     if len(omega) != n_a * n_b:
         return VerificationReport(False, [f"omega has length {len(omega)}, expected {n_a * n_b}"])
 
-    exact = A.kind == POLYHEDRAL
-    tol = 0 if exact else numeric_tolerance()
-
     # shared state: in the composite cone (or spectral cone), normalized
     if composite_ba is not None:
         if not composite_ba.state_cone.member(omega):
@@ -262,6 +257,7 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
         u_ba = tensor_vector(B.unit, A.unit)
         if not in_max_cone(omega, B, A):
             violations.append("shared state is not nonsignaling-positive")
+    tol = tolerance_for(omega, r_hat, u_ba)
     norm = dot(u_ba, omega)
     if abs(norm - 1) > tol:
         violations.append(f"shared state has normalization {norm}")
@@ -274,8 +270,7 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
     # identity equation
     W = vec_to_matrix(omega, n_b, n_a)
     prod = matmul(transpose(W), r_hat)
-    one = Fraction(1) if exact else 1.0
-    res_id = max_abs(sub_matrices(prod, identity(n_a, one)))
+    res_id = max_abs(sub_matrices(prod, identity(n_a)))
     residuals["identity"] = res_id
     if res_id > tol:
         violations.append(f"hat(omega) . r_hat deviates from the identity by {res_id}")
@@ -284,7 +279,7 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
     r_form = _r_form_vector(r_hat)
     f = scale_vector(c, r_form)
     if cert.f is not None:
-        residuals["f_consistency"] = max_abs(tuple(x - y for x, y in zip(f, cert.f)))
+        residuals["f_consistency"] = max_abs(sub_vectors(f, cert.f))
     if composite_ab is not None and composite_ab.kind == POLYHEDRAL:
         E = composite_ab.effect_cone
         u = composite_ab.unit
@@ -349,11 +344,10 @@ def verify_compact_structure(A: Com, A_dual: Com, eta, epsilon) -> VerificationR
     E = vec_to_matrix(epsilon, n, m)  # form over (A, A')
     eta_hat = transpose(N)  # A'-effects -> A
     eps_hat = transpose(E)  # A -> A'-effects
-    one = Fraction(1) if is_exact(eta) and is_exact(epsilon) else 1.0
     snake1 = matmul(eta_hat, eps_hat)
     snake2 = matmul(N, E)
-    res1 = max_abs(sub_matrices(snake1, identity(n, one)))
-    res2 = max_abs(sub_matrices(snake2, identity(m, one)))
+    res1 = max_abs(sub_matrices(snake1, identity(n)))
+    res2 = max_abs(sub_matrices(snake2, identity(m)))
     tol = tolerance_for(eta, epsilon)
     ok = res1 <= tol and res2 <= tol
     report = VerificationReport(ok, [] if ok else ["zig-zag identities fail"], {

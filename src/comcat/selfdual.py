@@ -13,7 +13,7 @@ hat(f) = hat(gamma)^{-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
@@ -32,6 +32,7 @@ from .linalg import (
     max_abs,
     rank,
     sub_matrices,
+    sub_vectors,
     symmetric_inertia,
     transpose,
     vec_to_matrix,
@@ -51,7 +52,7 @@ class DualityStructure:
     tau: tuple  # gamma_hat . f_hat^T, an order automorphism
     residuals: dict = field(default_factory=dict)
 
-    @property
+    @cached_property
     def symmetric(self) -> bool:
         g_res = max_abs(sub_matrices(self.gamma_hat, transpose(self.gamma_hat)))
         f_res = max_abs(sub_matrices(self.f_hat, transpose(self.f_hat)))
@@ -126,7 +127,7 @@ def build_structure(A: Com, gamma_hat, f_hat=None) -> DualityStructure:
     f = matrix_to_vec(transpose(f_hat))
     left = matmul(f_hat, gamma_hat)
     right = matmul(gamma_hat, f_hat)
-    ident = identity(n, Fraction(1) if is_exact(gamma_hat) else 1.0)
+    ident = identity(n)
     res_inv = max(max_abs(sub_matrices(left, ident)), max_abs(sub_matrices(right, ident)))
     tol = tolerance_for(gamma_hat, f_hat)
     if res_inv > tol:
@@ -154,11 +155,11 @@ def build_structure(A: Com, gamma_hat, f_hat=None) -> DualityStructure:
 
 
 def _tau_is_automorphism(struct: DualityStructure) -> bool:
+    """tau = gamma_hat f_hat^T maps the state cone onto itself.  Its
+    inverse is gamma_hat^T f_hat, since f_hat = gamma_hat^{-1} (which
+    ``build_structure`` checks first)."""
     cone, tau = struct.com.state_cone, struct.tau
-    try:
-        inv = _invert(tau)
-    except SingularMatrix:
-        return False
+    inv = matmul(transpose(struct.gamma_hat), struct.f_hat)
     return not any(rays_leaving(tau, cone, cone, seed=5)) and not any(
         rays_leaving(inv, cone, cone, seed=5)
     )
@@ -211,8 +212,7 @@ def tau(D_A: DualityStructure):
 
 
 def tau_is_identity(D_A: DualityStructure) -> bool:
-    ident = identity(len(D_A.tau), Fraction(1) if is_exact(D_A.tau) else 1.0)
-    return max_abs(sub_matrices(D_A.tau, ident)) <= tolerance_for(D_A.tau)
+    return max_abs(sub_matrices(D_A.tau, identity(len(D_A.tau)))) <= tolerance_for(D_A.tau)
 
 
 def double_dual_check(phi, D_A: DualityStructure, D_B: DualityStructure) -> dict:
@@ -293,7 +293,7 @@ def counit_dual_check(D_A: DualityStructure) -> dict:
     K = transpose(D_A.gamma_hat)
     f_adjoint = matrix_to_vec(matmul(matmul(K, vec_to_matrix(D_A.f, n, n)), transpose(K)))
     swapped_gamma = _swap(D_A.gamma, n)
-    residual = max_abs(tuple(x - y for x, y in zip(f_adjoint, swapped_gamma)))
+    residual = max_abs(sub_vectors(f_adjoint, swapped_gamma))
     return {
         "f_adjoint": f_adjoint,
         "swapped_gamma": swapped_gamma,
@@ -312,25 +312,30 @@ def strongly_self_dual(D_A: DualityStructure) -> bool:
     """Symmetric structure whose inverting form is positive definite, on a
     saturated model: the cone is then self-dual under a true inner product.
 
-    Exact polyhedral data uses the exact inertia of f_hat; spectral data
-    uses eigenvalues."""
+    Exact f_hat uses its exact inertia; float f_hat uses eigenvalues."""
     if not D_A.symmetric:
         return False
     if not is_saturated(D_A.com):
         return False
-    if D_A.exact():
-        pos, zero, neg = symmetric_inertia(D_A.f_hat)
-        return zero == 0 and neg == 0
-    eigs = np.linalg.eigvalsh(np.array(D_A.f_hat, dtype=float))
-    return bool(eigs[0] > numeric_tolerance())
+    pos, zero, neg = _inertia(D_A.f_hat)
+    return zero == 0 and neg == 0
 
 
 def negative_inertia_count(D_A: DualityStructure) -> int:
     """Number of negative eigenvalues of the inverting form."""
-    if D_A.exact():
-        return symmetric_inertia(D_A.f_hat)[2]
-    eigs = np.linalg.eigvalsh(np.array(D_A.f_hat, dtype=float))
-    return int(np.sum(eigs < -numeric_tolerance()))
+    return _inertia(D_A.f_hat)[2]
+
+
+def _inertia(M) -> tuple[int, int, int]:
+    """(positive, zero, negative) eigenvalue counts of a symmetric matrix:
+    exact by Descartes' rule on exact data; on float data, eigenvalues
+    within the tolerance of zero count as zero."""
+    if is_exact(M):
+        return symmetric_inertia(M)
+    eigs = np.linalg.eigvalsh(np.array(M, dtype=float))
+    tol = numeric_tolerance()
+    pos, neg = int(np.sum(eigs > tol)), int(np.sum(eigs < -tol))
+    return pos, len(eigs) - pos - neg, neg
 
 
 def strongly_self_dual_model(A: Com) -> bool:
@@ -343,7 +348,7 @@ def strongly_self_dual_model(A: Com) -> bool:
     all ray matchings for a definite witness.  PSD models carry the
     trace inner product, whose witness is the identity map."""
     if A.kind == PSD:
-        gamma = matrix_to_vec(identity(A.dim, 1.0))
+        gamma = matrix_to_vec(identity(A.dim))
         return not verify_isomorphism_state(gamma, A)
     if not is_saturated(A):
         return False
@@ -370,9 +375,7 @@ def dagger_compactness_verdict(structures: Sequence[DualityStructure]) -> dict:
             # dagger axiom: unit = sigma . (co-unit adjoint); the adjoint of f
             # is sigma . gamma, so the axiom reduces to gamma = sigma(sigma(gamma)).
             eta_from_dagger = _swap(cd["f_adjoint"], D.com.dim)
-            axiom_res = max_abs(
-                tuple(x - y for x, y in zip(eta_from_dagger, D.gamma))
-            )
+            axiom_res = max_abs(sub_vectors(eta_from_dagger, D.gamma))
             unit_axiom = axiom_res <= tolerance_for(eta_from_dagger, D.gamma)
             ok = ok and unit_axiom
         per_object.append(

@@ -20,14 +20,43 @@ duality check of ``com`` on a facet-only effect cone.  The LP route of
 ``Cone.member`` (and of ``separability_check``) on a generator-only cone
 is ``Cone.member_by_lp``, which the package keeps as its reference.
 The first two run on the Fraction simplex above.
+
+``normalize_morphism``, ``conditional_state``, ``strongly_self_dual`` and
+``negative_inertia_count`` are those functions as they were when each
+chose exact or float arithmetic by its own branch (on the model's kind or
+on ``is_exact``), before the data alone chose it.  On exact data and on
+float data the package's versions must return the same values of the
+same types.
 """
 
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from comcat.errors import DimensionMismatch, SingularMatrix
-from comcat.linalg import fmt, frac, frac_vector
+import numpy as np
+
+from comcat.com import Com, is_morphism, is_saturated, process_scale
+from comcat.cones import POLYHEDRAL
+from comcat.conditioning import form_matrix, marginals
+from comcat.config import numeric_tolerance, tolerance_for
+from comcat.errors import (
+    DimensionMismatch,
+    NotAMorphism,
+    SingularMatrix,
+    ZeroMap,
+    ZeroProbabilityCondition,
+)
+from comcat.linalg import (
+    dot,
+    fmt,
+    frac,
+    frac_vector,
+    is_exact,
+    matvec,
+    scale_matrix,
+    scale_vector,
+    symmetric_inertia,
+)
 from comcat.lp import GE, LE, Constraint, LpResult, eq, in_cone
 
 Vector = tuple
@@ -376,3 +405,61 @@ def effect_cone_in_dual_by_facets(A, E) -> list[str]:
                 f"state generator {fmt(g)} violates duality with the effect cone"
             )
     return out
+
+
+def normalize_morphism(phi, A: Com, B: Com):
+    """Scale a nonzero morphism to a process: returns (phi / M, M) with M
+    the tight maximum of u_B over images of normalized states."""
+    report = is_morphism(phi, A, B)
+    if not report.ok:
+        raise NotAMorphism("; ".join(report.violations))
+    if all(x == 0 for row in phi for x in row):
+        raise ZeroMap("cannot normalize the zero map")
+    M = process_scale(phi, A, B)
+    if M == 0:
+        raise ZeroMap("unit never fires on the image; no finite normalization")
+    if A.kind == POLYHEDRAL:
+        inv = Fraction(1) / M
+    else:
+        inv = 1.0 / M
+    return scale_matrix(inv, phi), M
+
+
+def conditional_state(omega, b, A: Com, B: Com):
+    """Normalized conditional state of A given effect b on B."""
+    W = form_matrix(omega, A, B)
+    _, omega_b = marginals(omega, A, B)
+    prob = dot(omega_b, b)
+    if prob <= tolerance_for(omega, b):
+        raise ZeroProbabilityCondition(f"conditioning probability {prob} is not positive")
+    unnormalized = matvec(W, b)
+    if is_exact(unnormalized) and is_exact(prob):
+        from fractions import Fraction
+
+        return scale_vector(Fraction(1) / prob, unnormalized)
+    return scale_vector(1.0 / prob, unnormalized)
+
+
+def strongly_self_dual(D_A) -> bool:
+    """Symmetric structure whose inverting form is positive definite, on a
+    saturated model: the cone is then self-dual under a true inner product.
+
+    Exact polyhedral data uses the exact inertia of f_hat; spectral data
+    uses eigenvalues."""
+    if not D_A.symmetric:
+        return False
+    if not is_saturated(D_A.com):
+        return False
+    if D_A.exact():
+        pos, zero, neg = symmetric_inertia(D_A.f_hat)
+        return zero == 0 and neg == 0
+    eigs = np.linalg.eigvalsh(np.array(D_A.f_hat, dtype=float))
+    return bool(eigs[0] > numeric_tolerance())
+
+
+def negative_inertia_count(D_A) -> int:
+    """Number of negative eigenvalues of the inverting form."""
+    if D_A.exact():
+        return symmetric_inertia(D_A.f_hat)[2]
+    eigs = np.linalg.eigvalsh(np.array(D_A.f_hat, dtype=float))
+    return int(np.sum(eigs < -numeric_tolerance()))

@@ -9,6 +9,11 @@ matrix, one matrix sum per coordinate.
 ``rays_leaving``, ``in_max_cone`` and ``symmetry_equivalence_report`` are
 the per-ray, per-pair and per-basis-map loops that the batched array
 kernels and the O(n^2) symmetry report replaced, as they were then.
+
+``coords`` and ``maximally_entangled_maps`` are the one-trace-per-entry
+loops that ``hermitian.coords`` and ``models.maximally_entangled_structure``
+replaced with batched traces, as they were then; the batched results must
+equal them to the bit.
 """
 
 from itertools import product
@@ -110,3 +115,39 @@ def symmetry_equivalence_report(A: Com, D_A: DualityStructure) -> dict:
         "consistent": (cond_i == cond_ii == cond_iii),
         "witness": witness,
     }
+
+
+def coords(M: np.ndarray, dims: tuple[int, ...]) -> tuple[float, ...]:
+    """Coordinates of a Hermitian matrix in the named basis."""
+    out = []
+    for B in hermitian.basis(dims):
+        v = np.trace(B @ M)
+        out.append(float(v.real))
+    return tuple(out)
+
+
+def maximally_entangled_maps(d: int) -> tuple[tuple, tuple]:
+    """(gamma_hat, f_hat) of the maximally entangled structure on C^d."""
+    psi = np.zeros((d * d, 1), dtype=complex)
+    for i in range(d):
+        psi[i * d + i, 0] = 1.0
+    psi /= np.sqrt(d)
+    proj = psi @ psi.conj().T
+
+    B = hermitian.basis((d,))
+    BB = hermitian._stacked((d, d))  # BB[k * n + l] = kron(B[k], B[l])
+    n = d * d
+    G = [[0.0] * n for _ in range(n)]
+    for k in range(n):
+        for l in range(n):
+            G[k][l] = float(np.trace(proj @ BB[k * n + l]).real)
+    gamma_hat = tuple(tuple(G[l][k] for l in range(n)) for k in range(n))
+
+    # transpose superoperator in the fixed basis, scaled by d
+    f_hat_rows = [[0.0] * n for _ in range(n)]
+    for l in range(n):
+        tcoords = coords(B[l].T, (d,))
+        for k in range(n):
+            f_hat_rows[k][l] = d * tcoords[k]
+    f_hat = tuple(tuple(row) for row in f_hat_rows)
+    return gamma_hat, f_hat

@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 import comcat
 from comcat.cli import build_parser, main
 from comcat.models import classical, gbit, quantum
@@ -214,6 +216,16 @@ def test_bad_tolerance_is_an_input_error(capsys):
         assert (code, out) == (2, "")
         assert err == "comcat: input error: tolerance must be positive and finite\n"
         assert numeric_tolerance() == DEFAULT_TOLERANCE
+
+
+@pytest.mark.parametrize("value, command", [("nan", "validate"), ("0", "dagger")])
+def test_bad_tolerance_env_is_an_input_error(capsys, monkeypatch, value, command):
+    monkeypatch.setenv("COMCAT_TOLERANCE", value)
+    code, out, err = run(capsys, command, "builtin:qubit")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"comcat: input error: COMCAT_TOLERANCE={value}: tolerance must be positive and finite\n"
+    )
 
 
 def test_seed_recorded_and_bodies_reproducible(capsys):

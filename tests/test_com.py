@@ -3,6 +3,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import fraction_oracle as oracle
 
 from comcat import hermitian
 from comcat.com import (
@@ -163,6 +167,42 @@ def test_normalize_morphism():
     assert M == 1
     with pytest.raises(ZeroMap):
         normalize_morphism(((F(0), F(0)), (F(0), F(0))), c2, c2)
+
+
+def _kraus_map(K) -> tuple:
+    """Coordinates of the completely positive qubit map X -> K X K^dagger."""
+    B = hermitian.basis((2,))
+    return tuple(
+        tuple(float(np.trace(Bk @ K @ Bl @ K.conj().T).real) for Bl in B) for Bk in B
+    )
+
+
+def _types(M) -> list:
+    return [type(x) for row in M for x in row]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["exact", "float", "quantum"]), st.data())
+def test_normalize_morphism_matches_the_kind_branch(case, data):
+    # On exact and on float data the scale 1/M has the value and the type
+    # that the branch on the source model's kind gave.
+    if case == "quantum":
+        A = B = quantum(2)
+        K = np.array(data.draw(st.lists(st.floats(-2, 2), min_size=8, max_size=8))).view(complex)
+        assume(np.abs(K).max() > 0.1)
+        phi = _kraus_map(K.reshape(2, 2))
+    else:
+        A, B = classical(2), classical(3)
+        entry = (
+            st.fractions(0, 4, max_denominator=6)
+            if case == "exact"
+            else st.floats(0, 4).map(lambda x: round(x, 3))
+        )
+        phi = tuple(tuple(data.draw(entry) for _ in range(2)) for _ in range(3))
+        assume(any(x != 0 for row in phi for x in row))
+    new, old = normalize_morphism(phi, A, B), oracle.normalize_morphism(phi, A, B)
+    assert new == old
+    assert _types(new[0]) == _types(old[0]) and type(new[1]) is type(old[1])
 
 
 def test_normalize_scale_is_tight():

@@ -3,6 +3,10 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_oracle as oracle
 
 from comcat import hermitian
 from comcat.conditioning import (
@@ -134,6 +138,29 @@ def test_conditional_state_correlated(c2):
 def test_conditional_state_zero_probability(c2):
     with pytest.raises(ZeroProbabilityCondition):
         conditional_state(CORRELATED, (F(0), F(0)), c2, c2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans(), st.data())
+def test_conditional_state_matches_the_exactness_branch(exact, data):
+    # On exact and on float data the normalization has the value and the
+    # type that the branch on is_exact gave.
+    c2 = classical(2)
+    entry = (
+        st.fractions(0, 3, max_denominator=5)
+        if exact
+        else st.floats(0, 3).map(lambda x: round(x, 3))
+    )
+    omega = tuple(data.draw(entry) for _ in range(4))
+    b = tuple(data.draw(entry) for _ in range(2))
+    try:
+        old = oracle.conditional_state(omega, b, c2, c2)
+    except ZeroProbabilityCondition:
+        with pytest.raises(ZeroProbabilityCondition):
+            conditional_state(omega, b, c2, c2)
+        return
+    new = conditional_state(omega, b, c2, c2)
+    assert new == old and [type(x) for x in new] == [type(x) for x in old]
 
 
 def test_conditional_states_normalized_and_inside(c2):

@@ -54,6 +54,31 @@ def test_matrix_equals_loop(dims):
         assert np.array_equal(hermitian.matrix(x, dims), oracle.matrix(x, dims))
 
 
+def _bit_identical(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("dims", [(2,), (3,), (4,), (2, 2), (2, 3), (3, 3), (4, 4)])
+def test_coords_equal_loop_to_the_bit(dims):
+    rng = np.random.default_rng(sum(dims))
+    d = int(np.prod(dims))
+    mats = [np.eye(d, dtype=complex)]
+    for _ in range(20):
+        X = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        mats.append(X + X.conj().T)
+    for M in mats:
+        assert _bit_identical(hermitian.coords(M, dims), oracle.coords(M, dims))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_maximally_entangled_maps_equal_loop_to_the_bit(d):
+    D = maximally_entangled_structure(d)
+    gamma_hat, f_hat = oracle.maximally_entangled_maps(d)
+    assert _bit_identical(D.gamma_hat, gamma_hat)
+    assert _bit_identical(D.f_hat, f_hat)
+
+
 def swap_coords(d) -> tuple:
     swap = np.zeros((d * d, d * d))
     for i in range(d):

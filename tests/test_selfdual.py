@@ -3,6 +3,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fraction_oracle as oracle
 
 from comcat import hermitian
 from comcat.com import Com, validate_com
@@ -29,6 +33,8 @@ from comcat.models import (
     quantum,
 )
 from comcat.selfdual import (
+    DualityStructure,
+    _inertia,
     build_structure,
     canonical_adjoint,
     check_symmetric_self_duality,
@@ -93,11 +99,11 @@ def test_wsd_gbit_found():
     assert D is not None
 
 
-def test_wsd_candidate_inverted_twice(monkeypatch):
+def test_wsd_candidate_inverted_once(monkeypatch):
     # The first candidate is accepted: one inverse verifies the order
     # isomorphism phi and is reused as gamma_hat, verify_isomorphism_state
     # reuses phi (= f_hat) as the inverse of gamma_hat, and the twist
-    # check inverts the twist.
+    # check reads the twist's inverse as gamma_hat^T f_hat.
     from comcat import linalg, matching, selfdual
 
     calls = []
@@ -109,8 +115,43 @@ def test_wsd_candidate_inverted_twice(monkeypatch):
     monkeypatch.setattr(matching, "inverse", counting_inverse)
     monkeypatch.setattr(selfdual, "inverse", counting_inverse)
     D = check_weak_self_duality(gbit())
-    assert D is not None and len(calls) == 2
+    assert D is not None and len(calls) == 1
     assert D.f_hat == linalg.inverse(D.gamma_hat)
+
+
+def test_symmetric_is_computed_once(monkeypatch):
+    from comcat import linalg, selfdual
+
+    D = gbit_reflection_structure()
+    calls = []
+
+    def counting_sub_matrices(A, B):
+        calls.append(A)
+        return linalg.sub_matrices(A, B)
+
+    monkeypatch.setattr(selfdual, "sub_matrices", counting_sub_matrices)
+    assert D.symmetric and D.symmetric and D.symmetric
+    assert len(calls) == 2  # the gamma_hat and f_hat residuals, once
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans(), st.integers(1, 4), st.data())
+def test_inertia_matches_the_exactness_branch(exact, n, data):
+    # Exact and float f_hat give the verdicts, of the same types, that the
+    # branch on DualityStructure.exact() gave.
+    entry = (
+        st.fractions(-3, 3, max_denominator=4)
+        if exact
+        else st.floats(-3, 3, allow_nan=False).map(lambda x: round(x, 2))
+    )
+    upper = {(i, j): data.draw(entry) for i in range(n) for j in range(i, n)}
+    M = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+    D = DualityStructure(com=classical(n), gamma=(), f=(), gamma_hat=M, f_hat=M, tau=())
+    assert strongly_self_dual(D) is oracle.strongly_self_dual(D)
+    new, old = negative_inertia_count(D), oracle.negative_inertia_count(D)
+    assert new == old and type(new) is type(old)
+    pos, zero, neg = _inertia(M)
+    assert pos + zero + neg == n and neg == old
 
 
 def test_ssd_gbit_reflection():
