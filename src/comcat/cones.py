@@ -20,9 +20,11 @@ generators; a missing description is converted once and kept.  LPs
 remain only in construction (``_pointed``, ``_drop_redundant``) and in
 ``member_by_lp``, the reference membership test; all three keep their
 names and LPs because the benchmark's tracer patches them by name and
-pins its LP counts per round.  A PSD cone is the Hermitian
-positive-semidefinite cone in its fixed real coordinatization; it is
-self-dual and its membership test is spectral.
+pins its LP counts per round.  A simplicial input (n independent rows in
+R^n, such as every classical system and its composites) makes no
+construction LP: pointedness and extremality are then theorems.  A PSD
+cone is the Hermitian positive-semidefinite cone in its fixed real
+coordinatization; it is self-dual and its membership test is spectral.
 
 Whether a linear map carries one cone into another is decided on the
 source's probe rays (``rays_leaving``): every generator of a polyhedral
@@ -155,27 +157,34 @@ def cone_from_generators(gens: Iterable[Sequence]) -> Cone:
     """Exact polyhedral cone from generating rays.
 
     Zero vectors are dropped, redundant generators removed (LP test),
-    and regularity enforced: raises NotPointed / NotGenerating.
+    and regularity enforced: raises NotPointed / NotGenerating.  A
+    simplicial input, n independent rays in R^n, makes no LP: a basis
+    spans a pointed cone and none of its rays lies in the cone of the
+    others.
     """
     n, rays = _canonical_input(gens, "generators")
     if not rays:
         raise NotGenerating("all generators are zero")
-    if rank(rays) < n:
-        raise NotGenerating(f"generators span rank {rank(rays)} < {n}")
-    if not _pointed(rays, n):
-        raise NotPointed("cone contains a line")
-    rays = _drop_redundant(rays)
+    r = rank(rays)
+    if r < n:
+        raise NotGenerating(f"generators span rank {r} < {n}")
+    if len(rays) > n:
+        if not _pointed(rays, n):
+            raise NotPointed("cone contains a line")
+        rays = _drop_redundant(rays)
     return Cone(POLYHEDRAL, n, generators=tuple(rays))
 
 
 def cone_from_facets(facets: Iterable[Sequence]) -> Cone:
-    """Polyhedral cone {x : h.x >= 0 for all h}; h-list must be regular."""
+    """Polyhedral cone {x : h.x >= 0 for all h}; h-list must be regular.
+    As for generators, n independent normals in R^n make no LP."""
     n, normals = _canonical_input(facets, "facets")
     if rank(normals) < n:
         raise NotPointed("facet normals do not span; cone contains a line")
-    if not _pointed(normals, n):
-        raise NotGenerating("facet system admits no interior; cone not generating")
-    normals = _drop_redundant(normals)
+    if len(normals) > n:
+        if not _pointed(normals, n):
+            raise NotGenerating("facet system admits no interior; cone not generating")
+        normals = _drop_redundant(normals)
     return Cone(POLYHEDRAL, n, facets=tuple(normals))
 
 

@@ -11,14 +11,29 @@ characteristic polynomial is computed over Fractions.
 Vectors are tuples, matrices are tuples of row tuples.  Integer entries
 are acceptable everywhere, but int / int is a float: exact callers that
 divide two ints go through Fraction.
+
+Float data takes numpy kernels in ``matmul`` and ``max_abs`` once the
+result or the input has at least 64 entries (below that numpy's fixed
+cost per call exceeds the loop's); the entry types decide, and any
+Fraction keeps the pure-Python path.  ``matmul`` runs on numpy when every
+entry of one factor is a Python float and every entry of the other a
+float or an int, so that every product is a float (numpy converts an int
+as ``float()`` does).  It adds the products in the order ``dot`` does,
+one k at a time from a zero array, so its result equals ``dot``'s on
+CPython 3.11 to the bit, signed zeros included (no ``@``, BLAS or
+einsum, whose summation orders differ).  ``max_abs`` runs on numpy when
+every entry is a float and none is NaN.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -81,8 +96,30 @@ def matvec(M, x) -> Vector:
 def matmul(A, B) -> Matrix:
     if not B:
         return tuple(() for _ in A)
+    if len(A) * len(B[0]) >= _NUMPY_MIN_ENTRIES and len(A[0]) == len(B):
+        types_a, types_b = _entry_types(A), _entry_types(B)
+        if types_a and types_b and types_a | types_b <= _NUMBER and _FLOAT in (types_a, types_b):
+            a = np.array(A, dtype=float)
+            b = np.array(B, dtype=float)
+            acc = np.zeros((a.shape[0], b.shape[1]))
+            with np.errstate(over="ignore", invalid="ignore"):  # as Python's float arithmetic
+                for k in range(a.shape[1]):
+                    acc += a[:, k, None] * b[k]
+            return tuple(map(tuple, acc.tolist()))
     cols = list(zip(*B))
     return tuple(tuple(dot(row, col) for col in cols) for row in A)
+
+
+_FLOAT, _NUMBER = {float}, {float, int}
+_NUMPY_MIN_ENTRIES = 64  # below this numpy's fixed cost per call exceeds the loop's
+
+
+def _entry_types(M) -> set:
+    """The types of M's entries when M is a nonempty rectangular matrix,
+    else the empty set."""
+    if not M or not set(map(type, M)) <= {tuple, list} or len(set(map(len, M))) != 1 or not M[0]:
+        return set()
+    return set(map(type, chain.from_iterable(M)))
 
 
 def transpose(M) -> Matrix:
@@ -152,9 +189,14 @@ def swap_matrix(n_a: int, n_b: int) -> Matrix:
 
 def max_abs(obj) -> float:
     """Largest absolute entry of a scalar, vector or matrix."""
-    if isinstance(obj, (list, tuple)):
-        return max((max_abs(x) for x in obj), default=0)
-    return abs(obj)
+    if not isinstance(obj, (list, tuple)):
+        return abs(obj)
+    rows = obj if obj and isinstance(obj[0], (list, tuple)) else (obj,)
+    if len(rows) * len(rows[0]) >= _NUMPY_MIN_ENTRIES and _entry_types(rows) == _FLOAT:
+        m = np.abs(np.array(rows, dtype=float)).max()
+        if m == m:  # not NaN: Python's max would depend on where the NaN sits
+            return float(m)
+    return max((max_abs(x) for x in obj), default=0)
 
 
 def fmt(obj) -> str:

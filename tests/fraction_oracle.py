@@ -21,6 +21,12 @@ duality check of ``com`` on a facet-only effect cone.  The LP route of
 is ``Cone.member_by_lp``, which the package keeps as its reference.
 The first two run on the Fraction simplex above.
 
+``cone_from_generators`` and ``cone_from_facets`` are the factories as
+they were when every input, simplicial or not, paid the ``_pointed`` LP
+and one ``_drop_redundant`` LP per row.  On a simplicial input (n
+independent rows in R^n) the package skips both, since a basis spans a
+pointed cone with no redundant row; the cones must be equal.
+
 ``normalize_morphism``, ``conditional_state``, ``strongly_self_dual`` and
 ``negative_inertia_count`` are those functions as they were when each
 chose exact or float arithmetic by its own branch (on the model's kind or
@@ -36,12 +42,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from comcat.com import Com, is_morphism, is_saturated, process_scale
-from comcat.cones import POLYHEDRAL
+from comcat.cones import POLYHEDRAL, Cone, _canonical_input
 from comcat.conditioning import form_matrix, marginals
 from comcat.config import numeric_tolerance, tolerance_for
 from comcat.errors import (
     DimensionMismatch,
     NotAMorphism,
+    NotGenerating,
+    NotPointed,
     SingularMatrix,
     ZeroMap,
     ZeroProbabilityCondition,
@@ -53,11 +61,12 @@ from comcat.linalg import (
     frac_vector,
     is_exact,
     matvec,
+    rank,
     scale_matrix,
     scale_vector,
     symmetric_inertia,
 )
-from comcat.lp import GE, LE, Constraint, LpResult, eq, in_cone
+from comcat.lp import GE, LE, Constraint, LpResult, eq, in_cone, lp_feasible
 
 Vector = tuple
 Matrix = tuple
@@ -339,6 +348,54 @@ def solve_lp(
     for p, m in col_of:
         x.append(solution[p] - (solution[m] if m is not None else 0))
     return LpResult("optimal", tuple(x), value)
+
+
+def cone_from_generators(gens) -> Cone:
+    """Exact polyhedral cone from generating rays.
+
+    Zero vectors are dropped, redundant generators removed (LP test),
+    and regularity enforced: raises NotPointed / NotGenerating.
+    """
+    n, rays = _canonical_input(gens, "generators")
+    if not rays:
+        raise NotGenerating("all generators are zero")
+    if rank(rays) < n:
+        raise NotGenerating(f"generators span rank {rank(rays)} < {n}")
+    if not _pointed(rays, n):
+        raise NotPointed("cone contains a line")
+    rays = _drop_redundant(rays)
+    return Cone(POLYHEDRAL, n, generators=tuple(rays))
+
+
+def cone_from_facets(facets) -> Cone:
+    """Polyhedral cone {x : h.x >= 0 for all h}; h-list must be regular."""
+    n, normals = _canonical_input(facets, "facets")
+    if rank(normals) < n:
+        raise NotPointed("facet normals do not span; cone contains a line")
+    if not _pointed(normals, n):
+        raise NotGenerating("facet system admits no interior; cone not generating")
+    normals = _drop_redundant(normals)
+    return Cone(POLYHEDRAL, n, facets=tuple(normals))
+
+
+def _pointed(rays, n) -> bool:
+    # Pointed iff 0 has no nontrivial nonnegative representation.
+    k = len(rays)
+    cons = [eq(tuple(r[i] for r in rays), 0) for i in range(n)]
+    cons.append(eq((1,) * k, 1))
+    return lp_feasible(k, cons, nonneg=[True] * k) is None
+
+
+def _drop_redundant(rays):
+    rays = list(rays)
+    i = 0
+    while i < len(rays):
+        others = rays[:i] + rays[i + 1 :]
+        if others and in_cone(rays[i], others):
+            rays.pop(i)
+        else:
+            i += 1
+    return rays
 
 
 def strictly_positive_by_facets(u, facets) -> bool:

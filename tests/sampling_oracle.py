@@ -14,6 +14,11 @@ kernels and the O(n^2) symmetry report replaced, as they were then.
 loops that ``hermitian.coords`` and ``models.maximally_entangled_structure``
 replaced with batched traces, as they were then; the batched results must
 equal them to the bit.
+
+``loop_matmul`` and ``loop_max_abs`` are ``linalg.matmul`` and
+``linalg.max_abs`` as they were before float data went through numpy:
+one ``dot`` per entry, one recursive ``abs`` per entry.  The numpy
+kernels must return the same values of the same types, to the bit.
 """
 
 from itertools import product
@@ -151,3 +156,17 @@ def maximally_entangled_maps(d: int) -> tuple[tuple, tuple]:
             f_hat_rows[k][l] = d * tcoords[k]
     f_hat = tuple(tuple(row) for row in f_hat_rows)
     return gamma_hat, f_hat
+
+
+def loop_matmul(A, B):
+    if not B:
+        return tuple(() for _ in A)
+    cols = list(zip(*B))
+    return tuple(tuple(dot(row, col) for col in cols) for row in A)
+
+
+def loop_max_abs(obj) -> float:
+    """Largest absolute entry of a scalar, vector or matrix."""
+    if isinstance(obj, (list, tuple)):
+        return max((loop_max_abs(x) for x in obj), default=0)
+    return abs(obj)

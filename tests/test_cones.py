@@ -1,11 +1,17 @@
+import sys
+from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import combinations
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from comcat import hermitian
+import fraction_oracle as oracle
+from comcat import cones, hermitian, lp
+from comcat.composites import max_tensor, min_tensor
 from comcat.cones import (
     cone_from_facets,
     cone_from_generators,
@@ -15,6 +21,7 @@ from comcat.cones import (
 )
 from comcat.errors import DimensionMismatch, NotGenerating, NotPointed
 from comcat.linalg import canonical_rays, dot, rank
+from comcat.models import classical, gbit
 
 SQUARE_RAYS = [(1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1)]
 
@@ -240,3 +247,81 @@ def test_hermitian_product_basis_tensor_consistency():
 
     xab = hermitian.coords(np.kron(A, B), (2, 2))
     assert np.allclose(xab, tensor_vector(xa, xb), atol=1e-12)
+
+
+# -- simplicial inputs make no construction LP ---------------------------
+
+
+@contextmanager
+def _counting_lps():
+    """Record every ``solve_lp`` call through any binding in the package."""
+    calls = []
+    original = lp.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    bound = [m for name, m in sys.modules.items()
+             if name.startswith("comcat") and getattr(m, "solve_lp", None) is original]
+    for m in bound:
+        m.solve_lp = counted
+    try:
+        yield calls
+    finally:
+        for m in bound:
+            m.solve_lp = original
+
+
+@st.composite
+def simplicial_rows(draw):
+    """n independent integer rows in R^n (n in 1..6, entries in [-5, 5]),
+    shuffled, each scaled by a positive rational, padded with positively
+    scaled duplicates and zero rows: canonically still n rows."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-5, 5)
+    basis = draw(st.lists(st.tuples(*[entry] * n), min_size=n, max_size=n))
+    assume(rank(basis) == n)
+    scale = st.builds(F, st.integers(1, 6), st.integers(1, 6))
+    rows = basis + draw(st.lists(st.sampled_from(basis), max_size=3))
+    scales = draw(st.lists(scale, min_size=len(rows), max_size=len(rows)))
+    rows = [tuple(c * x for x in r) for r, c in zip(rows, scales)]
+    rows += [(0,) * n] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows))
+
+
+def _same_cone(C, D):
+    return (C.kind, C.dim, C._generators, C._facets) == (D.kind, D.dim, D._generators, D._facets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(simplicial_rows())
+def test_simplicial_cones_equal_the_lp_construction(rows):
+    with _counting_lps() as calls:
+        gens = cone_from_generators(rows)
+        facets = cone_from_facets(rows)
+    assert calls == []
+    assert _same_cone(gens, oracle.cone_from_generators(rows))
+    assert _same_cone(facets, oracle.cone_from_facets(rows))
+
+
+def test_classical_models_and_composites_make_no_lp():
+    with _counting_lps() as calls:
+        classical(4)
+        min_tensor(classical(2), classical(3))
+        max_tensor(classical(2), classical(3))
+    assert calls == []
+
+
+def test_gbit_still_tests_pointedness(monkeypatch):
+    pointed = []
+    original = cones._pointed
+
+    def recorded(rays, n):
+        pointed.append(len(rays))
+        return original(rays, n)
+
+    monkeypatch.setattr(cones, "_pointed", recorded)
+    with _counting_lps() as calls:
+        gbit()
+    assert pointed and calls

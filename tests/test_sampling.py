@@ -1,6 +1,6 @@
 """The seeded probe rays, the vectorized Hermitian kernel, the batched
-inclusion checks and the O(n^2) symmetry report against the loop versions
-in ``sampling_oracle``."""
+inclusion checks, the O(n^2) symmetry report and the float matrix kernels
+against the loop versions in ``sampling_oracle``."""
 
 from fractions import Fraction
 
@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sampling_oracle as oracle
-from comcat import cones, hermitian, selfdual
+from comcat import cones, hermitian, linalg, selfdual
 from comcat.composites import in_max_cone, is_composite, spatial_quantum_composite
 from comcat.config import set_tolerance
 from comcat.cones import PROBE_SAMPLES, probe_rays, psd_cone
 from comcat.errors import DimensionMismatch, SingularMatrix
-from comcat.linalg import inverse, kron, matmul, matvec, swap_matrix, transpose
+from comcat.linalg import inverse, kron, matmul, matvec, max_abs, swap_matrix, transpose
 from comcat.models import (
     builtin,
     classical,
@@ -319,3 +319,102 @@ def test_counit_dual_check_equals_kron_route(make):
         assert check["f_adjoint"] == by_kron
     else:
         assert np.max(np.abs(np.subtract(check["f_adjoint"], by_kron))) <= 1e-12
+
+
+# -- float matrix kernels --------------------------------------------------
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2250738585072014e-308,
+                  float("inf"), float("-inf"), 1e308, -1e308]
+FLOATS = st.one_of(st.floats(allow_nan=False), st.sampled_from(SPECIAL_FLOATS))
+# ints that round when converted, halfway cases included, and ints too large for a double
+ROUNDED_INTS = [2**53 + 1, -(2**53 + 3), 2**63 + 2**10 + 1, 2**64 + 1, 2**64 + 2**11, 2**1100]
+MIXED = st.one_of(FLOATS, st.integers(-(2**70), 2**70), st.sampled_from(ROUNDED_INTS))
+
+
+def _same(x, y) -> bool:
+    """Same type and, for floats, the same bits (sign of zero included)."""
+    return type(x) is type(y) and (float.hex(x) == float.hex(y) if type(x) is float else x == y)
+
+
+def _same_matrix(X, Y) -> bool:
+    return len(X) == len(Y) and all(
+        len(r) == len(s) and all(map(_same, r, s)) for r, s in zip(X, Y)
+    )
+
+
+@st.composite
+def float_matrix(draw, rows, cols, nan=False):
+    entries = draw(st.sampled_from([FLOATS, MIXED]))
+    if nan:
+        entries = st.one_of(entries, st.just(float("nan")))
+    return tuple(tuple(draw(entries) for _ in range(cols)) for _ in range(rows))
+
+
+@st.composite
+def float_factors(draw):
+    m, k, n = (draw(st.integers(1, 16)) for _ in range(3))
+    nan = draw(st.booleans())
+    return draw(float_matrix(m, k, nan)), draw(float_matrix(k, n, nan))
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_factors())
+def test_float_matmul_equals_loop_to_the_bit(factors):
+    A, B = factors
+    try:
+        expected = oracle.loop_matmul(A, B)
+    except OverflowError:  # an int beyond the double range meets a float
+        with pytest.raises(OverflowError):
+            matmul(A, B)
+        return
+    assert _same_matrix(matmul(A, B), expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 16).flatmap(lambda m: st.integers(1, 16).flatmap(
+    lambda n: float_matrix(m, n, nan=True))), st.booleans())
+def test_float_max_abs_equals_loop_to_the_bit(M, as_vector):
+    data = M[0] if as_vector else [list(row) for row in M]
+    assert _same(max_abs(data), oracle.loop_max_abs(data))
+    assert _same(max_abs(M[0][0]), oracle.loop_max_abs(M[0][0]))
+
+
+def test_float_matmul_keeps_the_sign_of_zero_as_sum_does():
+    A = ((-0.0,) * 16,) * 16
+    B = ((0.0,) * 16,) * 16
+    assert _same_matrix(matmul(A, B), oracle.loop_matmul(A, B))
+    assert float.hex(matmul(A, B)[0][0]) == "0x0.0p+0"
+
+
+def test_float_data_from_64_entries_runs_without_dot(monkeypatch):
+    A = tuple(tuple(0.5 * i - 0.25 * j for j in range(8)) for i in range(8))
+    small = ((0.5, -1.0), (2.0, 0.25))
+    expected = oracle.loop_matmul(A, linalg.identity(8)), oracle.loop_matmul(small, small)
+    monkeypatch.setattr(linalg, "np", None)
+    assert _same_matrix(matmul(small, small), expected[1])  # below 64 entries: the loop
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "dot", None)
+    assert _same_matrix(matmul(A, linalg.identity(8)), expected[0])
+    assert _same_matrix(matmul(linalg.identity(8), A), A)
+
+
+def test_ragged_float_factors_take_the_loop():
+    A = [[0.5] * 8 for _ in range(8)]
+    B = [[0.25] * 8 for _ in range(8)]
+    short = [row[:] for row in A]
+    short[3].pop()
+    with pytest.raises(DimensionMismatch):
+        matmul(short, B)
+    assert _same_matrix(matmul(A, short), oracle.loop_matmul(A, short))  # zip(*B) drops a column
+
+
+def test_exact_data_never_enters_numpy(monkeypatch):
+    ints = tuple(tuple(i * 8 + j for j in range(8)) for i in range(8))
+    M = ((Fraction(1, 2),) + ints[0][1:],) + ints[1:]
+    mixed = ((Fraction(1, 2),) + (0.5,) * 7,) + ((0.25,) * 8,) * 7
+    pairs = [(M, M), (ints, ints), (mixed, mixed), (ints, mixed)]
+    expected = [oracle.loop_matmul(A, B) for A, B in pairs]
+    monkeypatch.setattr(linalg, "np", None)
+    assert [matmul(A, B) for A, B in pairs] == expected
+    assert max_abs(M) == 63 and max_abs(ints) == 63 and max_abs(mixed) == 0.5
+    assert max_abs(()) == 0 and max_abs([]) == 0
