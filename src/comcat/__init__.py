@@ -51,7 +51,6 @@ from .selfdual import (
     counit_dual_check,
     dagger_compactness_verdict,
     double_dual_check,
-    tau,
     symmetry_equivalence_report,
     verify_isomorphism_state,
 )

@@ -38,7 +38,7 @@ nowhere.
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -102,7 +102,7 @@ class Cone:
 
     # -- predicates -----------------------------------------------------
 
-    def member(self, x, tolerance: Optional[float] = None) -> bool:
+    def member(self, x) -> bool:
         """Cone membership: h.x >= 0 on every facet normal h, on x scaled
         once to primitive integers (polyhedral; a generator-only cone
         converts its facets once), or the least eigenvalue against the
@@ -110,8 +110,7 @@ class Cone:
         if len(x) != self.dim:
             raise DimensionMismatch(f"vector of length {len(x)} vs cone dim {self.dim}")
         if self.kind == PSD:
-            tol = numeric_tolerance() if tolerance is None else tolerance
-            return hermitian.min_eigenvalue(x, self.hilbert_dims) >= -tol
+            return hermitian.min_eigenvalue(x, self.hilbert_dims) >= -numeric_tolerance()
         x = primitive(x)
         return all(dot(h, x) >= 0 for h in self.facets)
 
@@ -341,8 +340,8 @@ def rays_leaving(M, source: Cone, target: Cone, seed: int = 0) -> Iterator[tuple
     return iter([tuple(X[i].tolist()) for i in leaving])
 
 
-def member(C: Cone, x, tolerance: Optional[float] = None) -> bool:
-    return C.member(x, tolerance=tolerance)
+def member(C: Cone, x) -> bool:
+    return C.member(x)
 
 
 def interior_point(C: Cone) -> tuple:

@@ -30,17 +30,15 @@ def order_isomorphisms(
     target: Cone,
     symmetric: bool = False,
     extra_rows: Optional[Sequence[tuple[tuple, tuple]]] = None,
-    limit: Optional[int] = None,
-    with_inverse: bool = False,
-) -> Iterator[tuple]:
-    """Yield matrices M with M(source) = target, extreme rays to extreme
-    rays; optionally only symmetric M, optionally subject to additional
-    exact linear conditions (coeff_matrix_row, value) meaning
+) -> Iterator[tuple[tuple, tuple]]:
+    """Yield the pairs (M, M^-1) with M(source) = target, extreme rays to
+    extreme rays; optionally only symmetric M, optionally subject to
+    additional exact linear conditions (coeff_matrix_row, value) meaning
     sum_ij row[i][j] * M[i][j] == value.
 
     Results are verified (invertibility plus two-sided cone inclusion on
-    generators) before being yielded, in deterministic order; with_inverse
-    yields the pairs (M, M^-1) instead, reusing the verification's inverse.
+    generators) before being yielded, in deterministic order; M^-1 is the
+    inverse that the verification computed.
     """
     if source.kind != "polyhedral" or target.kind != "polyhedral":
         raise UnsupportedKind("ray matching needs polyhedral cones")
@@ -61,7 +59,6 @@ def order_isomorphisms(
         [j for j in range(k) if tgt_profile[j] == src_profile[i]] for i in range(k)
     ]
 
-    found = 0
     for perm in permutations(range(k)):
         if any(perm[i] not in compatible[i] for i in range(k)):
             continue
@@ -69,12 +66,8 @@ def order_isomorphisms(
         if M is None:
             continue
         Minv = _verified_inverse(M, source, target)
-        if Minv is None:
-            continue
-        yield (M, Minv) if with_inverse else M
-        found += 1
-        if limit is not None and found >= limit:
-            return
+        if Minv is not None:
+            yield M, Minv
 
 
 def _solve_matching(sources, targets, rows, cols, symmetric=False, extra_rows=None):
@@ -128,7 +121,7 @@ def find_order_isomorphism(
     source: Cone, target: Cone, symmetric: bool = False
 ) -> Optional[tuple]:
     """First order isomorphism in search order, or None after exhaustion."""
-    for M in order_isomorphisms(source, target, symmetric=symmetric, limit=1):
+    for M, _ in order_isomorphisms(source, target, symmetric=symmetric):
         return M
     return None
 
@@ -145,10 +138,9 @@ def com_isomorphism(A, B) -> Optional[tuple]:
         for r in range(n):
             row[r][col] = B.unit[r]
         unit_rows.append((row, A.unit[col]))
-    for M in order_isomorphisms(A.state_cone, B.state_cone, extra_rows=unit_rows):
-        Mt = transpose(M)
-        if not any(rays_leaving(inverse(Mt), A.effect_cone, B.effect_cone)) and not any(
-            rays_leaving(Mt, B.effect_cone, A.effect_cone)
+    for M, M_inverse in order_isomorphisms(A.state_cone, B.state_cone, extra_rows=unit_rows):
+        if not any(rays_leaving(transpose(M_inverse), A.effect_cone, B.effect_cone)) and not any(
+            rays_leaving(transpose(M), B.effect_cone, A.effect_cone)
         ):
             return M
     return None

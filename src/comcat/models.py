@@ -1,17 +1,24 @@
 """Builtin systems: classical simplices, quantum models, the square bit,
-and linearization of finite outcome/state probability tables.
+their builtin duality structures, and linearization of finite
+outcome/state probability tables.
+
+Models and structures are immutable, so ``builtin`` and
+``builtin_structure`` build each name once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 import numpy as np
 
+from . import hermitian
 from .com import Com
 from .cones import cone_from_generators, dual_cone, psd_cone
 from .errors import DegenerateTriple
 from .linalg import frac, frac_matrix, rank, solve, transpose
+from .selfdual import build_structure
 
 
 def classical(n: int) -> Com:
@@ -35,8 +42,6 @@ def quantum(d: int) -> Com:
     if d < 2:
         raise ValueError("d must be at least 2")
     cone = psd_cone(d)
-    from . import hermitian
-
     return Com(
         label=f"quantum{d}",
         state_cone=cone,
@@ -57,25 +62,24 @@ def gbit() -> Com:
     )
 
 
-_BUILTIN_CACHE: dict[str, Com] = {}
+def _number_after(prefix: str, name: str) -> int | None:
+    """N when name is prefix followed by the decimal digits of N, else None."""
+    digits = name[len(prefix) :]
+    return int(digits) if name.startswith(prefix) and digits.isdigit() else None
 
 
+@cache
 def builtin(name: str) -> Com:
     """Resolve a builtin model name: classicalN, quantumD, qubit, gbit."""
-    if name in _BUILTIN_CACHE:
-        return _BUILTIN_CACHE[name]
     if name == "gbit":
-        model = gbit()
-    elif name == "qubit":
-        model = quantum(2)
-    elif name.startswith("classical") and name[len("classical") :].isdigit():
-        model = classical(int(name[len("classical") :]))
-    elif name.startswith("quantum") and name[len("quantum") :].isdigit():
-        model = quantum(int(name[len("quantum") :]))
-    else:
-        raise KeyError(f"unknown builtin model {name!r}")
-    _BUILTIN_CACHE[name] = model
-    return model
+        return gbit()
+    if name == "qubit":
+        return quantum(2)
+    if (n := _number_after("classical", name)) is not None:
+        return classical(n)
+    if (d := _number_after("quantum", name)) is not None:
+        return quantum(d)
+    raise KeyError(f"unknown builtin model {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +185,10 @@ def from_mackey(triple: MackeyTriple) -> Com:
 def classical_symmetric_structure(n: int):
     """Perfectly correlated (normalized) state of two classical systems:
     diagonal conditioning map, symmetric, the canonical classical witness."""
-    from .selfdual import build_structure
-
     gamma_hat = tuple(
         tuple(Fraction(1, n) if i == j else Fraction(0) for j in range(n)) for i in range(n)
     )
-    return build_structure(classical(n), gamma_hat)
+    return build_structure(builtin(f"classical{n}"), gamma_hat)
 
 
 def gbit_rotation_structure():
@@ -194,24 +196,20 @@ def gbit_rotation_structure():
     effect square onto the state square (45 degrees with the matching
     dilation, hence rational).  Its twist is the quarter-turn, not the
     identity."""
-    from .selfdual import build_structure
-
     gamma_hat = ((Fraction(1), Fraction(-1), Fraction(0)),
                  (Fraction(1), Fraction(1), Fraction(0)),
                  (Fraction(0), Fraction(0), Fraction(1)))
-    return build_structure(gbit(), gamma_hat)
+    return build_structure(builtin("gbit"), gamma_hat)
 
 
 def gbit_reflection_structure():
     """Symmetric square-bit structure: a reflection carrying the effect
     square onto the state square.  Symmetric but indefinite, so the square
     bit is weakly yet not strongly self-dual."""
-    from .selfdual import build_structure
-
     gamma_hat = ((Fraction(1), Fraction(1), Fraction(0)),
                  (Fraction(1), Fraction(-1), Fraction(0)),
                  (Fraction(0), Fraction(0), Fraction(1)))
-    return build_structure(gbit(), gamma_hat)
+    return build_structure(builtin("gbit"), gamma_hat)
 
 
 def maximally_entangled_structure(d: int):
@@ -221,9 +219,6 @@ def maximally_entangled_structure(d: int):
     map is built independently as d times the transpose superoperator (the
     channel/state correspondence inverse with its dimensional scaling) and
     then verified against the inverse of the conditioning map."""
-    from . import hermitian
-    from .selfdual import build_structure
-
     if d < 2:
         raise ValueError("d must be at least 2")
     psi = np.zeros((d * d, 1), dtype=complex)
@@ -246,21 +241,21 @@ def maximally_entangled_structure(d: int):
     return build_structure(quantum(d), gamma_hat, f_hat=f_hat)
 
 
+@cache
 def builtin_structure(name: str):
     """Structure names: classicalN:symmetric, gbit:rotation,
-    gbit:reflection, qubit:choi / quantumD:choi."""
+    gbit:reflection, qubit:choi / quantumD:choi; a bare model name takes
+    the first variant.  KeyError for any other name."""
     base, _, variant = name.partition(":")
-    if base == "gbit":
-        if variant in ("reflection", ""):
-            return gbit_reflection_structure()
-        if variant == "rotation":
-            return gbit_rotation_structure()
-    if base.startswith("classical") and variant in ("symmetric", ""):
-        return classical_symmetric_structure(int(base[len("classical") :]))
-    if base == "qubit" and variant in ("choi", ""):
-        return maximally_entangled_structure(2)
-    if base.startswith("quantum") and variant in ("choi", ""):
-        return maximally_entangled_structure(int(base[len("quantum") :]))
+    if base == "gbit" and variant in ("reflection", ""):
+        return gbit_reflection_structure()
+    if base == "gbit" and variant == "rotation":
+        return gbit_rotation_structure()
+    if (n := _number_after("classical", base)) is not None and variant in ("symmetric", ""):
+        return classical_symmetric_structure(n)
+    d = 2 if base == "qubit" else _number_after("quantum", base)
+    if d is not None and variant in ("choi", ""):
+        return maximally_entangled_structure(d)
     raise KeyError(f"unknown builtin structure {name!r}")
 
 

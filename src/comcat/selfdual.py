@@ -8,6 +8,11 @@ positive bilinear functional f inverting it.  Conventions follow the
 conditioning module: with G the form matrix of gamma, hat(gamma) = G^T;
 with F the form matrix of f, hat(f) = F^T, and the structure requires
 hat(f) = hat(gamma)^{-1}.
+
+A ``DualityStructure`` is therefore an immutable value of its two maps
+(plus the residuals its verification measured): gamma, f, the twist tau
+and its inverse are derived from them, each once, on first use.
+``build_structure`` is the one producer of verified structures.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -40,17 +46,35 @@ from .linalg import (
 from .matching import order_isomorphisms
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualityStructure:
-    """Weak self-duality witness for one model."""
+    """Weak self-duality witness for one model: the conditioning map
+    gamma_hat (effect space -> state space), its inverse f_hat (state
+    space -> effect space), and a read-only copy of the residuals."""
 
     com: Com
-    gamma: tuple  # bipartite state vector over (A, A)
-    f: tuple  # bipartite positive functional vector over (A, A)
-    gamma_hat: tuple  # matrix, effect space -> state space
-    f_hat: tuple  # matrix, state space -> effect space
-    tau: tuple  # gamma_hat . f_hat^T, an order automorphism
-    residuals: dict = field(default_factory=dict)
+    gamma_hat: tuple
+    f_hat: tuple
+    residuals: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "residuals", MappingProxyType(dict(self.residuals)))
+
+    @cached_property
+    def gamma(self) -> tuple:  # bipartite state vector over (A, A)
+        return matrix_to_vec(transpose(self.gamma_hat))
+
+    @cached_property
+    def f(self) -> tuple:  # bipartite positive functional vector over (A, A)
+        return matrix_to_vec(transpose(self.f_hat))
+
+    @cached_property
+    def tau(self) -> tuple:  # the twist, an order automorphism; identity iff symmetric
+        return matmul(self.gamma_hat, transpose(self.f_hat))
+
+    @cached_property
+    def tau_inverse(self) -> tuple:  # gamma_hat^T f_hat, as f_hat = gamma_hat^-1
+        return matmul(transpose(self.gamma_hat), self.f_hat)
 
     @cached_property
     def symmetric(self) -> bool:
@@ -116,52 +140,42 @@ def build_structure(A: Com, gamma_hat, f_hat=None) -> DualityStructure:
     f_hat defaults to the exact (or numerical) inverse; when supplied it is
     checked against gamma_hat first and the deviation recorded as a
     residual.  Either way the isomorphism-state check reuses it as the
-    inverse instead of inverting gamma_hat again."""
-    n = A.dim
-    gamma = matrix_to_vec(transpose(gamma_hat))
+    inverse instead of inverting gamma_hat again.  The residuals are fixed
+    before the record exists; a structure that fails a later check is
+    discarded, so ``tau_automorphism`` reads 0 on every returned one."""
     if f_hat is None:
         try:
             f_hat = _invert(gamma_hat)
         except SingularMatrix:
             raise InvalidStructure(_singular_message(gamma_hat)) from None
-    f = matrix_to_vec(transpose(f_hat))
+    gamma_hat, f_hat = tuple(map(tuple, gamma_hat)), tuple(map(tuple, f_hat))
     left = matmul(f_hat, gamma_hat)
     right = matmul(gamma_hat, f_hat)
-    ident = identity(n)
+    ident = identity(A.dim)
     res_inv = max(max_abs(sub_matrices(left, ident)), max_abs(sub_matrices(right, ident)))
     tol = tolerance_for(gamma_hat, f_hat)
     if res_inv > tol:
         raise InvalidStructure(f"f_hat is not the inverse of gamma_hat (residual {res_inv})")
-    violations = verify_isomorphism_state(gamma, A, ghat_inverse=f_hat)
+    residuals = {
+        "inverse": res_inv,
+        "gamma_symmetry": max_abs(sub_matrices(gamma_hat, transpose(gamma_hat))),
+        "tau_automorphism": 0,
+    }
+    struct = DualityStructure(A, gamma_hat, f_hat, residuals)
+    violations = verify_isomorphism_state(struct.gamma, A, ghat_inverse=f_hat)
     if violations:
         raise InvalidStructure("; ".join(violations))
-    tau = matmul(gamma_hat, transpose(f_hat))
-    struct = DualityStructure(
-        com=A,
-        gamma=gamma,
-        f=f,
-        gamma_hat=tuple(tuple(r) for r in gamma_hat),
-        f_hat=tuple(tuple(r) for r in f_hat),
-        tau=tau,
-        residuals={"inverse": res_inv},
-    )
-    struct.residuals["gamma_symmetry"] = max_abs(
-        sub_matrices(struct.gamma_hat, transpose(struct.gamma_hat))
-    )
-    struct.residuals["tau_automorphism"] = 0 if _tau_is_automorphism(struct) else 1
-    if struct.residuals["tau_automorphism"]:
+    if not _tau_is_automorphism(struct):
         raise InvalidStructure("tau is not an order automorphism")
     return struct
 
 
 def _tau_is_automorphism(struct: DualityStructure) -> bool:
-    """tau = gamma_hat f_hat^T maps the state cone onto itself.  Its
-    inverse is gamma_hat^T f_hat, since f_hat = gamma_hat^{-1} (which
-    ``build_structure`` checks first)."""
-    cone, tau = struct.com.state_cone, struct.tau
-    inv = matmul(transpose(struct.gamma_hat), struct.f_hat)
-    return not any(rays_leaving(tau, cone, cone, seed=5)) and not any(
-        rays_leaving(inv, cone, cone, seed=5)
+    """tau maps the state cone onto itself: neither tau nor its inverse
+    sends a probe ray out of it."""
+    cone = struct.com.state_cone
+    return not any(rays_leaving(struct.tau, cone, cone, seed=5)) and not any(
+        rays_leaving(struct.tau_inverse, cone, cone, seed=5)
     )
 
 
@@ -181,8 +195,7 @@ def _self_duality_search(A: Com, symmetric: bool) -> Optional[DualityStructure]:
         raise UnsupportedKind(
             "self-duality search needs a polyhedral model; verify an explicit candidate instead"
         )
-    isos = order_isomorphisms(A.state_cone, A.effect_cone, symmetric=symmetric, with_inverse=True)
-    for phi, phi_inverse in isos:
+    for phi, phi_inverse in order_isomorphisms(A.state_cone, A.effect_cone, symmetric=symmetric):
         try:
             return build_structure(A, phi_inverse, f_hat=phi)
         except InvalidStructure:
@@ -203,12 +216,6 @@ def canonical_adjoint(phi, D_A: DualityStructure, D_B: DualityStructure):
     if res > tolerance_for(route1, route2):
         raise InvalidStructure(f"adjoint routes disagree by {res}")
     return route1
-
-
-def tau(D_A: DualityStructure):
-    """The twist gamma_hat . f_hat^*; identity exactly when the structure
-    is symmetric."""
-    return D_A.tau
 
 
 def tau_is_identity(D_A: DualityStructure) -> bool:
@@ -239,17 +246,16 @@ def symmetry_equivalence_report(A: Com, D_A: DualityStructure) -> dict:
     The consistent flag records whether the three booleans agree; the
     witness is the first basis map (in row-major order) on which (i) fails.
 
-    The double adjoint of phi is P phi Q with P = gamma_hat^T f_hat and
-    Q = gamma_hat f_hat^T (``double_dual_check`` computes it map by map),
-    so on the basis map E_ab it is the outer product P[:, a] Q[b, :].  Its
-    largest absolute deviation from E_ab is read in O(1) per map from the
-    column maxima of |P| and the row maxima of |Q| with the diagonal entry
-    left out, and |P[a][a] Q[b][b] - 1|.  Rounding a product of
-    nonnegative floats is monotone, so this equals the entrywise maximum
-    to the bit."""
+    The double adjoint of phi is P phi Q with P = tau^-1 = gamma_hat^T f_hat
+    and Q = tau = gamma_hat f_hat^T, both read from the record
+    (``double_dual_check`` computes it map by map), so on the basis map E_ab
+    it is the outer product P[:, a] Q[b, :].  Its largest absolute
+    deviation from E_ab is read in O(1) per map from the column maxima of
+    |P| and the row maxima of |Q| with the diagonal entry left out, and
+    |P[a][a] Q[b][b] - 1|.  Rounding a product of nonnegative floats is
+    monotone, so this equals the entrywise maximum to the bit."""
     n = A.dim
-    P = matmul(transpose(D_A.gamma_hat), D_A.f_hat)
-    Q = matmul(D_A.gamma_hat, transpose(D_A.f_hat))
+    P, Q = D_A.tau_inverse, D_A.tau
     tol = tolerance_for(P, Q)
     p_off, p_all = _maxima_off_diagonal(transpose(P))
     q_off, q_all = _maxima_off_diagonal(Q)
@@ -352,7 +358,7 @@ def strongly_self_dual_model(A: Com) -> bool:
         return not verify_isomorphism_state(gamma, A)
     if not is_saturated(A):
         return False
-    for phi in order_isomorphisms(A.state_cone, A.effect_cone, symmetric=True):
+    for phi, _ in order_isomorphisms(A.state_cone, A.effect_cone, symmetric=True):
         pos, zero, neg = symmetric_inertia(phi)
         if zero == 0 and neg == 0:
             return True

@@ -15,24 +15,51 @@ loops that ``hermitian.coords`` and ``models.maximally_entangled_structure``
 replaced with batched traces, as they were then; the batched results must
 equal them to the bit.
 
+``StoredStructure`` and ``build_structure`` are the duality-structure
+record and its producer as they were before the record became an
+immutable value of its two maps: gamma, f and tau stored beside
+gamma_hat and f_hat, the residuals written after construction, and the
+twist's inverse recomputed by ``_tau_is_automorphism``.  The derived
+record must equal them to the bit.
+
 ``loop_matmul`` and ``loop_max_abs`` are ``linalg.matmul`` and
 ``linalg.max_abs`` as they were before float data went through numpy:
 one ``dot`` per entry, one recursive ``abs`` per entry.  The numpy
 kernels must return the same values of the same types, to the bit.
 """
 
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import prod
 from typing import Iterator, Optional
 
 import numpy as np
 
-from comcat import hermitian
+from comcat import cones, hermitian
 from comcat.com import Com
 from comcat.cones import Cone, probe_rays
 from comcat.config import tolerance_for
-from comcat.linalg import dot, matmul, matvec, max_abs, transpose, vec_to_matrix
-from comcat.selfdual import DualityStructure, tau_is_identity
+from comcat.errors import InvalidStructure, SingularMatrix
+from comcat.linalg import (
+    dot,
+    identity,
+    is_exact,
+    matmul,
+    matrix_to_vec,
+    matvec,
+    max_abs,
+    sub_matrices,
+    transpose,
+    vec_to_matrix,
+)
+from comcat.selfdual import (
+    DualityStructure,
+    _invert,
+    _singular_message,
+    tau_is_identity,
+    verify_isomorphism_state,
+)
 
 
 def psd_state_samples(dims, seed=0, count=24):
@@ -170,3 +197,81 @@ def loop_max_abs(obj) -> float:
     if isinstance(obj, (list, tuple)):
         return max((loop_max_abs(x) for x in obj), default=0)
     return abs(obj)
+
+
+@dataclass
+class StoredStructure:
+    """Weak self-duality witness for one model."""
+
+    com: Com
+    gamma: tuple  # bipartite state vector over (A, A)
+    f: tuple  # bipartite positive functional vector over (A, A)
+    gamma_hat: tuple  # matrix, effect space -> state space
+    f_hat: tuple  # matrix, state space -> effect space
+    tau: tuple  # gamma_hat . f_hat^T, an order automorphism
+    residuals: dict = field(default_factory=dict)
+
+    @cached_property
+    def symmetric(self) -> bool:
+        g_res = max_abs(sub_matrices(self.gamma_hat, transpose(self.gamma_hat)))
+        f_res = max_abs(sub_matrices(self.f_hat, transpose(self.f_hat)))
+        tol = tolerance_for(self.gamma_hat, self.f_hat)
+        return g_res <= tol and f_res <= tol
+
+    def exact(self) -> bool:
+        return is_exact(self.gamma_hat) and is_exact(self.f_hat)
+
+
+def build_structure(A: Com, gamma_hat, f_hat=None) -> StoredStructure:
+    """Assemble and verify a duality structure from its conditioning map.
+
+    f_hat defaults to the exact (or numerical) inverse; when supplied it is
+    checked against gamma_hat first and the deviation recorded as a
+    residual.  Either way the isomorphism-state check reuses it as the
+    inverse instead of inverting gamma_hat again."""
+    n = A.dim
+    gamma = matrix_to_vec(transpose(gamma_hat))
+    if f_hat is None:
+        try:
+            f_hat = _invert(gamma_hat)
+        except SingularMatrix:
+            raise InvalidStructure(_singular_message(gamma_hat)) from None
+    f = matrix_to_vec(transpose(f_hat))
+    left = matmul(f_hat, gamma_hat)
+    right = matmul(gamma_hat, f_hat)
+    ident = identity(n)
+    res_inv = max(max_abs(sub_matrices(left, ident)), max_abs(sub_matrices(right, ident)))
+    tol = tolerance_for(gamma_hat, f_hat)
+    if res_inv > tol:
+        raise InvalidStructure(f"f_hat is not the inverse of gamma_hat (residual {res_inv})")
+    violations = verify_isomorphism_state(gamma, A, ghat_inverse=f_hat)
+    if violations:
+        raise InvalidStructure("; ".join(violations))
+    tau = matmul(gamma_hat, transpose(f_hat))
+    struct = StoredStructure(
+        com=A,
+        gamma=gamma,
+        f=f,
+        gamma_hat=tuple(tuple(r) for r in gamma_hat),
+        f_hat=tuple(tuple(r) for r in f_hat),
+        tau=tau,
+        residuals={"inverse": res_inv},
+    )
+    struct.residuals["gamma_symmetry"] = max_abs(
+        sub_matrices(struct.gamma_hat, transpose(struct.gamma_hat))
+    )
+    struct.residuals["tau_automorphism"] = 0 if _tau_is_automorphism(struct) else 1
+    if struct.residuals["tau_automorphism"]:
+        raise InvalidStructure("tau is not an order automorphism")
+    return struct
+
+
+def _tau_is_automorphism(struct: StoredStructure) -> bool:
+    """tau = gamma_hat f_hat^T maps the state cone onto itself.  Its
+    inverse is gamma_hat^T f_hat, since f_hat = gamma_hat^{-1} (which
+    ``build_structure`` checks first)."""
+    cone, tau = struct.com.state_cone, struct.tau
+    inv = matmul(transpose(struct.gamma_hat), struct.f_hat)
+    return not any(cones.rays_leaving(tau, cone, cone, seed=5)) and not any(
+        cones.rays_leaving(inv, cone, cone, seed=5)
+    )

@@ -136,6 +136,17 @@ def test_dagger_gbit_rotation_refuted(capsys):
     assert body["verdicts"]["all_equivalences_consistent"] is True
 
 
+@pytest.mark.parametrize("label", ["classical_bit", "quantum_bit", "bit"])
+def test_dagger_searches_for_labels_that_are_not_builtin_names(capsys, tmp_path, label):
+    doc = com_to_json(classical(2))
+    doc["label"] = label
+    theory = tmp_path / "theory.json"
+    theory.write_text(dumps({"objects": [doc]}))
+    code, out, err = run(capsys, "dagger", str(theory))
+    assert code == 0, err
+    assert body_of(out)["verdicts"]["objects"][0]["label"] == label
+
+
 def test_teleport_classical(capsys):
     code, out, _ = run(capsys, "teleport", "builtin:classical2", "builtin:classical2", "--composite", "min")
     assert code == 0

@@ -4,7 +4,7 @@ import pytest
 
 from comcat.cones import cone_from_generators, dual_cone
 from comcat.errors import UnsupportedKind
-from comcat.linalg import matvec, rank, transpose
+from comcat.linalg import identity, matmul, matvec, rank, transpose
 from comcat.matching import com_isomorphism, find_order_isomorphism, order_isomorphisms
 from comcat.models import classical, gbit, quantum
 
@@ -13,7 +13,8 @@ def test_orthant_isomorphisms_are_scaled_permutations():
     orthant = cone_from_generators([(1, 0), (0, 1)])
     isos = list(order_isomorphisms(orthant, orthant))
     assert isos
-    for M in isos:
+    for M, M_inverse in isos:
+        assert matmul(M, M_inverse) == identity(2)
         assert rank(M) == 2
         nonzero = [[x != 0 for x in row] for row in M]
         assert sorted(map(tuple, nonzero)) == [(False, True), (True, False)]

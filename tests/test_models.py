@@ -1,9 +1,10 @@
+import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from comcat import hermitian
+from comcat import hermitian, lp
 from comcat.com import is_saturated, validate_com
 from comcat.errors import DegenerateTriple
 from comcat.linalg import canonical_rays, dot, matvec
@@ -76,6 +77,43 @@ def test_builtin_structures():
     assert builtin_structure("gbit:rotation").symmetric is False
     assert builtin_structure("gbit:reflection").symmetric
     assert builtin_structure("qubit:choi").symmetric
+
+
+STRUCTURE_NAMES = ["classical1", "classical2:symmetric", "classical3", "gbit", "gbit:rotation",
+                   "gbit:reflection", "qubit", "qubit:choi", "quantum3:choi"]
+
+
+@pytest.mark.parametrize("name", STRUCTURE_NAMES)
+def test_builtin_structures_are_built_once(name):
+    assert builtin_structure(name) is builtin_structure(name)
+    assert builtin(name.partition(":")[0]) is builtin(name.partition(":")[0])
+
+
+@pytest.mark.parametrize(
+    "name", ["classical_bit", "classical", "classical2x", "quantum_pair", "quantum", "qubit:symmetric",
+             "gbit:choi", "classical2:choi", "square"]
+)
+def test_unknown_builtin_structure_names_raise_key_error(name):
+    with pytest.raises(KeyError):
+        builtin_structure(name)
+
+
+def test_repeated_builtin_structure_solves_no_lp(monkeypatch):
+    builtin_structure("gbit:reflection")
+    calls = []
+    original = lp.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("comcat") and getattr(module, "solve_lp", None) is original:
+            monkeypatch.setattr(module, "solve_lp", counted)
+    builtin_structure("gbit:reflection")
+    assert calls == []
+    gbit()  # the counter is live: a fresh square bit solves construction LPs
+    assert calls
 
 
 def test_maximally_entangled_structure():

@@ -1,7 +1,9 @@
 """The seeded probe rays, the vectorized Hermitian kernel, the batched
-inclusion checks, the O(n^2) symmetry report and the float matrix kernels
-against the loop versions in ``sampling_oracle``."""
+inclusion checks, the O(n^2) symmetry report, the float matrix kernels
+and the derived duality-structure record against the loop versions and
+the stored record in ``sampling_oracle``."""
 
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import numpy as np
@@ -14,10 +16,11 @@ from comcat import cones, hermitian, linalg, selfdual
 from comcat.composites import in_max_cone, is_composite, spatial_quantum_composite
 from comcat.config import set_tolerance
 from comcat.cones import PROBE_SAMPLES, probe_rays, psd_cone
-from comcat.errors import DimensionMismatch, SingularMatrix
+from comcat.errors import DimensionMismatch, InvalidStructure, SingularMatrix
 from comcat.linalg import inverse, kron, matmul, matvec, max_abs, swap_matrix, transpose
 from comcat.models import (
     builtin,
+    builtin_structure,
     classical,
     classical_symmetric_structure,
     gbit_reflection_structure,
@@ -25,6 +28,7 @@ from comcat.models import (
     maximally_entangled_structure,
     quantum,
 )
+from comcat.serialize import dumps, structure_to_json
 
 
 @pytest.mark.parametrize("dims", [(2,), (3,), (2, 2), (3, 3)])
@@ -251,14 +255,111 @@ def test_batched_is_composite_on_the_spatial_composites():
 
 def structure_from(gamma_hat, f_hat, com) -> selfdual.DualityStructure:
     """An unverified structure, enough for the symmetry report."""
-    return selfdual.DualityStructure(
-        com=com,
-        gamma=(),
-        f=(),
-        gamma_hat=gamma_hat,
-        f_hat=f_hat,
-        tau=matmul(gamma_hat, transpose(f_hat)),
-    )
+    return selfdual.DualityStructure(com=com, gamma_hat=gamma_hat, f_hat=f_hat)
+
+
+# -- the derived record against the stored one --------------------------
+
+
+def assert_same_structure(A, gamma_hat, f_hat=None, new=None):
+    """build_structure (or the given record) equals the stored-record
+    oracle to the bit: equal reprs tell floats, signed zeros and Fraction
+    from int apart.  Inputs the oracle rejects are rejected with the same
+    message."""
+    try:
+        old = oracle.build_structure(A, gamma_hat, f_hat)
+    except InvalidStructure as exc:
+        with pytest.raises(InvalidStructure) as info:
+            selfdual.build_structure(A, gamma_hat, f_hat)
+        assert str(info.value) == str(exc)
+        return
+    new = new or selfdual.build_structure(A, gamma_hat, f_hat)
+    for name in ("gamma", "f", "gamma_hat", "f_hat", "tau"):
+        assert repr(getattr(new, name)) == repr(getattr(old, name)), name
+    assert repr(new.tau_inverse) == repr(matmul(transpose(old.gamma_hat), old.f_hat))
+    assert repr(dict(new.residuals)) == repr(old.residuals)
+    assert dumps(structure_to_json(new)) == dumps(structure_to_json(old))
+
+
+@pytest.mark.parametrize(
+    "name", ["classical1:symmetric", "classical2:symmetric", "classical3:symmetric", "classical5:symmetric",
+             "gbit:rotation", "gbit:reflection", "qubit:choi", "quantum3:choi", "quantum4:choi"]
+)
+def test_builtin_structures_equal_the_stored_record(name):
+    D = builtin_structure(name)
+    if D.com.state_cone.kind == "psd":
+        gamma_hat, f_hat = oracle.maximally_entangled_maps(*D.com.state_cone.hilbert_dims)
+    else:
+        gamma_hat, f_hat = D.gamma_hat, None
+    assert_same_structure(D.com, gamma_hat, f_hat, new=D)
+
+
+def _monomial(draw, n, entry):
+    """A random positive diagonal times a random permutation matrix."""
+    perm = draw(st.permutations(range(n)))
+    scale = [draw(entry) for _ in range(n)]
+    return tuple(tuple(scale[i] if j == perm[i] else 0 * scale[i] for j in range(n)) for i in range(n))
+
+
+EXACT_SCALES = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+FLOAT_SCALES = st.floats(1e-3, 1e3)
+GBIT_MAPS = [gbit_rotation_structure().gamma_hat, gbit_reflection_structure().gamma_hat]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.integers(1, 4), st.booleans(), st.data())
+def test_classical_structures_equal_the_stored_record(exact, n, give_inverse, data):
+    entry = EXACT_SCALES if exact else FLOAT_SCALES
+    gamma_hat = _monomial(data.draw, n, entry)
+    f_hat = None
+    if give_inverse:
+        f_hat = inverse(gamma_hat) if exact else tuple(map(tuple, np.linalg.inv(gamma_hat).tolist()))
+    assert_same_structure(builtin(f"classical{n}"), gamma_hat, f_hat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.booleans(), st.data())
+def test_gbit_structures_equal_the_stored_record(exact, data):
+    # a state-square symmetry after either builtin map, scaled; or any small
+    # integer map, which the oracle mostly rejects
+    if data.draw(st.booleans()):
+        c = data.draw(EXACT_SCALES if exact else FLOAT_SCALES)
+        flip = data.draw(st.sampled_from([((1, 0), (0, 1)), ((0, 1), (1, 0))]))
+        signs = data.draw(st.tuples(st.sampled_from([1, -1]), st.sampled_from([1, -1])))
+        S = tuple(tuple(signs[i] * flip[i][j] for j in range(2)) + (0,) for i in range(2)) + ((0, 0, 1),)
+        gamma_hat = tuple(tuple(c * x for x in row) for row in matmul(S, data.draw(st.sampled_from(GBIT_MAPS))))
+    else:
+        entry = st.integers(-2, 2) if exact else st.integers(-2, 2).map(float)
+        gamma_hat = tuple(tuple(data.draw(entry) for _ in range(3)) for _ in range(3))
+    assert_same_structure(builtin("gbit"), gamma_hat)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3]), st.floats(1e-2, 1e2), st.sampled_from([0.0, 1e-13, 1e-6, 1e-2]),
+       st.booleans(), st.integers(0, 2**31 - 1))
+def test_quantum_structures_equal_the_stored_record(d, c, noise, give_inverse, seed):
+    gamma_hat, f_hat = oracle.maximally_entangled_maps(d)
+    perturbed = np.array(gamma_hat) * c + noise * np.random.default_rng(seed).normal(size=(d * d, d * d))
+    gamma_hat = tuple(map(tuple, perturbed.tolist()))
+    f_hat = tuple(tuple(x / c for x in row) for row in f_hat) if give_inverse else None
+    assert_same_structure(builtin(f"quantum{d}"), gamma_hat, f_hat)
+
+
+def test_structure_record_is_immutable():
+    D = selfdual.build_structure(classical(2), ((Fraction(1, 2), 0), (0, Fraction(1, 2))))
+    assert [f.name for f in fields(D)] == ["com", "gamma_hat", "f_hat", "residuals"]
+    for name in ("com", "gamma_hat", "f_hat", "residuals", "gamma", "f", "tau", "tau_inverse", "symmetric"):
+        getattr(D, name)
+        with pytest.raises(FrozenInstanceError):
+            setattr(D, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(D, name)
+    with pytest.raises(TypeError):
+        D.residuals["inverse"] = 1
+    residuals = {"inverse": 0}
+    E = selfdual.DualityStructure(D.com, D.gamma_hat, D.f_hat, residuals)
+    residuals["inverse"] = 1
+    assert E.residuals == {"inverse": 0}
 
 
 def assert_same_report(D):
