@@ -1,7 +1,10 @@
 """Command-line front end: reproducible model checks over JSON files.
 
 Exit codes: 0 property verified / object produced, 1 property refuted
-(with a witness in the report), 2 usage or input errors.
+(with a witness in the report), 2 usage or input errors: an unreadable file
+or JSON document, or an ``InputError`` (a malformed field, an unknown name,
+a bad size or tolerance).  Any other exception is a fault of the program,
+not of its input, and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .com import Com, validate_com
 from .composites import tensor
 from .conditioning import remote_evaluate
 from .config import DEFAULT_SEED, numeric_tolerance, set_tolerance
-from .errors import ComcatError
+from .errors import ComcatError, InputError
 from .protocols import check_theory_compact_closed, find_teleportation, verify_teleportation
 from .selfdual import (
     check_symmetric_self_duality,
@@ -30,6 +33,7 @@ from .serialize import (
     certificate_to_json,
     com_from_json,
     com_to_json,
+    json_field,
     state_from_json,
     structure_to_json,
     vector_to_json,
@@ -45,7 +49,10 @@ def _load_json(path: str):
 def _resolve_model(spec: str) -> tuple[Com, dict]:
     """Model plus an input descriptor with a content hash."""
     if spec.startswith("builtin:"):
-        com = models.builtin(spec[len("builtin:") :])
+        try:
+            com = models.builtin(spec[len("builtin:") :])
+        except KeyError as exc:
+            raise SchemaError(exc.args[0]) from None
         digest = report.hash_text(serialize.dumps(com_to_json(com)))
         return com, {"source": spec, "sha256": digest}
     raw = Path(spec).read_bytes()
@@ -98,9 +105,9 @@ def _cmd_model(args) -> int:
     else:  # mackey
         data = _load_json(args.triple)
         triple = models.mackey_triple(
-            data["outcomes"],
-            data["states"],
-            [serialize.exact_vector_from_json(row, "table") for row in data["table"]],
+            json_field(data, "outcomes"),
+            json_field(data, "states"),
+            [serialize.exact_vector_from_json(row, "table") for row in json_field(data, "table")],
         )
         com = models.from_mackey(triple)
     _emit(com_to_json(com), args.output)
@@ -176,7 +183,7 @@ def _load_theory(spec: str):
     raw = Path(spec).read_bytes()
     data = json.loads(raw)
     objs = []
-    for entry in data["objects"]:
+    for entry in json_field(data, "objects"):
         if isinstance(entry, str):
             com, _ = _resolve_model(entry)
         else:
@@ -202,15 +209,19 @@ def _default_kind(A: Com, B: Com) -> str:
 
 def _cmd_compact_check(args) -> int:
     objs, designations, _, inputs = _load_theory(args.theory)
-    composites = {}
+    composites, kinds = {}, {}
     for A in objs:
         for B in objs:
-            kind = designations.get(f"{A.label}|{B.label}", args.composite or _default_kind(A, B))
+            pair = f"{A.label}|{B.label}"
+            kind = kinds[pair] = designations.get(pair, args.composite or _default_kind(A, B))
+            if kind not in DUAL_TWIN:
+                raise SchemaError(f"unknown composite kind {kind!r} for {pair}")
             composites[(A.label, B.label)] = tensor(A, B, kind)
-            composites[("effects", A.label, B.label)] = tensor(A, B, DUAL_TWIN.get(kind, kind))
+            composites[("effects", A.label, B.label)] = tensor(A, B, DUAL_TWIN[kind])
     out = check_theory_compact_closed(objs, composites)
     verdicts = {
         "compact_closed": out["theory_compact_closed"],
+        "composites": kinds,
         "objects": {
             A.label: {
                 "compact": out[A.label]["compact"],
@@ -392,7 +403,7 @@ def main(argv=None) -> int:
         if args.tolerance is not None:
             set_tolerance(args.tolerance)
         return args.func(args)
-    except (OSError, json.JSONDecodeError, SchemaError, KeyError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, InputError) as exc:
         print(f"comcat: input error: {exc}", file=sys.stderr)
         return 2
     except ComcatError as exc:

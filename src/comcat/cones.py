@@ -44,7 +44,7 @@ import numpy as np
 
 from . import hermitian
 from .config import numeric_tolerance
-from .errors import DimensionMismatch, KindMismatch, NotGenerating, NotPointed
+from .errors import DimensionMismatch, InputError, KindMismatch, NotGenerating, NotPointed
 from .linalg import _eliminate, canonical_rays, dot, matvec, primitive, rank
 from .lp import eq, in_cone, lp_feasible
 
@@ -190,8 +190,8 @@ def cone_from_facets(facets: Iterable[Sequence]) -> Cone:
 def psd_cone(hilbert_dims: Iterable[int] | int) -> Cone:
     """Hermitian PSD cone; pass factor dims for composite coordinatization."""
     dims = (hilbert_dims,) if isinstance(hilbert_dims, int) else tuple(hilbert_dims)
-    if any(d < 1 for d in dims):
-        raise ValueError("Hilbert dimensions must be positive")
+    if not dims or any(d < 1 for d in dims):
+        raise InputError("a PSD cone needs one or more positive Hilbert dimensions")
     return Cone(PSD, hermitian.ambient_dim(dims), hilbert_dims=dims, self_dual=True)
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import os
 
+from .errors import InputError
 from .linalg import is_exact
 
 DEFAULT_TOLERANCE = 1e-9
@@ -35,16 +36,19 @@ _override: float | None = None
 def numeric_tolerance() -> float:
     """Current tolerance: explicit override > environment > default.
 
-    A COMCAT_TOLERANCE that is not positive and finite raises ValueError,
-    as ``set_tolerance`` does."""
+    A COMCAT_TOLERANCE that is not a positive finite number raises
+    InputError, as ``set_tolerance`` does."""
     if _override is not None:
         return _override
     raw = os.environ.get(_ENV_VAR)
     if raw is None or raw == "":
         return DEFAULT_TOLERANCE
-    value = float(raw)
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan  # not a number: refused below, as NaN is
     if not 0 < value < math.inf:  # the rule of set_tolerance
-        raise ValueError(f"{_ENV_VAR}={raw}: tolerance must be positive and finite")
+        raise InputError(f"{_ENV_VAR}={raw}: tolerance must be positive and finite")
     return value
 
 
@@ -58,5 +62,5 @@ def set_tolerance(value: float | None) -> None:
     """Set (or clear, with None) the process-wide tolerance override."""
     global _override
     if value is not None and not 0 < value < math.inf:  # also refuses NaN
-        raise ValueError("tolerance must be positive and finite")
+        raise InputError("tolerance must be positive and finite")
     _override = value

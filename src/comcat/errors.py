@@ -5,6 +5,12 @@ class ComcatError(Exception):
     """Base class for all toolkit errors."""
 
 
+class InputError(ComcatError, ValueError):
+    """Input the toolkit cannot accept: a malformed file or field, an
+    unknown name, a bad size or setting.  The command line reports it as
+    an input error (exit 2); it stays a ValueError for library callers."""
+
+
 class DimensionMismatch(ComcatError):
     pass
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import hermitian
 from .com import Com
 from .cones import cone_from_generators, dual_cone, psd_cone
-from .errors import DegenerateTriple
+from .errors import DegenerateTriple, InputError
 from .linalg import frac, frac_matrix, rank, solve, transpose
 from .selfdual import build_structure
 
@@ -26,7 +26,7 @@ def classical(n: int) -> Com:
 
     classical(1) is the trivial one-dimensional system."""
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise InputError("n must be at least 1")
     basis = [tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)]
     orthant = cone_from_generators(basis)
     return Com(
@@ -40,7 +40,7 @@ def classical(n: int) -> Com:
 def quantum(d: int) -> Com:
     """Density operators on a d-dimensional Hilbert space, trace unit."""
     if d < 2:
-        raise ValueError("d must be at least 2")
+        raise InputError("d must be at least 2")
     cone = psd_cone(d)
     return Com(
         label=f"quantum{d}",
@@ -100,13 +100,13 @@ class MackeyTriple:
 
     def __post_init__(self):
         if len(self.table) != len(self.outcomes):
-            raise ValueError("table must have one row per outcome")
+            raise InputError("table must have one row per outcome")
         for row in self.table:
             if len(row) != len(self.states):
-                raise ValueError("table must have one column per state")
+                raise InputError("table must have one column per state")
             for v in row:
                 if not (0 <= v <= 1):
-                    raise ValueError("probabilities must lie in [0, 1]")
+                    raise InputError("probabilities must lie in [0, 1]")
 
 
 def mackey_triple(outcomes, states, table) -> MackeyTriple:
@@ -220,7 +220,7 @@ def maximally_entangled_structure(d: int):
     channel/state correspondence inverse with its dimensional scaling) and
     then verified against the inverse of the conditioning map."""
     if d < 2:
-        raise ValueError("d must be at least 2")
+        raise InputError("d must be at least 2")
     psi = np.zeros((d * d, 1), dtype=complex)
     for i in range(d):
         psi[i * d + i, 0] = 1.0

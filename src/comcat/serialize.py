@@ -15,11 +15,20 @@ from typing import Any
 from .com import Com
 from .composites import CompositeCom
 from .cones import PSD, Cone, cone_from_generators, psd_cone
-from .errors import ComcatError
+from .errors import InputError
 
 
-class SchemaError(ComcatError):
-    pass
+class SchemaError(InputError):
+    """A JSON document that does not describe what it should."""
+
+
+def json_field(data, key: str):
+    """data[key] of a JSON object; a missing key is a SchemaError."""
+    if not isinstance(data, dict):
+        raise SchemaError(f"expected a JSON object with field {key!r}")
+    if key not in data:
+        raise SchemaError(f"missing field {key!r}")
+    return data[key]
 
 
 def num_to_json(x):
@@ -34,7 +43,10 @@ def num_to_json(x):
 
 def num_from_json(v):
     if isinstance(v, str):
-        return Fraction(v)
+        try:
+            return Fraction(v)
+        except (ValueError, ZeroDivisionError):
+            raise SchemaError(f"cannot read number from {v!r}") from None
     if isinstance(v, bool):
         raise SchemaError("booleans are not numbers")
     if isinstance(v, int):
@@ -83,13 +95,13 @@ def cone_to_json(C: Cone) -> dict:
 
 
 def cone_from_json(data: dict) -> Cone:
-    kind = data.get("kind")
+    kind = json_field(data, "kind")
     if kind == "psd":
-        dims = tuple(data.get("factors", [data["hilbert_dim"]]))
+        dims = tuple(data.get("factors", [json_field(data, "hilbert_dim")]))
         return psd_cone(dims)
     if kind != "polyhedral":
         raise SchemaError(f"unknown cone kind {kind!r}")
-    gens = [exact_vector_from_json(g, "generators") for g in data["generators"]]
+    gens = [exact_vector_from_json(g, "generators") for g in json_field(data, "generators")]
     C = cone_from_generators(gens)
     if C.dim != data.get("dim", C.dim):
         raise SchemaError("declared dimension does not match the generators")
@@ -112,12 +124,12 @@ def com_to_json(com: Com) -> dict:
 
 def com_from_json(data: dict) -> Com:
     label = data.get("label", "unnamed")
-    state = cone_from_json(data["state_cone"])
-    effect = cone_from_json(data["effect_cone"])
+    state = cone_from_json(json_field(data, "state_cone"))
+    effect = cone_from_json(json_field(data, "effect_cone"))
     if state.kind == PSD:
-        unit = vector_from_json(data["unit"])
+        unit = vector_from_json(json_field(data, "unit"))
     else:
-        unit = exact_vector_from_json(data["unit"], "unit")
+        unit = exact_vector_from_json(json_field(data, "unit"), "unit")
     if "composite_kind" in data and "factors" in data:
         factors = tuple(com_from_json(f) for f in data["factors"])
         return CompositeCom(
@@ -168,7 +180,7 @@ def state_from_json(data, field: str | None = None) -> tuple:
     """A vector, bare or as {"vector": [...]}; given a field name it is
     exact data, read by ``exact_vector_from_json``."""
     if isinstance(data, dict):
-        data = data["vector"]
+        data = json_field(data, "vector")
     return vector_from_json(data) if field is None else exact_vector_from_json(data, field)
 
 

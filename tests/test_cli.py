@@ -332,3 +332,61 @@ def test_default_composite_does_not_depend_on_the_label(tmp_path, capsys):
         code, out, _ = run(capsys, "compact-check", _write(tmp_path, f"{label}.json", {"objects": [square]}))
         verdicts.append((code, body_of(out)["verdicts"]["objects"][label]["compact"]))
     assert verdicts == [(0, True), (0, True)]
+
+
+def test_compact_check_body_records_the_composite_of_each_pair(tmp_path, capsys):
+    for argv, kind in [((), "max"), (("--composite", "max"), "max"), (("--composite", "min"), "min")]:
+        code, out, _ = run(capsys, "compact-check", "builtin:gbit", *argv)
+        assert body_of(out)["verdicts"]["composites"] == {"gbit|gbit": kind}
+    theory = _write(tmp_path, "theory.json", {
+        "objects": ["builtin:classical2", "builtin:gbit"],
+        "composites": {"classical2|gbit": "max"},
+    })
+    code, out, _ = run(capsys, "compact-check", theory)
+    assert body_of(out)["verdicts"]["composites"] == {
+        "classical2|classical2": "min",
+        "classical2|gbit": "max",
+        "gbit|classical2": "min",
+        "gbit|gbit": "max",
+    }
+
+
+def test_input_errors_at_each_parsing_site_exit_two(tmp_path, capsys, monkeypatch):
+    no_unit = com_to_json(classical(2))
+    del no_unit["unit"]
+    bad_number = com_to_json(classical(2))
+    bad_number["unit"] = ["1/0", 1]
+    no_table = {"outcomes": [0, 1], "states": ["s"]}
+    bad_kind = {"objects": ["builtin:classical2"], "composites": {"classical2|classical2": "sideways"}}
+    no_qudit = com_to_json(quantum(2))
+    no_qudit["state_cone"]["hilbert_dim"] = 0
+    cases = [
+        (("validate", "builtin:nonsense"), "unknown builtin model 'nonsense'"),
+        (("validate", _write(tmp_path, "no_unit.json", no_unit)), "missing field 'unit'"),
+        (("validate", _write(tmp_path, "bad_number.json", bad_number)), "cannot read number from '1/0'"),
+        (("model", "mackey", _write(tmp_path, "no_table.json", no_table)), "missing field 'table'"),
+        (("model", "classical", "--n", "0"), "n must be at least 1"),
+        (("validate", _write(tmp_path, "no_qudit.json", no_qudit)), "positive Hilbert dimensions"),
+        (("compact-check", _write(tmp_path, "kind.json", bad_kind)), "unknown composite kind 'sideways'"),
+    ]
+    for argv, message in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("comcat: input error: ") and message in err, err
+    monkeypatch.setenv("COMCAT_TOLERANCE", "tiny")
+    code, out, err = run(capsys, "validate", "builtin:qubit")
+    assert (code, out) == (2, "")
+    assert "COMCAT_TOLERANCE=tiny: tolerance must be positive and finite" in err
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError])
+def test_internal_key_and_value_errors_are_not_input_errors(monkeypatch, capsys, error):
+    # A fault inside a command is not the input's: it propagates with its
+    # traceback instead of exiting 2 as "input error".
+    def broken(com):
+        raise error("internal lookup failed")
+
+    monkeypatch.setattr("comcat.cli.check_weak_self_duality", broken)
+    with pytest.raises(error, match="internal lookup failed"):
+        main(["wsd", "builtin:gbit"])
+    assert "input error" not in capsys.readouterr().err

@@ -1,6 +1,10 @@
+import random
 from fractions import Fraction as F
 from itertools import combinations
+from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -171,9 +175,12 @@ def _lps(draw):
 def test_integer_tableau_matches_fraction_simplex(lp_data):
     # Same pivots as the Fraction simplex, so the same status, point and
     # value, on integer and rational data, feasible, infeasible, unbounded
-    # and degenerate alike.
+    # and degenerate alike, with every tableau on int64 arrays and then with
+    # every tableau on list rows.
     n, constraints, kwargs = lp_data
-    _same_as_oracle(n, constraints, **kwargs)
+    for min_cells in (0, float("inf")):
+        with mock.patch.object(lp, "_ARRAY_MIN_CELLS", min_cells):
+            _same_as_oracle(n, constraints, **kwargs)
 
 
 def test_redundant_equality_with_negative_drive_out_pivot(monkeypatch):
@@ -201,3 +208,98 @@ def test_ratio_tie_goes_to_smallest_basic_column():
     cons = [le((2, -1), 0), le((2, 1), 0), le((-1, 0), 1), le((2, -1), 2)]
     res = _same_as_oracle(2, cons, objective=(1, 0), nonneg=[False, True])
     assert res.x == (F(-1), F(0)) and res.value == -1
+
+
+@st.composite
+def _larger_lps(draw):
+    # Up to 12 constraints in 10 variables: tableaus of 60 to 540 cells,
+    # on both sides of the storage threshold.  Denominators stay at most 2,
+    # so that the starting denominator (the product of the rows' scales)
+    # stays below 2**31 and larger tableaus start on int64.
+    n = draw(st.integers(3, 10))
+    scalar = st.integers(-4, 4) | st.fractions(-4, 4, max_denominator=2)
+    row = st.tuples(*[scalar] * n)
+    constraints = draw(
+        st.lists(
+            st.builds(Constraint, row, st.sampled_from([LE, GE, EQ]), scalar),
+            min_size=6,
+            max_size=12,
+        )
+    )
+    kwargs = {
+        "objective": draw(st.none() | row),
+        "maximize": draw(st.booleans()),
+        "nonneg": draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+    }
+    return n, constraints, kwargs
+
+
+@settings(max_examples=60, deadline=None)
+@given(_larger_lps())
+def test_larger_tableaus_match_fraction_simplex_across_the_storage_threshold(lp_data):
+    # The storage is picked by the real threshold, so some of these run on
+    # int64 arrays and some on list rows.
+    n, constraints, kwargs = lp_data
+    _same_as_oracle(n, constraints, **kwargs)
+
+
+def _storage_per_pivot(monkeypatch):
+    """Record, for each pivot, whether the tableau was an int64 array."""
+    seen = []
+    pivot = lp._Tableau.pivot
+
+    def recording_pivot(tab, r, c):
+        seen.append(isinstance(tab.table, np.ndarray))
+        # Bland's rule terminates; wrong arithmetic may cycle instead.
+        assert len(seen) < 1000, "the simplex does not terminate"
+        pivot(tab, r, c)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", recording_pivot)
+    return seen
+
+
+def _big_lp(bits, noise=999, seed=1):
+    # 10 equalities in 12 nonnegative variables (230 cells, above the
+    # threshold), feasible at a known point, with coefficients 2**bits
+    # plus or minus noise.
+    rng = random.Random(seed)
+    n, m = 12, 10
+    point = [rng.randint(0, 3) for _ in range(n)]
+    rows = [[(1 << bits) + rng.randint(-noise, noise) for _ in range(n)] for _ in range(m)]
+    cons = [eq(a, sum(x * y for x, y in zip(a, point))) for a in rows]
+    objective = [rng.randint(1, 9) for _ in range(n)]
+    return n, cons, {"objective": objective, "nonneg": [True] * n}
+
+
+def test_entries_crossing_two_to_the_31_promote_the_array(monkeypatch):
+    seen = _storage_per_pivot(monkeypatch)
+    n, cons, kwargs = _big_lp(20)
+    res = _same_as_oracle(n, cons, **kwargs)
+    assert res.status == "optimal"
+    # The first pivots run on int64; once an entry reaches 2**31 the
+    # tableau moves to Python ints for good.
+    assert seen[0] and not seen[-1]
+    assert seen == sorted(seen, reverse=True)
+
+
+@pytest.mark.parametrize("bits", [40, 70])
+def test_starting_rows_beyond_the_int64_bound_stay_on_python_ints(monkeypatch, bits):
+    # 2**40 fits int64 but not the 2**31 bound; 2**70 does not fit int64.
+    seen = _storage_per_pivot(monkeypatch)
+    n, cons, kwargs = _big_lp(bits)
+    assert _same_as_oracle(n, cons, **kwargs).status == "optimal"
+    assert seen and not any(seen)
+
+
+def test_large_objective_promotes_the_phase_two_cost_row(monkeypatch):
+    seen = _storage_per_pivot(monkeypatch)
+    n, cons, kwargs = _big_lp(0, noise=1)
+    # Entries of 0, 1 and 2: phase 1 alone stays on int64 throughout.
+    assert _same_as_oracle(n, cons, nonneg=kwargs["nonneg"]).status == "optimal"
+    assert seen and all(seen)
+    seen.clear()
+    # A cost row beyond int64 moves phase 2 to Python ints.
+    kwargs["objective"] = [(1 << 62) + 7 * i for i in range(n)]
+    kwargs["maximize"] = True
+    assert _same_as_oracle(n, cons, **kwargs).status == "optimal"
+    assert seen[0] and not seen[-1]

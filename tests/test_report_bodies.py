@@ -18,9 +18,9 @@ GOLDEN = {
     ("teleport", "builtin:gbit", "builtin:gbit", "--composite", "max"): "9e38d7b526b1da2c88a7215d076d0452b115fac9e2160b7d1aa37319ce7606a6",
     ("teleport", "builtin:gbit", "builtin:gbit", "--composite", "min"): "90a8744a1110c13400f1dbcf7cc677211df2c7075e9d135edf1fc801036f0ecc",
     ("teleport", "builtin:classical2", "builtin:classical3"): "cd67f79121184e6fcccad4dbd190009ad787f8297e3691bb1e46f91760e59f61",
-    ("compact-check", "builtin:gbit"): "ecf913aab875d85326ac3a72079b2e1c3e8c979ed52f6edc0665319ac5ef30ca",
-    ("compact-check", "builtin:gbit", "--composite", "max"): "ecf913aab875d85326ac3a72079b2e1c3e8c979ed52f6edc0665319ac5ef30ca",
-    ("compact-check", "builtin:gbit", "--composite", "min"): "d655eddd0386c6a9e1d1b1e15b6c107b7a1ce778b0175475645e6e374b45940a",
+    ("compact-check", "builtin:gbit"): "278d13cba46044a64a6746d3f1eadfd2ffb642e0aa102c36e79762213198eebe",
+    ("compact-check", "builtin:gbit", "--composite", "max"): "278d13cba46044a64a6746d3f1eadfd2ffb642e0aa102c36e79762213198eebe",
+    ("compact-check", "builtin:gbit", "--composite", "min"): "eb2c316bfbf870a23e3385dfda338a64275e529181a7146b14514567f1007374",
     ("dagger", "builtin:gbit", "--structure", "gbit=reflection"): "4735046a91375db6c41241f6fa1e4cd0c8b29b45ceea57dfa741fb4d97a9e04d",
     ("dagger", "builtin:gbit", "--structure", "gbit=rotation"): "b5e50e1be15672fccbe80890cb99ede337a8e651d7bf0fc5346839893de40719",
     ("wsd", "builtin:gbit"): "81a528a25f76103f9885882ab2c3f21ebe46f9e12b0da80a55d09bef4dc53e5c",
