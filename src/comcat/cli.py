@@ -33,6 +33,7 @@ from .serialize import (
     certificate_to_json,
     com_from_json,
     com_to_json,
+    expect_json,
     json_field,
     state_from_json,
     structure_to_json,
@@ -104,10 +105,11 @@ def _cmd_model(args) -> int:
         com = models.gbit()
     else:  # mackey
         data = _load_json(args.triple)
+        outcomes, states, table = (
+            expect_json(json_field(data, key), list, key) for key in ("outcomes", "states", "table")
+        )
         triple = models.mackey_triple(
-            json_field(data, "outcomes"),
-            json_field(data, "states"),
-            [serialize.exact_vector_from_json(row, "table") for row in json_field(data, "table")],
+            outcomes, states, [serialize.exact_vector_from_json(row, "table") for row in table]
         )
         com = models.from_mackey(triple)
     _emit(com_to_json(com), args.output)
@@ -183,7 +185,7 @@ def _load_theory(spec: str):
     raw = Path(spec).read_bytes()
     data = json.loads(raw)
     objs = []
-    for entry in json_field(data, "objects"):
+    for entry in expect_json(json_field(data, "objects"), list, "objects"):
         if isinstance(entry, str):
             com, _ = _resolve_model(entry)
         else:
@@ -191,8 +193,8 @@ def _load_theory(spec: str):
         if any(other.label == com.label for other in objs):
             raise SchemaError(f"duplicate object label {com.label!r} in theory {spec}")
         objs.append(com)
-    composites = data.get("composites", {})
-    structures = data.get("structures", {})
+    composites = expect_json(data.get("composites", {}), dict, "composites")
+    structures = expect_json(data.get("structures", {}), dict, "structures")
     return objs, composites, structures, {"theory": {"source": spec, "sha256": report.hash_bytes(raw)}}
 
 
@@ -214,7 +216,7 @@ def _cmd_compact_check(args) -> int:
         for B in objs:
             pair = f"{A.label}|{B.label}"
             kind = kinds[pair] = designations.get(pair, args.composite or _default_kind(A, B))
-            if kind not in DUAL_TWIN:
+            if not isinstance(kind, str) or kind not in DUAL_TWIN:
                 raise SchemaError(f"unknown composite kind {kind!r} for {pair}")
             composites[(A.label, B.label)] = tensor(A, B, kind)
             composites[("effects", A.label, B.label)] = tensor(A, B, DUAL_TWIN[kind])
@@ -269,8 +271,18 @@ def _cmd_wsd(args) -> int:
 
 
 def _structure_for(com: Com, variant: str | None):
+    """The builtin structure named by com's label and variant; KeyError when
+    there is none.  An unknown variant of a builtin model is an input error."""
     name = com.label if variant is None else f"{com.label}:{variant}"
-    return models.builtin_structure(name)
+    try:
+        return models.builtin_structure(name)
+    except KeyError:
+        known = models.structure_variants(com.label)
+        if variant is not None and known:
+            raise InputError(
+                f"unknown structure variant {variant!r} of {com.label}; known: {', '.join(known)}"
+            ) from None
+        raise
 
 
 def _cmd_dagger(args) -> int:

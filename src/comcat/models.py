@@ -17,7 +17,7 @@ from . import hermitian
 from .com import Com
 from .cones import cone_from_generators, dual_cone, psd_cone
 from .errors import DegenerateTriple, InputError
-from .linalg import frac, frac_matrix, rank, solve, transpose
+from .linalg import frac, rref
 from .selfdual import build_structure
 
 
@@ -124,57 +124,30 @@ def classical_as_mackey(n: int) -> MackeyTriple:
 def from_mackey(triple: MackeyTriple) -> Com:
     """Linearize a probability table into a model.
 
-    Duplicate state columns are merged exactly; the carrier is the span of
-    the remaining columns, states embed as their coordinate vectors over a
-    column basis, effects are the outcome evaluation rows restricted to the
-    span plus the unit, and the unit is the functional equal to one on
-    every embedded state (its existence is required, else the triple is
-    degenerate)."""
-    cols = [tuple(row[s] for row in triple.table) for s in range(len(triple.states))]
-    merged: list[tuple] = []
-    for c in cols:
-        if c not in merged:
-            merged.append(c)
-    if not merged:
+    One reduced row echelon form of the outcome x state table fixes the
+    model: its pivot columns are a basis of the column span (the carrier),
+    column s of its rows holds the coordinates of state s over that basis,
+    the unit is all ones in those coordinates and exists iff every state's
+    coordinates sum to one (else the triple is degenerate), and outcome x's
+    effect is its table row on the pivot columns.  States with equal
+    columns get equal coordinates, so they merge into one ray of the state
+    cone; the effect cone is spanned by the outcome effects and the unit."""
+    if not triple.states:
         raise DegenerateTriple("no states")
-
-    basis_idx: list[int] = []
-    for i, c in enumerate(merged):
-        candidate = [merged[j] for j in basis_idx] + [c]
-        if rank(candidate) == len(candidate):
-            basis_idx.append(i)
-    basis = [merged[i] for i in basis_idx]
-
-    # coordinates of every merged column over the chosen basis
-    coords = []
-    for c in merged:
-        sol = solve(transpose(frac_matrix(basis)), c)
-        if sol is None:
-            raise DegenerateTriple("column outside the span of the basis")
-        coords.append(tuple(sol))
-
-    # unit: u . coords(s) = 1 for every state
-    u = solve(frac_matrix(coords), tuple(Fraction(1) for _ in coords))
-    if u is None:
+    rows, basis = rref(triple.table)
+    coords = [tuple(row[s] for row in rows[: len(basis)]) for s in range(len(triple.states))]
+    if any(sum(c) != 1 for c in coords):
         raise DegenerateTriple("no linear functional takes value one on every state")
+    u = tuple(Fraction(1) for _ in basis)
 
     state_cone = cone_from_generators(coords)
-
-    # evaluation functional of outcome x: a_x . coords(s) = p(x, s)
-    effects = []
-    for x in range(len(triple.outcomes)):
-        target = tuple(c[x] for c in merged)
-        a = solve(frac_matrix(coords), target)
-        if a is None:
-            raise DegenerateTriple("outcome functional is not linear on the span")
-        effects.append(tuple(a))
-    effects.append(tuple(u))
+    effects = [tuple(row[s] for s in basis) for row in triple.table] + [u]
 
     return Com(
         label=f"mackey[{len(triple.outcomes)}x{len(triple.states)}]",
         state_cone=state_cone,
         effect_cone=cone_from_generators(effects),
-        unit=tuple(u),
+        unit=u,
     )
 
 
@@ -241,22 +214,33 @@ def maximally_entangled_structure(d: int):
     return build_structure(quantum(d), gamma_hat, f_hat=f_hat)
 
 
+def structure_variants(model: str) -> tuple[str, ...]:
+    """The builtin structure variants of a builtin model name, the default
+    first; () for a name that is not a builtin model's."""
+    if model == "gbit":
+        return ("reflection", "rotation")
+    if _number_after("classical", model) is not None:
+        return ("symmetric",)
+    if model == "qubit" or _number_after("quantum", model) is not None:
+        return ("choi",)
+    return ()
+
+
 @cache
 def builtin_structure(name: str):
-    """Structure names: classicalN:symmetric, gbit:rotation,
-    gbit:reflection, qubit:choi / quantumD:choi; a bare model name takes
-    the first variant.  KeyError for any other name."""
+    """Structure names: classicalN:symmetric, gbit:reflection,
+    gbit:rotation, qubit:choi / quantumD:choi (see ``structure_variants``);
+    a bare model name takes the first variant.  KeyError for any other
+    name."""
     base, _, variant = name.partition(":")
-    if base == "gbit" and variant in ("reflection", ""):
-        return gbit_reflection_structure()
-    if base == "gbit" and variant == "rotation":
-        return gbit_rotation_structure()
-    if (n := _number_after("classical", base)) is not None and variant in ("symmetric", ""):
+    variants = structure_variants(base)
+    if not variants or variant not in ("", *variants):
+        raise KeyError(f"unknown builtin structure {name!r}")
+    if base == "gbit":
+        return gbit_rotation_structure() if variant == "rotation" else gbit_reflection_structure()
+    if (n := _number_after("classical", base)) is not None:
         return classical_symmetric_structure(n)
-    d = 2 if base == "qubit" else _number_after("quantum", base)
-    if d is not None and variant in ("choi", ""):
-        return maximally_entangled_structure(d)
-    raise KeyError(f"unknown builtin structure {name!r}")
+    return maximally_entangled_structure(2 if base == "qubit" else _number_after("quantum", base))
 
 
 def pauli_fragment_triple() -> MackeyTriple:

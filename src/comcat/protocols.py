@@ -6,8 +6,8 @@ normalized state omega of the (B, A) composite, a positive map r_hat from
 A into B's effect space with hat(omega) . r_hat = id_A, and the largest
 positive scale c for which the induced bipartite form c * r_hat is an
 effect of the designated (A, B) composite.  The joint search over
-(omega, r_hat) is bilinear, so it is staged over finitely many exact
-candidates:
+(omega, r_hat) is bilinear, so it runs over two streams of exact
+candidate pairs, taken in order:
 
   stage 1: omega ranges over the extreme rays of the composite state
            cone (pure shared states; covers PR-box style witnesses),
@@ -17,6 +17,8 @@ candidates:
            LP for omega inside the composite cone (covers classically
            correlated witnesses, which are not pure).
 
+Each LP's equality rows fix hat(omega) . r_hat = id_A exactly, so a pair
+only needs normalizing: omega / t and t * r_hat with t = u . omega.
 Both stages are deterministic; exhaustion of both is reported, not
 proven complete.
 """
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Optional, Sequence
 
 from . import hermitian
@@ -40,6 +42,7 @@ from .linalg import (
     matmul,
     matrix_to_vec,
     max_abs,
+    scale_matrix,
     scale_vector,
     sub_matrices,
     sub_vectors,
@@ -116,6 +119,15 @@ def _solve_r_hat(omega_hat, A: Com, B: Com) -> Optional[tuple]:
     return tuple(tuple(flat[t * n_a + s] for s in range(n_a)) for t in range(n_b))
 
 
+def _candidate_omegas_stage1(A: Com, B: Com, composite_ba: CompositeCom):
+    """(omega, r_hat) pairs from the pure shared states (extreme rays of the
+    composite state cone), solving an exact LP for r_hat."""
+    for ray in composite_ba.state_cone.generators:
+        r_hat = _solve_r_hat(transpose(vec_to_matrix(ray, B.dim, A.dim)), A, B)
+        if r_hat is not None:
+            yield ray, r_hat
+
+
 def _candidate_omegas_stage2(A: Com, B: Com, composite_ba: CompositeCom):
     """(omega, r_hat) pairs from injective ray matchings A-states -> B-effects,
     solving an exact LP for omega in the composite cone."""
@@ -156,13 +168,6 @@ def _solve_omega(r_hat, A: Com, B: Com, gens_ba) -> Optional[tuple]:
     return tuple(omega)
 
 
-def _normalize_state(omega, composite: CompositeCom):
-    total = dot(composite.unit, omega)
-    if total == 0:
-        return None
-    return scale_vector(Fraction(1) / total, omega)
-
-
 def find_teleportation(
     A: Com, B: Com, composite_ab: CompositeCom, composite_ba: CompositeCom
 ) -> Optional[TeleportationCertificate]:
@@ -174,62 +179,34 @@ def find_teleportation(
     if A.kind != POLYHEDRAL or B.kind != POLYHEDRAL:
         raise UnsupportedKind("search is exact-only; verify an explicit PSD candidate instead")
     n_a, n_b = A.dim, B.dim
-
-    def finish(omega, r_hat) -> Optional[TeleportationCertificate]:
-        omega_n = _normalize_state(omega, composite_ba)
-        if omega_n is None:
-            return None
-        W = vec_to_matrix(omega_n, n_b, n_a)
-        omega_hat = transpose(W)
-        prod = matmul(omega_hat, r_hat)
-        # rescale r_hat against the normalized state
-        scale = None
-        for i in range(n_a):
-            for j in range(n_a):
-                if i == j:
-                    if prod[i][j] == 0:
-                        return None
-                    if scale is None:
-                        scale = prod[i][j]
-                    elif prod[i][j] != scale:
-                        return None
-                elif prod[i][j] != 0:
-                    return None
-        r_scaled = tuple(tuple(x / scale for x in row) for row in r_hat)
+    candidates = chain(
+        _candidate_omegas_stage1(A, B, composite_ba), _candidate_omegas_stage2(A, B, composite_ba)
+    )
+    for omega, r_hat in candidates:
+        # The LP's equality rows made hat(omega) . r_hat = id_A, so with
+        # t = u . omega the normalized pair is (omega / t, t * r_hat).
+        t = dot(composite_ba.unit, omega)
+        if t == 0:
+            continue
+        omega_n = scale_vector(Fraction(1) / t, omega)
+        r_scaled = scale_matrix(t, r_hat)
+        omega_hat = transpose(vec_to_matrix(omega_n, n_b, n_a))
         residual = max_abs(sub_matrices(matmul(omega_hat, r_scaled), identity(n_a)))
         if residual > tolerance_for(omega_hat, r_scaled):
-            return None
+            continue
         r_form = _r_form_vector(r_scaled)
         c = _effect_interval_max_scale(r_form, composite_ab)
         if c is None or c <= 0:
-            return None
-        f = scale_vector(c, r_form)
+            continue
         return TeleportationCertificate(
             omega=omega_n,
             r_hat=r_scaled,
             c=c,
-            f=f,
+            f=scale_vector(c, r_form),
             residual=residual,
             composite_ab=composite_ab,
             composite_ba=composite_ba,
         )
-
-    # Stage 1: pure shared states (extreme rays of the composite cone).
-    for ray in composite_ba.state_cone.generators:
-        W = vec_to_matrix(ray, n_b, n_a)
-        omega_hat = transpose(W)
-        r_hat = _solve_r_hat(omega_hat, A, B)
-        if r_hat is None:
-            continue
-        cert = finish(ray, r_hat)
-        if cert is not None:
-            return cert
-
-    # Stage 2: matched maps with an LP for the shared state.
-    for omega, r_hat in _candidate_omegas_stage2(A, B, composite_ba):
-        cert = finish(omega, r_hat)
-        if cert is not None:
-            return cert
     return None
 
 
@@ -420,7 +397,8 @@ def check_theory_compact_closed(
             if there is None:
                 entry["exhausted"].append((A.label, "through", B.label))
                 continue
-            back = find_teleportation(B, A, ba_effects, ab_states)
+            # for B = A the way back is the same search
+            back = there if B is A else find_teleportation(B, A, ba_effects, ab_states)
             if back is None:
                 entry["exhausted"].append((B.label, "through", A.label))
                 continue

@@ -31,6 +31,15 @@ def json_field(data, key: str):
     return data[key]
 
 
+def expect_json(value, kind: type, field: str):
+    """value, which must be a JSON array (kind list) or object (kind dict);
+    a SchemaError naming the field otherwise."""
+    if not isinstance(value, kind):
+        noun = "array" if kind is list else "object"
+        raise SchemaError(f"{field}: expected a JSON {noun}, got {value!r}")
+    return value
+
+
 def num_to_json(x):
     if isinstance(x, Fraction):
         if x.denominator == 1:
@@ -67,7 +76,7 @@ def vector_from_json(v):
 def exact_vector_from_json(v, field: str):
     """A vector of exact (polyhedral) data; a float is refused, since its
     binary value is seldom the rational that was meant."""
-    for x in v:
+    for x in expect_json(v, list, field):
         if isinstance(x, float):
             raise SchemaError(f"{field}: float {x!r} in exact data; write it as an integer or a \"p/q\" string")
     return vector_from_json(v)
@@ -97,11 +106,14 @@ def cone_to_json(C: Cone) -> dict:
 def cone_from_json(data: dict) -> Cone:
     kind = json_field(data, "kind")
     if kind == "psd":
-        dims = tuple(data.get("factors", [json_field(data, "hilbert_dim")]))
+        dims = tuple(expect_json(data.get("factors", [json_field(data, "hilbert_dim")]), list, "factors"))
         return psd_cone(dims)
     if kind != "polyhedral":
         raise SchemaError(f"unknown cone kind {kind!r}")
-    gens = [exact_vector_from_json(g, "generators") for g in json_field(data, "generators")]
+    gens = [
+        exact_vector_from_json(g, "generators")
+        for g in expect_json(json_field(data, "generators"), list, "generators")
+    ]
     C = cone_from_generators(gens)
     if C.dim != data.get("dim", C.dim):
         raise SchemaError("declared dimension does not match the generators")
@@ -123,15 +135,15 @@ def com_to_json(com: Com) -> dict:
 
 
 def com_from_json(data: dict) -> Com:
-    label = data.get("label", "unnamed")
     state = cone_from_json(json_field(data, "state_cone"))
+    label = data.get("label", "unnamed")
     effect = cone_from_json(json_field(data, "effect_cone"))
     if state.kind == PSD:
-        unit = vector_from_json(json_field(data, "unit"))
+        unit = vector_from_json(expect_json(json_field(data, "unit"), list, "unit"))
     else:
         unit = exact_vector_from_json(json_field(data, "unit"), "unit")
     if "composite_kind" in data and "factors" in data:
-        factors = tuple(com_from_json(f) for f in data["factors"])
+        factors = tuple(com_from_json(f) for f in expect_json(data["factors"], list, "factors"))
         return CompositeCom(
             label=label,
             state_cone=state,
@@ -143,10 +155,10 @@ def com_from_json(data: dict) -> Com:
     return Com(label=label, state_cone=state, effect_cone=effect, unit=unit)
 
 
-def structure_to_json(D, verdicts: dict | None = None) -> dict:
+def structure_to_json(D) -> dict:
     from .selfdual import strongly_self_dual, tau_is_identity
 
-    out = {
+    return {
         "object": D.com.label,
         "gamma": vector_to_json(D.gamma),
         "f": vector_to_json(D.f),
@@ -161,9 +173,6 @@ def structure_to_json(D, verdicts: dict | None = None) -> dict:
             "strongly_self_dual": strongly_self_dual(D),
         },
     }
-    if verdicts:
-        out["verdicts"].update(verdicts)
-    return out
 
 
 def certificate_to_json(cert) -> dict:
@@ -181,7 +190,9 @@ def state_from_json(data, field: str | None = None) -> tuple:
     exact data, read by ``exact_vector_from_json``."""
     if isinstance(data, dict):
         data = json_field(data, "vector")
-    return vector_from_json(data) if field is None else exact_vector_from_json(data, field)
+    if field is None:
+        return vector_from_json(expect_json(data, list, "vector"))
+    return exact_vector_from_json(data, field)
 
 
 def dumps(obj, **kwargs) -> str:

@@ -33,6 +33,16 @@ chose exact or float arithmetic by its own branch (on the model's kind or
 on ``is_exact``), before the data alone chose it.  On exact data and on
 float data the package's versions must return the same values of the
 same types.
+
+``from_mackey`` and ``find_teleportation`` are those functions as they
+were before each read its result off one exact computation.
+``from_mackey`` grew a greedy column basis by rank tests and solved for
+every state's coordinates, the unit and every outcome functional (with
+``solve`` above, and the package's cone factory);
+``find_teleportation`` normalized each candidate pair by re-reading the
+scale off the diagonal of hat(omega) . r_hat.  The package's versions must
+return equal models (or raise the same message) and equal certificates
+after the same LPs.
 """
 
 from fractions import Fraction
@@ -42,10 +52,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from comcat.com import Com, is_morphism, is_saturated, process_scale
+from comcat.composites import CompositeCom
+from comcat import cones
 from comcat.cones import POLYHEDRAL, Cone, _canonical_input
 from comcat.conditioning import form_matrix, marginals
 from comcat.config import numeric_tolerance, tolerance_for
 from comcat.errors import (
+    DegenerateTriple,
     DimensionMismatch,
     NotAMorphism,
     NotGenerating,
@@ -58,15 +71,30 @@ from comcat.linalg import (
     dot,
     fmt,
     frac,
+    frac_matrix,
     frac_vector,
+    identity,
     is_exact,
+    matmul,
     matvec,
+    max_abs,
     rank,
     scale_matrix,
     scale_vector,
+    sub_matrices,
     symmetric_inertia,
+    transpose,
+    vec_to_matrix,
 )
 from comcat.lp import GE, LE, Constraint, LpResult, eq, in_cone, lp_feasible
+from comcat.models import MackeyTriple
+from comcat.protocols import (
+    TeleportationCertificate,
+    _candidate_omegas_stage2,
+    _effect_interval_max_scale,
+    _r_form_vector,
+    _solve_r_hat,
+)
 
 Vector = tuple
 Matrix = tuple
@@ -520,3 +548,133 @@ def negative_inertia_count(D_A) -> int:
         return symmetric_inertia(D_A.f_hat)[2]
     eigs = np.linalg.eigvalsh(np.array(D_A.f_hat, dtype=float))
     return int(np.sum(eigs < -numeric_tolerance()))
+
+
+def from_mackey(triple: MackeyTriple) -> Com:
+    """Linearize a probability table into a model.
+
+    Duplicate state columns are merged exactly; the carrier is the span of
+    the remaining columns, states embed as their coordinate vectors over a
+    column basis, effects are the outcome evaluation rows restricted to the
+    span plus the unit, and the unit is the functional equal to one on
+    every embedded state (its existence is required, else the triple is
+    degenerate)."""
+    cols = [tuple(row[s] for row in triple.table) for s in range(len(triple.states))]
+    merged: list[tuple] = []
+    for c in cols:
+        if c not in merged:
+            merged.append(c)
+    if not merged:
+        raise DegenerateTriple("no states")
+
+    basis_idx: list[int] = []
+    for i, c in enumerate(merged):
+        candidate = [merged[j] for j in basis_idx] + [c]
+        if rank(candidate) == len(candidate):
+            basis_idx.append(i)
+    basis = [merged[i] for i in basis_idx]
+
+    # coordinates of every merged column over the chosen basis
+    coords = []
+    for c in merged:
+        sol = solve(transpose(frac_matrix(basis)), c)
+        if sol is None:
+            raise DegenerateTriple("column outside the span of the basis")
+        coords.append(tuple(sol))
+
+    # unit: u . coords(s) = 1 for every state
+    u = solve(frac_matrix(coords), tuple(Fraction(1) for _ in coords))
+    if u is None:
+        raise DegenerateTriple("no linear functional takes value one on every state")
+
+    state_cone = cones.cone_from_generators(coords)
+
+    # evaluation functional of outcome x: a_x . coords(s) = p(x, s)
+    effects = []
+    for x in range(len(triple.outcomes)):
+        target = tuple(c[x] for c in merged)
+        a = solve(frac_matrix(coords), target)
+        if a is None:
+            raise DegenerateTriple("outcome functional is not linear on the span")
+        effects.append(tuple(a))
+    effects.append(tuple(u))
+
+    return Com(
+        label=f"mackey[{len(triple.outcomes)}x{len(triple.states)}]",
+        state_cone=state_cone,
+        effect_cone=cones.cone_from_generators(effects),
+        unit=tuple(u),
+    )
+
+
+def _normalize_state(omega, composite: CompositeCom):
+    total = dot(composite.unit, omega)
+    if total == 0:
+        return None
+    return scale_vector(Fraction(1) / total, omega)
+
+
+def find_teleportation(
+    A: Com, B: Com, composite_ab: CompositeCom, composite_ba: CompositeCom
+) -> Optional[TeleportationCertificate]:
+    """Search for a conclusive correction-free protocol sending A through B:
+    stage 1 over the composite's extreme rays, stage 2 over ray matchings,
+    each candidate pair rescaled from the diagonal of hat(omega) . r_hat."""
+    n_a, n_b = A.dim, B.dim
+
+    def finish(omega, r_hat) -> Optional[TeleportationCertificate]:
+        omega_n = _normalize_state(omega, composite_ba)
+        if omega_n is None:
+            return None
+        W = vec_to_matrix(omega_n, n_b, n_a)
+        omega_hat = transpose(W)
+        prod = matmul(omega_hat, r_hat)
+        # rescale r_hat against the normalized state
+        scale = None
+        for i in range(n_a):
+            for j in range(n_a):
+                if i == j:
+                    if prod[i][j] == 0:
+                        return None
+                    if scale is None:
+                        scale = prod[i][j]
+                    elif prod[i][j] != scale:
+                        return None
+                elif prod[i][j] != 0:
+                    return None
+        r_scaled = tuple(tuple(x / scale for x in row) for row in r_hat)
+        residual = max_abs(sub_matrices(matmul(omega_hat, r_scaled), identity(n_a)))
+        if residual > tolerance_for(omega_hat, r_scaled):
+            return None
+        r_form = _r_form_vector(r_scaled)
+        c = _effect_interval_max_scale(r_form, composite_ab)
+        if c is None or c <= 0:
+            return None
+        f = scale_vector(c, r_form)
+        return TeleportationCertificate(
+            omega=omega_n,
+            r_hat=r_scaled,
+            c=c,
+            f=f,
+            residual=residual,
+            composite_ab=composite_ab,
+            composite_ba=composite_ba,
+        )
+
+    # Stage 1: pure shared states (extreme rays of the composite cone).
+    for ray in composite_ba.state_cone.generators:
+        W = vec_to_matrix(ray, n_b, n_a)
+        omega_hat = transpose(W)
+        r_hat = _solve_r_hat(omega_hat, A, B)
+        if r_hat is None:
+            continue
+        cert = finish(ray, r_hat)
+        if cert is not None:
+            return cert
+
+    # Stage 2: matched maps with an LP for the shared state.
+    for omega, r_hat in _candidate_omegas_stage2(A, B, composite_ba):
+        cert = finish(omega, r_hat)
+        if cert is not None:
+            return cert
+    return None

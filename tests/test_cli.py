@@ -136,6 +136,53 @@ def test_dagger_gbit_rotation_refuted(capsys):
     assert body["verdicts"]["all_equivalences_consistent"] is True
 
 
+def test_dagger_unknown_variant_of_a_builtin_label_exits_two(capsys, tmp_path):
+    theory = _write(tmp_path, "theory.json", {"objects": ["builtin:gbit"], "structures": {"gbit": "rotaton"}})
+    for argv in (("builtin:gbit", "--structure", "gbit=rotaton"), (theory,)):
+        code, out, err = run(capsys, "dagger", *argv)
+        assert (code, out) == (2, "")
+        assert "unknown structure variant 'rotaton' of gbit; known: reflection, rotation" in err
+
+
+def test_dagger_variant_of_a_label_that_is_not_builtin_still_searches(capsys, tmp_path):
+    doc = com_to_json(classical(2))
+    doc["label"] = "classical_bit"
+    theory = _write(tmp_path, "theory.json", {"objects": [doc], "structures": {"classical_bit": "any"}})
+    code, out, err = run(capsys, "dagger", theory)
+    assert code == 0, err
+    assert body_of(out)["verdicts"]["dagger_compact"] is True
+
+
+def _with(doc, path, value):
+    """A copy of a JSON document with the entry at path (a key sequence)
+    set to value."""
+    doc = json.loads(json.dumps(doc))
+    *parents, last = path
+    inner = doc
+    for key in parents:
+        inner = inner[key]
+    inner[last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, doc, field, kind",
+    [
+        (("dagger",), {"objects": "builtin:gbit"}, "objects", "array"),
+        (("dagger",), {"objects": ["builtin:gbit"], "structures": ["gbit"]}, "structures", "object"),
+        (("model", "mackey"), {"outcomes": [0], "states": ["s"], "table": 1}, "table", "array"),
+        (("validate",), _with(com_to_json(gbit()), ["state_cone", "generators"], 4), "generators", "array"),
+        (("validate",), _with(com_to_json(quantum(2)), ["state_cone", "factors"], 2), "factors", "array"),
+        (("validate",), _with(com_to_json(quantum(2)), ["unit"], 1), "unit", "array"),
+    ],
+    ids=["objects", "structures", "table", "generators", "factors", "psd-unit"],
+)
+def test_fields_of_the_wrong_json_type_exit_two(capsys, tmp_path, command, doc, field, kind):
+    code, out, err = run(capsys, *command, _write(tmp_path, "doc.json", doc))
+    assert (code, out) == (2, "")
+    assert f"{field}: expected a JSON {kind}" in err
+
+
 @pytest.mark.parametrize("label", ["classical_bit", "quantum_bit", "bit"])
 def test_dagger_searches_for_labels_that_are_not_builtin_names(capsys, tmp_path, label):
     doc = com_to_json(classical(2))
@@ -360,6 +407,9 @@ def test_input_errors_at_each_parsing_site_exit_two(tmp_path, capsys, monkeypatc
     bad_kind = {"objects": ["builtin:classical2"], "composites": {"classical2|classical2": "sideways"}}
     no_qudit = com_to_json(quantum(2))
     no_qudit["state_cone"]["hilbert_dim"] = 0
+    number_unit = com_to_json(classical(2))
+    number_unit["unit"] = 5
+    listed_composites = {"objects": ["builtin:classical2"], "composites": ["min"]}
     cases = [
         (("validate", "builtin:nonsense"), "unknown builtin model 'nonsense'"),
         (("validate", _write(tmp_path, "no_unit.json", no_unit)), "missing field 'unit'"),
@@ -368,6 +418,9 @@ def test_input_errors_at_each_parsing_site_exit_two(tmp_path, capsys, monkeypatc
         (("model", "classical", "--n", "0"), "n must be at least 1"),
         (("validate", _write(tmp_path, "no_qudit.json", no_qudit)), "positive Hilbert dimensions"),
         (("compact-check", _write(tmp_path, "kind.json", bad_kind)), "unknown composite kind 'sideways'"),
+        (("validate", _write(tmp_path, "number_unit.json", number_unit)), "unit: expected a JSON array"),
+        (("compact-check", _write(tmp_path, "listed.json", listed_composites)),
+         "composites: expected a JSON object"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)

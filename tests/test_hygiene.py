@@ -1,6 +1,7 @@
 """Static hygiene of the package, read from its syntax trees: every import
-is used, and every private function is called from somewhere in the
-package.  ``__init__`` re-exports names, so its imports are exempt."""
+is used, every private function is called from somewhere in the package,
+and so is every private module-level class and constant.  ``__init__``
+re-exports names, so its imports are exempt."""
 
 import ast
 from pathlib import Path
@@ -24,7 +25,7 @@ def _references(tree) -> set[str]:
     """Every name read as a variable or as an attribute."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -56,3 +57,26 @@ def test_every_private_function_is_called():
         and node.name not in used
     ]
     assert private == []
+
+
+def _module_level_names(tree):
+    """Names bound by the module's own statements: classes, functions and
+    assignment targets, tuple targets included."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def test_every_private_module_level_name_is_read():
+    trees = _trees()
+    used = set().union(*(_references(t) for t in trees.values()))
+    unread = [
+        f"{name}: {bound}"
+        for name, tree in trees.items()
+        for bound in _module_level_names(tree)
+        if bound.startswith("_") and not bound.startswith("__") and bound not in used
+    ]
+    assert unread == []

@@ -3,10 +3,13 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import fraction_oracle as oracle
 from comcat import hermitian, lp
 from comcat.com import is_saturated, validate_com
-from comcat.errors import DegenerateTriple
+from comcat.errors import ComcatError, DegenerateTriple
 from comcat.linalg import canonical_rays, dot, matvec
 from comcat.matching import com_isomorphism
 from comcat.models import (
@@ -20,6 +23,7 @@ from comcat.models import (
     maximally_entangled_structure,
     pauli_fragment_triple,
     quantum,
+    structure_variants,
 )
 from comcat.selfdual import tau_is_identity
 
@@ -173,3 +177,57 @@ def test_mackey_degenerate():
 def test_mackey_rejects_bad_probabilities():
     with pytest.raises(ValueError):
         mackey_triple(["x"], ["s"], [[F(3, 2)]])
+
+
+@pytest.mark.parametrize("model", ["gbit", "classical3", "qubit", "quantum3"])
+def test_builtin_structures_are_the_listed_variants(model):
+    variants = structure_variants(model)
+    assert builtin_structure(model).gamma == builtin_structure(f"{model}:{variants[0]}").gamma
+    for variant in variants:
+        assert builtin_structure(f"{model}:{variant}").com.label == builtin(model).label
+
+
+_PROBABILITY = st.sampled_from([F(0), F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(1)])
+
+
+@st.composite
+def probability_tables(draw):
+    """Tables of 0-2 measurements with 2-3 outcomes each.  The base columns
+    are a distribution per measurement, so a unit exists; duplicate, zero
+    and arbitrary columns are mixed in, and a zero column (and mostly an
+    arbitrary one) leaves no unit.  With no measurement the table has no
+    outcome."""
+    sizes = draw(st.lists(st.integers(2, 3), max_size=2))
+    n = sum(sizes)
+
+    def distribution(k):
+        weights = draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any))
+        return [F(w, sum(weights)) for w in weights]
+
+    cols = [sum((distribution(k) for k in sizes), []) for _ in range(draw(st.integers(0, 5)))]
+    if cols:
+        cols += draw(st.lists(st.sampled_from(cols), max_size=2))
+    cols += [[F(0)] * n] * draw(st.integers(0, 1))
+    cols += draw(st.lists(st.lists(_PROBABILITY, min_size=n, max_size=n), max_size=1))
+    cols = draw(st.permutations(cols))
+    return mackey_triple(range(n), range(len(cols)), [[c[x] for c in cols] for x in range(n)])
+
+
+def _linearized(from_mackey, triple):
+    try:
+        com = from_mackey(triple)
+    except ComcatError as exc:
+        return type(exc), str(exc)
+    return (
+        com.label,
+        com.state_cone.generators,
+        com.effect_cone.generators,
+        com.unit,
+        tuple(map(type, com.unit)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(probability_tables())
+def test_from_mackey_equals_the_solve_per_column_oracle(triple):
+    assert _linearized(from_mackey, triple) == _linearized(oracle.from_mackey, triple)

@@ -1,14 +1,20 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction as F
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from comcat import hermitian
-from comcat.com import random_positive_map
+import fraction_oracle as oracle
+from comcat import hermitian, matching, protocols
+from comcat.com import Com, random_positive_map
+from comcat.cones import cone_from_generators
 from comcat.composites import max_tensor, min_tensor, spatial_quantum_composite
 from comcat.errors import MixedKindUnsupported, UnsupportedKind
-from comcat.linalg import identity, scale_vector
+from comcat.linalg import identity, inverse, matvec, scale_vector, transpose
 from comcat.lp import eq, lp_feasible
 from comcat.models import (
     classical,
@@ -305,3 +311,93 @@ def test_certificate_round_trip(classical_cert, c2):
     report = verify_teleportation(classical_cert, c2, c2)
     assert report.ok
     assert report.residuals["identity"] == 0
+
+
+def test_compact_check_searches_each_self_pair_once():
+    c2, c3 = classical(2), classical(3)
+    searched = []
+
+    def counted(A, B, *composites):
+        searched.append((A.label, B.label))
+        return find_teleportation(A, B, *composites)
+
+    with patch.object(protocols, "find_teleportation", counted):
+        out = check_theory_compact_closed([c2, c3], _theory_composites([c2, c3], "min"))
+    assert out["classical2"]["certificates"] == (out["classical2"]["certificates"][0],) * 2
+    assert searched == [
+        ("classical2", "classical2"),
+        ("classical3", "classical2"),
+        ("classical3", "classical3"),
+    ]
+
+
+@st.composite
+def unimodular(draw, n):
+    """An n x n integer matrix of determinant +-1: elementary row additions,
+    then a signed row permutation."""
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 4))):
+        i, j, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(-2, 2))
+        if i != j:
+            M[i] = [a + k * b for a, b in zip(M[i], M[j])]
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    return [[s * x for x in M[p]] for p, s in zip(draw(st.permutations(range(n))), signs)]
+
+
+def _in_basis(com, U):
+    """com with states carried by U and effects by U^-T, so that every
+    probability is unchanged."""
+    V = transpose(inverse(U))
+    return Com(
+        label=com.label,
+        state_cone=cone_from_generators([matvec(U, g) for g in com.state_cone.generators]),
+        effect_cone=cone_from_generators([matvec(V, e) for e in com.effect_cone.generators]),
+        unit=matvec(V, com.unit),
+    )
+
+
+@contextmanager
+def _recorded_lps():
+    """Record every LP that the teleportation search and the ray matching
+    solve: arguments and result, in call order."""
+    calls = []
+
+    def recording(solve):
+        def solve_and_record(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            calls.append((args, kwargs, result))
+            return result
+
+        return solve_and_record
+
+    with patch.object(protocols, "solve_lp", recording(protocols.solve_lp)), patch.object(
+        matching, "solve_lp", recording(matching.solve_lp)
+    ):
+        yield calls
+
+
+def _certificate_fields(cert):
+    if cert is None:
+        return None
+    fields = (cert.omega, cert.r_hat, cert.c, cert.f, cert.residual)
+    return fields, repr(fields)  # repr tells a Fraction from an int
+
+
+_MODELS = {"classical2": lambda: classical(2), "classical3": lambda: classical(3), "gbit": gbit}
+
+
+@pytest.mark.parametrize("kind", ["min", "max"])
+@pytest.mark.parametrize("b", sorted(_MODELS))
+@pytest.mark.parametrize("a", sorted(_MODELS))
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_find_teleportation_equals_the_rescaling_oracle_after_the_same_lps(a, b, kind, data):
+    A, B = (_in_basis(X, data.draw(unimodular(X.dim))) for X in (_MODELS[a](), _MODELS[b]()))
+    state_side, effect_side = {"min": (min_tensor, max_tensor), "max": (max_tensor, min_tensor)}[kind]
+    ba, ab = state_side(B, A), effect_side(A, B)
+    with _recorded_lps() as old_lps:
+        old = oracle.find_teleportation(A, B, ab, ba)
+    with _recorded_lps() as new_lps:
+        new = find_teleportation(A, B, ab, ba)
+    assert new_lps == old_lps
+    assert _certificate_fields(new) == _certificate_fields(old)
