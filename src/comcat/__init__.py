@@ -31,7 +31,7 @@ from .conditioning import (
     remote_evaluate,
     remote_evaluate_dual,
 )
-from .cones import Cone, cone_from_generators, dual_cone, interior_point, member, psd_cone
+from .cones import Cone, cone_from_generators, dual_cone, psd_cone
 from .lp import lp_feasible, solve_lp
 from .models import classical, from_mackey, gbit, mackey_triple, maximally_entangled_structure, quantum
 from .protocols import (

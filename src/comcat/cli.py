@@ -287,9 +287,17 @@ def _structure_for(com: Com, variant: str | None):
 
 def _cmd_dagger(args) -> int:
     objs, _, structure_spec, inputs = _load_theory(args.theory)
-    variants = dict(structure_spec)
+    items = [(f"structures key {label!r}", label, v) for label, v in structure_spec.items()]
     for item in args.structure or []:
-        label, _, variant = item.partition("=")
+        label, sep, variant = item.partition("=")
+        if not sep:
+            raise InputError(f"--structure {item!r}: expected LABEL=VARIANT")
+        items.append((f"--structure {item!r}", label, variant))
+    labels = [com.label for com in objs]
+    variants = {}
+    for where, label, variant in items:
+        if label not in labels:
+            raise InputError(f"{where}: no object is labelled {label!r}; objects: {', '.join(labels)}")
         variants[label] = variant
     structures = []
     for com in objs:

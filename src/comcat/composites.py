@@ -145,20 +145,20 @@ def swap_map(A: Com, B: Com) -> tuple:
     return swap_matrix(A.dim, B.dim)
 
 
-def in_max_cone(omega, A: Com, B: Com, tolerance: Optional[float] = None) -> bool:
+def in_max_cone(omega, A: Com, B: Com) -> bool:
     """Is the form omega(a, b) = a^T W b nonnegative on every pair of probe
     rays of the two effect cones (``cones.probe_rays``)?
 
     Polyhedral factors contribute all their effect generators, so for two
-    of them the answer is exact: on exact data the tolerance is zero, and
+    of them the answer is exact: the tolerance is ``tolerance_for(omega)``,
+    zero on exact data, and
     each probe ray a gives the row a^T W, tested against each probe ray of
     B in integer or Fraction arithmetic.  A PSD factor contributes its
     basis projectors and seeded pure states, so the check is sampled; with
     a nonzero tolerance all pairs are read at once as the least entry of
     Ra W Rb^T, Ra and Rb the probe rays as float arrays."""
-    if tolerance is None:
-        exact_rays = A.kind == B.kind == POLYHEDRAL
-        tolerance = tolerance_for(omega) if exact_rays else numeric_tolerance()
+    exact_rays = A.kind == B.kind == POLYHEDRAL
+    tolerance = tolerance_for(omega) if exact_rays else numeric_tolerance()
     if tolerance == 0:
         Wt = transpose(vec_to_matrix(omega, A.dim, B.dim))
         b_rays = probe_rays(B.effect_cone)

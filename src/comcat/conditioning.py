@@ -15,7 +15,9 @@ Consequences used everywhere below:
 
 Remote evaluation identities are never trusted: both sides are computed
 through different code paths (conditioning algebra vs explicit tripartite
-contraction) and compared before a result is returned.
+contraction) and compared before a result is returned.  The dual runs
+the one contraction on the swapped form and state; its algebra route
+reads them unswapped, so a wrong swap shows as a mismatch.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .linalg import (
     max_abs,
     scale_vector,
     sub_vectors,
+    swap_vector,
     tensor_vector,
     transpose,
     vec_to_matrix,
@@ -104,22 +107,6 @@ def _tripartite_left(f, omega, alpha, A: Com, B: Com, C: Com):
     return tuple(out)
 
 
-def _tripartite_right(omega, beta, f, A: Com, B: Com, C: Com):
-    """(id_A x f)(omega x beta) by explicit tensor contraction; omega is a
-    state over (A, C), f a form over (C, B), beta a state of B."""
-    F = vec_to_matrix(f, C.dim, B.dim)
-    big = tensor_vector(omega, beta)  # index (i*nC + k)*nB + j
-    nC, nB = C.dim, B.dim
-    out = []
-    for i in range(A.dim):
-        total = 0
-        for k in range(nC):
-            for j in range(nB):
-                total = total + F[k][j] * big[(i * nC + k) * nB + j]
-        out.append(total)
-    return tuple(out)
-
-
 def remote_evaluate(f, omega, alpha, A: Com, B: Com, C: Com):
     """Process an A-state through a bipartite effect on (A,B) and a shared
     state on (B,C): returns the unnormalized conditional state of C.
@@ -144,11 +131,13 @@ def remote_evaluation_residual(f, omega, alpha, A: Com, B: Com, C: Com):
 def remote_evaluate_dual(f, omega, beta, A: Com, B: Com, C: Com):
     """Mirror protocol: omega lives on (A,C), f on (C,B), beta is a state
     of B; returns hat(omega)^*(hat(f)^*(beta)) in A, checked against the
-    contraction (id_A x f)(omega x beta)."""
+    contraction (id_A x f)(omega x beta), computed as the forward
+    contraction (sigma f x id_A)(beta x sigma omega) over (B, C, A)."""
     f_hat_star = vec_to_matrix(f, C.dim, B.dim)
     omega_hat_star = conditioning_adjoint(omega, A, C)
     rhs = matvec(omega_hat_star, matvec(f_hat_star, beta))
-    lhs = _tripartite_right(omega, beta, f, A, B, C)
+    f_swapped, omega_swapped = swap_vector(f, C.dim, B.dim), swap_vector(omega, A.dim, C.dim)
+    lhs = _tripartite_left(f_swapped, omega_swapped, beta, B, C, A)
     residual = max_abs(sub_vectors(lhs, rhs))
     if residual > tolerance_for(f, omega, beta):
         raise RemoteEvalMismatch(f"dual remote evaluation: sides differ by {residual}")

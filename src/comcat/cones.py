@@ -4,9 +4,9 @@ A polyhedral cone keeps two interchangeable descriptions: extreme
 generators and facet inequalities.  Either may be supplied at
 construction; the other is derived on demand by the double-description
 method in exact integer arithmetic: start from the simplicial cone of n
-independent rows and insert the remaining rows one at a time.  Both
-directions are the same computation, since the generators of a cone are
-the facet normals of its dual.
+independent rows, read off one elimination, and insert the remaining
+rows one at a time.  Both directions are the same computation, since the
+generators of a cone are the facet normals of its dual.
 
 Storage invariant: each polyhedral description, from either factory,
 ``dual_cone`` or a lazy conversion, is a tuple of sorted, distinct,
@@ -60,15 +60,14 @@ class Cone:
     the lazy representation conversion is idempotent, so a rare duplicated
     computation is the only cost of racing callers."""
 
-    __slots__ = ("kind", "dim", "_generators", "_facets", "hilbert_dims", "self_dual")
+    __slots__ = ("kind", "dim", "_generators", "_facets", "hilbert_dims")
 
-    def __init__(self, kind, dim, generators=None, facets=None, hilbert_dims=None, self_dual=False):
+    def __init__(self, kind, dim, generators=None, facets=None, hilbert_dims=None):
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "_generators", generators)
         object.__setattr__(self, "_facets", facets)
         object.__setattr__(self, "hilbert_dims", hilbert_dims)
-        object.__setattr__(self, "self_dual", self_dual)
 
     def __setattr__(self, *_):
         raise AttributeError("Cone is immutable")
@@ -192,7 +191,7 @@ def psd_cone(hilbert_dims: Iterable[int] | int) -> Cone:
     dims = (hilbert_dims,) if isinstance(hilbert_dims, int) else tuple(hilbert_dims)
     if not dims or any(d < 1 for d in dims):
         raise InputError("a PSD cone needs one or more positive Hilbert dimensions")
-    return Cone(PSD, hermitian.ambient_dim(dims), hilbert_dims=dims, self_dual=True)
+    return Cone(PSD, hermitian.ambient_dim(dims), hilbert_dims=dims)
 
 
 def _pointed(rays, n) -> bool:
@@ -219,23 +218,28 @@ def _enumerate_facets(rays, n) -> tuple:
     """All facet normals of cone(rays), which must span R^n: the extreme
     rays of {h : h.r >= 0 for every r}, by integer double description.
 
-    The cone on n independent rows is simplicial; each further row cuts
+    The cone on n independent rows B is simplicial, with the columns of
+    B^-1 as its rays, all read off one elimination; each further row cuts
     it, keeping the rays on its nonnegative side and adding the primitive
     combination of every adjacent pair it separates.  Tight sets are bit
     masks over the rows inserted so far; two rays are adjacent when they
-    share at least n-2 tight rows and no third ray is tight on all of
-    them (Fukuda & Prodon 1996, Proposition 7)."""
+    share at least n-2 tight rows and no third ray is tight on all of them
+    (Fukuda & Prodon 1996, Proposition 7)."""
     if n == 1:
         return (primitive(rays[0]),)
     prim = [primitive(r) for r in rays]
     basis, _ = _eliminate(list(zip(*prim)))  # the first n independent rows
-    basis_mask = sum(1 << i for i in basis)
-    current = []  # (ray, tight-set mask)
-    for i in basis:
-        h = _kernel_if_corank_one([prim[j] for j in basis if j != i], n)
-        if dot(h, prim[i]) < 0:
-            h = tuple(-x for x in h)
-        current.append((h, basis_mask & ~(1 << i)))
+    # [B | I] reduces to d [I | B^-1], B the basis rows; column k of
+    # sign(d) d B^-1 is tight on every basis row but the k-th and positive
+    # on that one, so its primitive is the k-th ray of the start cone.
+    rows = [[*prim[j], *(int(i == k) for i in range(n))] for k, j in enumerate(basis)]
+    _, d = _eliminate(rows, reduce=True)
+    sign = 1 if d > 0 else -1
+    basis_mask = sum(1 << j for j in basis)
+    current = [  # (ray, tight-set mask)
+        (primitive([sign * row[n + k] for row in rows]), basis_mask & ~(1 << j))
+        for k, j in enumerate(basis)
+    ]
     chosen = set(basis)
     for j, row in enumerate(prim):
         if j in chosen:
@@ -264,28 +268,12 @@ def _enumerate_facets(rays, n) -> tuple:
     return tuple(sorted(ray for ray, _ in current))
 
 
-def _kernel_if_corank_one(rows: list[list[int]], n: int):
-    """Primitive integer kernel vector of an (n-1) x n integer matrix of
-    rank n-1, or None when the rank is lower.  The reduced elimination
-    leaves rows / d in RREF, so the kernel is d on the free column and
-    -row_i[free] on the pivot column of row i."""
-    pivots, d = _eliminate(rows, reduce=True)
-    if len(pivots) != n - 1:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    h = [0] * n
-    h[free] = d
-    for row, c in zip(rows, pivots):
-        h[c] = -row[free]
-    return primitive(h if d > 0 else [-x for x in h])
-
-
 def dual_cone(C: Cone) -> Cone:
     """Dual cone.  Polyhedral: generated by the facet normals (facets are
     recomputed by enumeration, so the double dual is a genuine check).
-    PSD: the same cone, flagged self-dual."""
+    PSD: the same cone, which is self-dual."""
     if C.kind == PSD:
-        return Cone(PSD, C.dim, hilbert_dims=C.hilbert_dims, self_dual=True)
+        return C
     return cone_from_generators(C.facets)
 
 
@@ -339,10 +327,3 @@ def rays_leaving(M, source: Cone, target: Cone, seed: int = 0) -> Iterator[tuple
         return iter([source.generators[i] for i in leaving])
     return iter([tuple(X[i].tolist()) for i in leaving])
 
-
-def member(C: Cone, x) -> bool:
-    return C.member(x)
-
-
-def interior_point(C: Cone) -> tuple:
-    return C.interior_point()

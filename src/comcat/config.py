@@ -12,7 +12,7 @@ decides them:
 
 - which cone description decides a predicate: facet or generator signs
   for a polyhedral cone, eigenvalues for a PSD one;
-- the default tolerance of ``composites.in_max_cone``, because a PSD
+- the tolerance of ``composites.in_max_cone``, because a PSD
   factor's probe rays are float data even when the form is exact;
 - the refusal of floats in exact models by ``cli``'s ``remote-eval``, an
   input-format rule.

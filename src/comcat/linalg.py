@@ -5,8 +5,9 @@ int tuples); spectral data is float-valued.  The generic routines below
 work for all of them because they only use +, -, *, / and comparisons.
 The exact eliminations (rref, rank, solve, nullspace, inverse) scale each
 row to primitive integers and run on integers through one fraction-free
-Bareiss kernel, ``_eliminate``; only their results are Fractions.  The
-characteristic polynomial is computed over Fractions.
+Bareiss kernel, ``_eliminate``, whose ``row_step`` the simplex of ``lp``
+shares, as it shares ``integer_scaling``; only their results are
+Fractions.  The characteristic polynomial is computed over Fractions.
 
 Vectors are tuples, matrices are tuples of row tuples.  Integer entries
 are acceptable everywhere, but int / int is a float: exact callers that
@@ -187,6 +188,11 @@ def swap_matrix(n_a: int, n_b: int) -> Matrix:
     return matrix(rows)
 
 
+def swap_vector(v, n_a: int, n_b: int) -> Vector:
+    """``swap_matrix(n_a, n_b)`` applied to v: vec of the transposed form."""
+    return matrix_to_vec(transpose(vec_to_matrix(v, n_a, n_b)))
+
+
 def max_abs(obj) -> float:
     """Largest absolute entry of a scalar, vector or matrix."""
     if not isinstance(obj, (list, tuple)):
@@ -236,11 +242,21 @@ def _eliminate(rows: list, reduce: bool = False) -> tuple[list[int], int]:
         p = row_r[c]
         for i in range(0 if reduce else r + 1, m):
             if i != r:
-                f = rows[i][c]
-                rows[i] = [(p * a - f * b) // d for a, b in zip(rows[i], row_r)]
+                rows[i] = row_step(rows[i], row_r, c, p, d)
         pivots.append(c)
         d = p
     return pivots, d
+
+
+def row_step(row, pivot_row, c, p, d):
+    """Edmonds' exact step (p * row - row[c] * pivot_row) / d, p the pivot
+    in column c and d the one before; a row with row[c] == 0 is rescaled."""
+    f = row[c]
+    if f:
+        return [(p * x - f * y) // d for x, y in zip(row, pivot_row)]
+    if p == d:
+        return row
+    return [p * x // d for x in row]
 
 
 def rref(M: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
@@ -291,19 +307,26 @@ def inverse(M) -> Matrix:
     n = len(M)
     if any(len(r) != n for r in M):
         raise DimensionMismatch("inverse of a non-square matrix")
-    aug = [list(map(frac, M[i])) + [Fraction(1 if j == i else 0) for j in range(n)] for i in range(n)]
+    aug = [[*M[i], *(int(i == j) for j in range(n))] for i in range(n)]
     rows, pivots = rref(aug)
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
     return tuple(tuple(rows[i][n:]) for i in range(n))
 
 
+def integer_scaling(values) -> tuple[int, list[int]]:
+    """(s, ints): the least s > 0 with every s * value an integer, and those."""
+    if all(type(v) is int for v in values):
+        return 1, list(values)
+    values = [v if isinstance(v, (int, Fraction)) else frac(v) for v in values]
+    s = lcm(*(v.denominator for v in values))
+    return s, [v.numerator * (s // v.denominator) for v in values]
+
+
 def primitive(v) -> Vector:
     """Scale an exact vector to coprime integers; sign is preserved."""
     if not all(type(x) is int for x in v):
-        v = [x if isinstance(x, (int, Fraction)) else frac(x) for x in v]
-        den = lcm(*(x.denominator for x in v))
-        v = [x.numerator * (den // x.denominator) for x in v]
+        v = integer_scaling(v)[1]
     g = gcd(*v)
     if g == 0:
         return tuple(0 for _ in v)

@@ -3,15 +3,16 @@
 Variables are free unless declared nonnegative; constraints are equalities
 or one-sided inequalities whose exact data (int, Fraction) is stored as
 given.  The simplex runs on an integer-preserving tableau (Edmonds'
-fraction-free pivoting, as in Bareiss elimination): every row is kept as
-integers over one common denominator, the determinant of the current
-basis, and each pivot divides exactly.
+fraction-free pivoting, the row step of ``linalg``'s Bareiss elimination):
+every row is kept as integers over one common denominator, the determinant
+of the current basis, and each pivot divides exactly.
 Each constraint row is scaled to integers by the lcm s_i of its own
-denominators, which makes the starting (artificial) basis diag(s_i) and
-the starting denominator prod s_i; one lcm shared by all rows is not a
-basis determinant and would break the exact divisions.  Answers are exact:
-a returned point satisfies every constraint with Fraction arithmetic, and
-"infeasible" is a proof, not a tolerance call.
+denominators (``linalg.integer_scaling``), which makes the starting
+(artificial) basis diag(s_i) and the starting denominator prod s_i; one
+lcm shared by all rows is not a basis determinant and would break the
+exact divisions.  Answers are exact: a returned point satisfies every
+constraint with Fraction arithmetic, and "infeasible" is a proof, not a
+tolerance call.
 
 The tableau has two storages, chosen once per LP from its size: Python-int
 rows below ``_ARRAY_MIN_CELLS`` (200) rows x columns, one ``numpy.int64``
@@ -29,12 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .linalg import frac
+from .linalg import integer_scaling, row_step
 
 LE, GE, EQ = "<=", ">=", "=="
 
@@ -89,7 +90,8 @@ class _Tableau:
     the reduced costs followed by ``d`` times the negated objective value.
     With ``d`` the determinant of the basis B (up to sign) in the
     integer-scaled constraint matrix, every entry is an integer by Cramer's
-    rule, and Edmonds' pivot update below divides exactly.  The cost row is
+    rule, and Edmonds' pivot update divides exactly: ``linalg.row_step`` on
+    list rows, the same formula on a whole array at once.  The cost row is
     updated by the same rule as every other row, never recomputed.
 
     Storage is chosen once, from the tableau's size: below
@@ -203,7 +205,7 @@ class _Tableau:
                 p = -p
             for i, row in enumerate(table):
                 if i != r:
-                    table[i] = _update(row, pr, c, p, d)
+                    table[i] = row_step(row, pr, c, p, d)
         self.d = p
         self.basis[r] = c
 
@@ -246,25 +248,6 @@ def _int64(rows):
     if array.min() > -_INT64_SAFE and array.max() < _INT64_SAFE:
         return array
     return None
-
-
-def _update(row, pr, c, p, d):
-    """Edmonds' exact step for one row: (p * row - row[c] * pr) / d."""
-    f = row[c]
-    if f:
-        return [(p * x - f * y) // d for x, y in zip(row, pr)]
-    if p == d:
-        return row
-    return [p * x // d for x in row]
-
-
-def _integral(values) -> tuple[int, list[int]]:
-    """(s, ints): the least s > 0 with every s * value an integer, and those."""
-    if all(type(v) is int for v in values):
-        return 1, list(values)
-    values = [v if isinstance(v, (int, Fraction)) else frac(v) for v in values]
-    s = lcm(*(v.denominator for v in values))
-    return s, [v.numerator * (s // v.denominator) for v in values]
 
 
 def solve_lp(
@@ -315,7 +298,7 @@ def solve_lp(
     scaled, scales = [], []
     slack = ncols
     for i, con in enumerate(constraints):
-        s, ints = _integral((*con.coeffs, con.rhs))
+        s, ints = integer_scaling((*con.coeffs, con.rhs))
         row = expand(ints[:-1], art_start + nrows + 1)
         if con.rel in (LE, GE):
             row[slack] = s if con.rel == LE else -s
@@ -355,7 +338,7 @@ def solve_lp(
     if objective is not None:
         # Objective scaled to integers by the lcm of its denominators: the
         # reduced costs keep their signs, so the pivots do not change.
-        scale, ints = _integral(objective)
+        scale, ints = integer_scaling(objective)
         obj = expand(ints, art_start)
         if maximize:
             obj = [-x for x in obj]

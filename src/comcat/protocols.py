@@ -139,7 +139,7 @@ def _candidate_omegas_stage2(A: Com, B: Com, composite_ba: CompositeCom):
     gens_ba = composite_ba.state_cone.generators
     for image in permutations(range(len(b_rays)), len(a_rays)):
         r_hat = _solve_matching(a_rays, [b_rays[j] for j in image], n_b, n_a)
-        if r_hat is None or all(x == 0 for row in r_hat for x in row):
+        if r_hat is None:
             continue
         omega = _solve_omega(r_hat, A, B, gens_ba)
         if omega is not None:

@@ -39,6 +39,7 @@ from .linalg import (
     rank,
     sub_matrices,
     sub_vectors,
+    swap_vector,
     symmetric_inertia,
     transpose,
     vec_to_matrix,
@@ -298,7 +299,7 @@ def counit_dual_check(D_A: DualityStructure) -> dict:
     n = D_A.com.dim
     K = transpose(D_A.gamma_hat)
     f_adjoint = matrix_to_vec(matmul(matmul(K, vec_to_matrix(D_A.f, n, n)), transpose(K)))
-    swapped_gamma = _swap(D_A.gamma, n)
+    swapped_gamma = swap_vector(D_A.gamma, n, n)
     residual = max_abs(sub_vectors(f_adjoint, swapped_gamma))
     return {
         "f_adjoint": f_adjoint,
@@ -306,12 +307,6 @@ def counit_dual_check(D_A: DualityStructure) -> dict:
         "residual": residual,
         "holds": residual <= tolerance_for(f_adjoint, swapped_gamma),
     }
-
-
-def _swap(v, n: int) -> tuple:
-    """sigma . v for a vector over (A, A), dim A = n: vec of the transposed
-    form matrix."""
-    return matrix_to_vec(transpose(vec_to_matrix(v, n, n)))
 
 
 def strongly_self_dual(D_A: DualityStructure) -> bool:

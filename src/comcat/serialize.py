@@ -106,8 +106,12 @@ def cone_to_json(C: Cone) -> dict:
 def cone_from_json(data: dict) -> Cone:
     kind = json_field(data, "kind")
     if kind == "psd":
-        dims = tuple(expect_json(data.get("factors", [json_field(data, "hilbert_dim")]), list, "factors"))
-        return psd_cone(dims)
+        total = json_field(data, "hilbert_dim")
+        factors = expect_json(data.get("factors", [total]), list, "factors")
+        for field, dims in (("hilbert_dim", [total]), ("factors", factors)):
+            if not all(type(d) is int for d in dims):  # a bool is no dimension
+                raise SchemaError(f"{field}: Hilbert dimensions must be JSON integers, got {data[field]!r}")
+        return psd_cone(tuple(factors))
     if kind != "polyhedral":
         raise SchemaError(f"unknown cone kind {kind!r}")
     gens = [

@@ -43,6 +43,12 @@ every state's coordinates, the unit and every outcome functional (with
 scale off the diagonal of hat(omega) . r_hat.  The package's versions must
 return equal models (or raise the same message) and equal certificates
 after the same LPs.
+
+``remote_evaluate_dual`` is that function as it was when it checked its
+result against its own mirrored contraction, ``_tripartite_right``, before
+it ran the forward contraction on the swapped form and state.  The
+package's version must return the same vector and raise on the same
+inputs.
 """
 
 from fractions import Fraction
@@ -55,7 +61,7 @@ from comcat.com import Com, is_morphism, is_saturated, process_scale
 from comcat.composites import CompositeCom
 from comcat import cones
 from comcat.cones import POLYHEDRAL, Cone, _canonical_input
-from comcat.conditioning import form_matrix, marginals
+from comcat.conditioning import conditioning_adjoint, form_matrix, marginals
 from comcat.config import numeric_tolerance, tolerance_for
 from comcat.errors import (
     DegenerateTriple,
@@ -63,6 +69,7 @@ from comcat.errors import (
     NotAMorphism,
     NotGenerating,
     NotPointed,
+    RemoteEvalMismatch,
     SingularMatrix,
     ZeroMap,
     ZeroProbabilityCondition,
@@ -82,7 +89,9 @@ from comcat.linalg import (
     scale_matrix,
     scale_vector,
     sub_matrices,
+    sub_vectors,
     symmetric_inertia,
+    tensor_vector,
     transpose,
     vec_to_matrix,
 )
@@ -678,3 +687,33 @@ def find_teleportation(
         if cert is not None:
             return cert
     return None
+
+
+def _tripartite_right(omega, beta, f, A: Com, B: Com, C: Com):
+    """(id_A x f)(omega x beta) by explicit tensor contraction; omega is a
+    state over (A, C), f a form over (C, B), beta a state of B."""
+    F = vec_to_matrix(f, C.dim, B.dim)
+    big = tensor_vector(omega, beta)  # index (i*nC + k)*nB + j
+    nC, nB = C.dim, B.dim
+    out = []
+    for i in range(A.dim):
+        total = 0
+        for k in range(nC):
+            for j in range(nB):
+                total = total + F[k][j] * big[(i * nC + k) * nB + j]
+        out.append(total)
+    return tuple(out)
+
+
+def remote_evaluate_dual(f, omega, beta, A: Com, B: Com, C: Com):
+    """Mirror protocol: omega lives on (A,C), f on (C,B), beta is a state
+    of B; returns hat(omega)^*(hat(f)^*(beta)) in A, checked against the
+    contraction (id_A x f)(omega x beta)."""
+    f_hat_star = vec_to_matrix(f, C.dim, B.dim)
+    omega_hat_star = conditioning_adjoint(omega, A, C)
+    rhs = matvec(omega_hat_star, matvec(f_hat_star, beta))
+    lhs = _tripartite_right(omega, beta, f, A, B, C)
+    residual = max_abs(sub_vectors(lhs, rhs))
+    if residual > tolerance_for(f, omega, beta):
+        raise RemoteEvalMismatch(f"dual remote evaluation: sides differ by {residual}")
+    return rhs

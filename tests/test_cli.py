@@ -410,6 +410,11 @@ def test_input_errors_at_each_parsing_site_exit_two(tmp_path, capsys, monkeypatc
     number_unit = com_to_json(classical(2))
     number_unit["unit"] = 5
     listed_composites = {"objects": ["builtin:classical2"], "composites": ["min"]}
+    string_dim = com_to_json(quantum(2))
+    string_dim["state_cone"]["hilbert_dim"] = "2"
+    string_factor = com_to_json(quantum(2))
+    string_factor["state_cone"]["factors"] = ["2"]
+    stray_structure = {"objects": ["builtin:gbit"], "structures": {"nothere": "rotation"}}
     cases = [
         (("validate", "builtin:nonsense"), "unknown builtin model 'nonsense'"),
         (("validate", _write(tmp_path, "no_unit.json", no_unit)), "missing field 'unit'"),
@@ -421,6 +426,15 @@ def test_input_errors_at_each_parsing_site_exit_two(tmp_path, capsys, monkeypatc
         (("validate", _write(tmp_path, "number_unit.json", number_unit)), "unit: expected a JSON array"),
         (("compact-check", _write(tmp_path, "listed.json", listed_composites)),
          "composites: expected a JSON object"),
+        (("validate", _write(tmp_path, "string_dim.json", string_dim)),
+         "hilbert_dim: Hilbert dimensions must be JSON integers, got '2'"),
+        (("validate", _write(tmp_path, "string_factor.json", string_factor)),
+         "factors: Hilbert dimensions must be JSON integers, got ['2']"),
+        (("dagger", "builtin:gbit", "--structure", "nothere=rotation"),
+         "--structure 'nothere=rotation': no object is labelled 'nothere'; objects: gbit"),
+        (("dagger", "builtin:gbit", "--structure", "gbit"), "--structure 'gbit': expected LABEL=VARIANT"),
+        (("dagger", _write(tmp_path, "stray.json", stray_structure)),
+         "structures key 'nothere': no object is labelled 'nothere'; objects: gbit"),
     ]
     for argv, message in cases:
         code, out, err = run(capsys, *argv)

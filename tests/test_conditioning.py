@@ -18,7 +18,7 @@ from comcat.conditioning import (
     remote_evaluate,
     remote_evaluate_dual,
 )
-from comcat.errors import NotNonsignalingState, ZeroProbabilityCondition
+from comcat.errors import NotNonsignalingState, RemoteEvalMismatch, ZeroProbabilityCondition
 from comcat.linalg import (
     dot,
     matvec,
@@ -230,6 +230,51 @@ def test_remote_evaluate_dual_mirrors(c2):
     # omega = alpha0 x gamma0 over (A, C); f = a x b over (C, B)
     expected = scale_vector(dot(a, (F(1, 2), F(1, 2))) * dot(b, beta), (F(2, 3), F(1, 3)))
     assert out == expected
+
+
+EXACT_MODELS = {"c2": classical(2), "c3": classical(3), "gbit": gbit()}
+RATIONALS = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+
+
+def _dual_outcome(f, omega, beta, A, B, C, evaluate):
+    try:
+        return repr(evaluate(f, omega, beta, A, B, C))
+    except RemoteEvalMismatch:
+        return "mismatch"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_remote_evaluate_dual_matches_the_mirrored_contraction_exact(data):
+    # A, B, C drawn independently, so the swaps are of non-square forms too.
+    A, B, C = (EXACT_MODELS[data.draw(st.sampled_from(sorted(EXACT_MODELS)))] for _ in range(3))
+    f = tuple(data.draw(st.lists(RATIONALS, min_size=C.dim * B.dim, max_size=C.dim * B.dim)))
+    omega = tuple(data.draw(st.lists(RATIONALS, min_size=A.dim * C.dim, max_size=A.dim * C.dim)))
+    beta = tuple(data.draw(st.lists(RATIONALS, min_size=B.dim, max_size=B.dim)))
+    expected = _dual_outcome(f, omega, beta, A, B, C, oracle.remote_evaluate_dual)
+    assert expected != "mismatch"
+    assert _dual_outcome(f, omega, beta, A, B, C, remote_evaluate_dual) == expected
+
+
+def test_remote_evaluate_dual_matches_the_mirrored_contraction_float(qubit):
+    rng = np.random.default_rng(14)
+    for _ in range(50):
+        f, omega = (tuple(rng.normal(size=16).tolist()) for _ in range(2))
+        beta = tuple(rng.normal(size=4).tolist())
+        expected = _dual_outcome(f, omega, beta, qubit, qubit, qubit, oracle.remote_evaluate_dual)
+        assert expected != "mismatch"
+        assert _dual_outcome(f, omega, beta, qubit, qubit, qubit, remote_evaluate_dual) == expected
+
+
+def test_remote_evaluate_dual_catches_a_swap_that_does_not_transpose(monkeypatch):
+    c2, c3 = classical(2), classical(3)
+    f = (F(1), F(2), F(3), F(4), F(5), F(6))  # over (C, B) = (c2, c3)
+    omega = (F(1), F(0), F(2), F(1), F(0), F(3))  # over (A, C) = (c3, c2)
+    beta = (F(1), F(2), F(3))
+    remote_evaluate_dual(f, omega, beta, c3, c3, c2)
+    monkeypatch.setattr("comcat.conditioning.swap_vector", lambda v, n_a, n_b: tuple(v))
+    with pytest.raises(RemoteEvalMismatch):
+        remote_evaluate_dual(f, omega, beta, c3, c3, c2)
 
 
 def _random_effect(rng, model):

@@ -8,7 +8,7 @@ only checks small inputs; larger models are pinned by their known counts.
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
@@ -73,6 +73,26 @@ def test_double_description_matches_brute_force_both_directions(case):
     # Long facet lists are left out to keep the oracle's subsets few.
     if n > 1 and len(facets) <= n + 6 and rank(facets) == n:
         assert _enumerate_facets(facets, n) == brute_force_facets(facets, n)
+
+
+@st.composite
+def independent_rows(draw):
+    """n independent integer rows in R^n, n in 1..8, in any order, so the
+    last pivot d of their elimination takes either sign."""
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n), min_size=n, max_size=n))
+    assume(rank(rows) == n)
+    return n, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(independent_rows())
+@example((2, [(-1, 0), (0, 1)]))  # last pivot d = -1
+@example((3, [(0, 2, 1), (1, 0, 0), (0, 1, -1)]))  # d = -3 after a row swap
+def test_start_cone_of_independent_rows_matches_brute_force(case):
+    # n independent rows: the start cone is the whole answer.
+    n, rows = case
+    assert _enumerate_facets(rows, n) == brute_force_facets(rows, n)
 
 
 def test_simplicial_input_matches_brute_force():

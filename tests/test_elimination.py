@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 from comcat import linalg as la
-from comcat.cones import _kernel_if_corank_one
 
 INTEGERS = st.integers(-4, 4)
 RATIONALS = st.one_of(INTEGERS, st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
@@ -65,14 +64,6 @@ def test_inverse_matches_oracle(M):
             la.inverse(M)
     else:
         assert la.inverse(M) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(2, 8).flatmap(lambda n: matrices(INTEGERS, rows=n - 1, cols=n)))
-def test_kernel_if_corank_one_matches_oracle(rows):
-    n = len(rows[0])
-    expected = oracle.kernel_if_corank_one(rows, n)
-    assert _kernel_if_corank_one([list(r) for r in rows], n) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -50,6 +50,22 @@ def test_swap_matrix():
     assert la.matvec(S, la.tensor_vector(x, y)) == la.tensor_vector(y, x)
 
 
+# One entry type per vector, as a matrix product keeps it; floats without
+# -0.0, which the product's sum turns into 0.0.
+SWAP_ENTRIES = (
+    st.integers(-9, 9),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 5)),
+    st.floats(-1e6, 1e6).map(lambda x: x + 0.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.sampled_from(SWAP_ENTRIES), st.data())
+def test_swap_vector_is_the_swap_matrix_applied(n_a, n_b, entries, data):
+    v = tuple(data.draw(st.lists(entries, min_size=n_a * n_b, max_size=n_a * n_b)))
+    assert repr(la.swap_vector(v, n_a, n_b)) == repr(la.matvec(la.swap_matrix(n_a, n_b), v))
+
+
 def test_rank():
     assert la.rank(((1, 0), (0, 1))) == 2
     assert la.rank(((1, 2), (2, 4))) == 1

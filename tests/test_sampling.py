@@ -242,9 +242,13 @@ def test_in_max_cone_equals_loop_across_kinds(A_name, B_name):
 def test_in_max_cone_keeps_a_form_on_the_tolerance_boundary():
     t = 2.0**-20
     c2 = classical(2)
-    for w, expected in (((1.0, -t, 0.5, 1.0), True), ((1.0, -2 * t, 0.5, 1.0), False)):
-        assert in_max_cone(w, c2, c2, tolerance=t) is expected
-        assert oracle.in_max_cone(w, c2, c2, tolerance=t) is expected
+    set_tolerance(t)
+    try:
+        for w, expected in (((1.0, -t, 0.5, 1.0), True), ((1.0, -2 * t, 0.5, 1.0), False)):
+            assert in_max_cone(w, c2, c2) is expected
+            assert oracle.in_max_cone(w, c2, c2, tolerance=t) is expected
+    finally:
+        set_tolerance(None)
 
 
 def test_batched_is_composite_on_the_spatial_composites():
