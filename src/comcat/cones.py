@@ -31,12 +31,15 @@ source's probe rays (``rays_leaving``): every generator of a polyhedral
 cone, and a fixed seeded set of pure states of a PSD cone.  A polyhedral
 target is tested ray by ray in exact arithmetic; a PSD target in one
 batch of float arrays (``_probe_array``, one matrix product and one
-batched eigenvalue call), which is built anew for each check and cached
-nowhere.
+batched eigenvalue call).  The seeded unit vectors behind a PSD probe set
+are drawn once per process for each (d, seed) (``_probe_vectors``, a
+bounded cache of read-only arrays); their projector coordinates are
+formed anew for each check.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -297,14 +300,28 @@ def probe_rays(C: Cone, seed: int = 0) -> tuple:
 
 
 def _probe_array(C: Cone, seed: int = 0) -> np.ndarray:
-    """``probe_rays`` as one (k, n) float array, built anew on each call."""
+    """``probe_rays`` as one new (k, n) float array: the projector
+    coordinates of ``_probe_vectors`` in the cone's factor basis."""
     if C.kind == POLYHEDRAL:
         return np.array(C.generators, dtype=float)
-    d = prod(C.hilbert_dims)
+    return hermitian.projector_coords(_probe_vectors(prod(C.hilbert_dims), seed), C.hilbert_dims)
+
+
+@lru_cache()
+def _probe_vectors(d: int, seed: int) -> np.ndarray:
+    """The (d + PROBE_SAMPLES, d) complex unit vectors of a PSD probe set
+    on C^d: the computational basis, then PROBE_SAMPLES normalized draws
+    from the seeded normal stream.  Memoized on (d, seed), so cones whose
+    factor dims have the same product share a draw; the array is
+    read-only because every caller holds the same one.  The default bound
+    of 128 entries keeps caller-chosen seeds from growing it without
+    limit."""
     z = np.random.default_rng(seed).normal(size=(PROBE_SAMPLES, 2, d))
     v = z[:, 0] + 1j * z[:, 1]
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return hermitian.projector_coords(np.concatenate([np.eye(d), v]), C.hilbert_dims)
+    V = np.concatenate([np.eye(d), v])
+    V.flags.writeable = False
+    return V
 
 
 def rays_leaving(M, source: Cone, target: Cone, seed: int = 0) -> Iterator[tuple]:

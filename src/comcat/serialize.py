@@ -4,12 +4,18 @@ Rationals serialize as "p/q" strings (plain ints when integral) so that
 round-trips are lossless; floats pass through as JSON numbers.  Exact
 (polyhedral) data refuses floats: the generators of a polyhedral cone and
 the unit of a polyhedral model must be integers or "p/q" strings.
+
+``dumps`` writes sorted-key JSON text: compact by ``json``'s C encoder, or
+indented, as the CLI prints its reports, by a one-pass writer whose text
+is byte for byte that of ``json.dumps(obj, sort_keys=True, indent=...)``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import lru_cache
+from math import prod
 from typing import Any
 
 from .com import Com
@@ -89,10 +95,7 @@ def matrix_to_json(M):
 def cone_to_json(C: Cone) -> dict:
     if C.kind == PSD:
         dims = C.hilbert_dims
-        total = 1
-        for d in dims:
-            total *= d
-        out: dict[str, Any] = {"kind": "psd", "hilbert_dim": total}
+        out: dict[str, Any] = {"kind": "psd", "hilbert_dim": prod(dims)}
         if len(dims) > 1:
             out["factors"] = list(dims)
         return out
@@ -111,6 +114,8 @@ def cone_from_json(data: dict) -> Cone:
         for field, dims in (("hilbert_dim", [total]), ("factors", factors)):
             if not all(type(d) is int for d in dims):  # a bool is no dimension
                 raise SchemaError(f"{field}: Hilbert dimensions must be JSON integers, got {data[field]!r}")
+        if prod(factors) != total:
+            raise SchemaError(f"hilbert_dim: {total} is not the product of the factors {factors}")
         return psd_cone(tuple(factors))
     if kind != "polyhedral":
         raise SchemaError(f"unknown cone kind {kind!r}")
@@ -199,5 +204,62 @@ def state_from_json(data, field: str | None = None) -> tuple:
     return exact_vector_from_json(data, field)
 
 
-def dumps(obj, **kwargs) -> str:
-    return json.dumps(obj, sort_keys=True, **kwargs)
+def dumps(obj, indent: int | None = None) -> str:
+    """JSON text of obj with sorted keys: one line by the C encoder, or,
+    given an indent, the same text as ``json.dumps(obj, sort_keys=True,
+    indent=indent)``, written in one pass."""
+    if indent is None:
+        return json.dumps(obj, sort_keys=True)
+    out: list[str] = []
+    _write_indented(obj, out, "\n", " " * indent)
+    return "".join(out)
+
+
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@lru_cache()
+def _flat_encoder(inner: str):
+    """The C encoder's ``encode`` for a container of scalars whose items
+    sit on their own lines, each after the newline and indentation inner."""
+    return json.JSONEncoder(sort_keys=True, separators=("," + inner, ": ")).encode
+
+
+def _key_text(key) -> str:
+    """An object key as ``json`` writes it: a string, or a number, bool or
+    None in quotes."""
+    if isinstance(key, str):
+        return json.encoder.encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):  # bool is an int
+        return json.encoder.encode_basestring_ascii(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _write_indented(obj, out: list, pad: str, step: str) -> None:
+    """Append the indented text of obj to out; pad is the newline and
+    indentation of obj's own line.  Scalars and empty containers are
+    written by the C encoder, as is a container of scalars, in one call;
+    json's pure-Python indenting encoder is the one thing bypassed."""
+    if not isinstance(obj, (dict, list, tuple)) or not obj:
+        out.append(json.dumps(obj))
+        return
+    inner = pad + step
+    is_dict = isinstance(obj, dict)
+    if _SCALARS.issuperset(map(type, obj.values() if is_dict else obj)):
+        text = _flat_encoder(inner)(obj)
+        out.append(text[0] + inner + text[1:-1] + pad + text[-1])
+        return
+    if is_dict:
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            out.append(sep + _key_text(key) + ": ")
+            _write_indented(value, out, inner, step)
+            sep = "," + inner
+        out.append(pad + "}")
+    else:
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _write_indented(value, out, inner, step)
+            sep = "," + inner
+        out.append(pad + "]")

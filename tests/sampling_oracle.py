@@ -22,6 +22,11 @@ gamma_hat and f_hat, the residuals written after construction, and the
 twist's inverse recomputed by ``_tau_is_automorphism``.  The derived
 record must equal them to the bit.
 
+``probe_array`` is ``cones._probe_array`` as it was before the seeded
+draw behind a PSD probe set was memoized: the normal stream drawn,
+normalized and stacked under the basis on every call.  The memoized
+arrays must equal it to the bit.
+
 ``loop_matmul`` and ``loop_max_abs`` are ``linalg.matmul`` and
 ``linalg.max_abs`` as they were before float data went through numpy:
 one ``dot`` per entry, one recursive ``abs`` per entry.  The numpy
@@ -71,6 +76,16 @@ def psd_state_samples(dims, seed=0, count=24):
         v = v / np.linalg.norm(v)
         samples.append(np.outer(v, v.conj()))
     return [hermitian.coords(m, dims) for m in samples]
+
+
+def probe_array(C: Cone, seed: int = 0) -> np.ndarray:
+    """``probe_rays`` of a PSD cone as one (k, n) float array, built anew
+    on each call."""
+    d = prod(C.hilbert_dims)
+    z = np.random.default_rng(seed).normal(size=(cones.PROBE_SAMPLES, 2, d))
+    v = z[:, 0] + 1j * z[:, 1]
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return hermitian.projector_coords(np.concatenate([np.eye(d), v]), C.hilbert_dims)
 
 
 def matrix(x, dims: tuple[int, ...]) -> np.ndarray:

@@ -6,11 +6,13 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import comcat
 from comcat.cli import build_parser, main
 from comcat.models import classical, gbit, quantum
-from comcat.composites import min_tensor
+from comcat.composites import min_tensor, spatial_quantum_composite
 from comcat.serialize import (
     com_from_json,
     com_to_json,
@@ -63,6 +65,50 @@ def test_composite_json_round_trip():
     assert back.composite_kind == "min"
     assert back.factors[0].label == "classical2"
     assert json.loads(dumps(com_to_json(back))) == data
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0])
+    | st.text()
+    | st.text(alphabet='"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600')
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children)
+    | st.dictionaries(st.integers(), children),
+    max_leaves=40,
+)
+
+
+@given(_json_values, st.sampled_from([0, 1, 2, 4]))
+@example({"a": [], "b": {}, "c": (), "d": [(1, 2.5), ({},)], "e": {"f": (None, True, "\u00e9")}}, 2)
+def test_indented_dumps_is_the_json_text(value, indent):
+    assert dumps(value, indent=indent) == json.dumps(value, sort_keys=True, indent=indent)
+
+
+def _psd_model(hilbert_dim, factors=None) -> dict:
+    doc = com_to_json(spatial_quantum_composite(quantum(2), quantum(2)))
+    for cone in ("state_cone", "effect_cone"):
+        doc[cone] = {"kind": "psd", "hilbert_dim": hilbert_dim}
+        if factors is not None:
+            doc[cone]["factors"] = factors
+    return doc
+
+
+def test_psd_hilbert_dim_must_be_the_product_of_the_factors(tmp_path, capsys):
+    code, out, err = run(capsys, "validate", _write(tmp_path, "bad.json", _psd_model(5, [2, 2])))
+    assert (code, out) == (2, "")
+    assert "hilbert_dim: 5 is not the product of the factors [2, 2]" in err
+    code, out, err = run(capsys, "validate", _write(tmp_path, "good.json", _psd_model(4, [2, 2])))
+    assert code == 0, err
+    assert cone_from_json({"kind": "psd", "hilbert_dim": 4, "factors": [2, 2]}).hilbert_dims == (2, 2)
+    assert cone_from_json({"kind": "psd", "hilbert_dim": 4}).hilbert_dims == (4,)
 
 
 def test_validate_builtin_ok(capsys):

@@ -4,6 +4,8 @@ A report body holds only deterministic content (command, input hashes,
 seed, tolerance, verdicts, residuals, certificates), so any change to a
 verdict, a certificate or its serialization changes one of these hashes.
 A change that means to alter a body must update its hash here and say so.
+The printed text of each report is also checked against the indented
+text of ``json.dumps``.
 
 To print the current hashes: ``python tests/test_report_bodies.py``.
 """
@@ -42,6 +44,13 @@ def body_sha256(argv, capsys) -> str:
 @pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
 def test_report_body_is_pinned(argv, capsys):
     assert body_sha256(argv, capsys) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN), ids=" ".join)
+def test_printed_report_is_the_indented_json_text(argv, capsys):
+    main(list(argv))
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
 if __name__ == "__main__":

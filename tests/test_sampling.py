@@ -41,6 +41,38 @@ def test_probe_rays_match_loop_sampler(dims):
         assert all(type(x) is float for x in rays[-1])
 
 
+def _assert_probe_rays_match_oracles(dims, seed):
+    cone = psd_cone(dims)
+    rays = probe_rays(cone, seed)
+    assert _bit_identical(rays, oracle.probe_array(cone, seed))
+    assert np.max(np.abs(np.array(rays) - np.array(oracle.psd_state_samples(dims, seed)))) <= 1e-12
+
+
+def test_memoized_probe_draws_equal_the_per_call_draw():
+    cones._probe_vectors.cache_clear()
+    calls = [((2, 2), 3), ((2, 2), 3), ((3,), 0), ((2,), 3), ((2, 3), 1), ((3, 3), 6), ((2, 2), 3), ((3,), 0)]
+    for dims, seed in calls:
+        _assert_probe_rays_match_oracles(dims, seed)
+    info = cones._probe_vectors.cache_info()
+    assert (info.misses, info.hits) == (5, 3)
+
+
+def test_factor_dims_with_one_product_share_a_draw():
+    cones._probe_vectors.cache_clear()
+    _assert_probe_rays_match_oracles((2, 2), 4)
+    _assert_probe_rays_match_oracles((4,), 4)
+    info = cones._probe_vectors.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_the_memoized_draw_is_read_only():
+    V = cones._probe_vectors(2, 0)
+    assert V.shape == (2 + PROBE_SAMPLES, 2)
+    with pytest.raises(ValueError):
+        V[0, 0] = 0.5
+    assert V[0, 0] == 1.0
+
+
 def test_probe_rays_of_polyhedral_cone_are_its_generators():
     cone = classical(3).state_cone
     assert probe_rays(cone, seed=5) == cone.generators
