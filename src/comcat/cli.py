@@ -18,12 +18,16 @@ from pathlib import Path
 
 from . import models, report, serialize
 from .com import Com, validate_com
-from .composites import tensor
+from .composites import KINDS, tensor
 from .conditioning import remote_evaluate
-from .config import DEFAULT_SEED, numeric_tolerance, set_tolerance
+from .cones import POLYHEDRAL, cones_equal
+from .config import DEFAULT_SEED, numeric_tolerance, set_tolerance, tolerance_for
 from .errors import ComcatError, InputError
+from .linalg import matmul, max_abs, sub_vectors, transpose
+from .matching import com_isomorphism
 from .protocols import check_theory_compact_closed, find_teleportation, verify_teleportation
 from .selfdual import (
+    build_structure,
     check_symmetric_self_duality,
     check_weak_self_duality,
     dagger_compactness_verdict,
@@ -39,9 +43,6 @@ from .serialize import (
     structure_to_json,
     vector_to_json,
 )
-
-DUAL_TWIN = {"min": "max", "max": "min", "spatial": "spatial", "spatial_quantum": "spatial"}
-
 
 def _load_json(path: str):
     return json.loads(Path(path).read_text())
@@ -143,36 +144,22 @@ def _cmd_remote_eval(args) -> int:
     )
 
 
-def _composite_pair(A: Com, B: Com, kind: str):
-    """State-side composite of the named kind plus its dual twin for the
-    effect side (the twin carries the complementary effect cone)."""
-    state_side = tensor(B, A, kind)
-    effect_side = tensor(A, B, DUAL_TWIN.get(kind, kind))
-    return state_side, effect_side
-
-
 def _cmd_teleport(args) -> int:
     A, da = _resolve_model(args.a)
     B, db = _resolve_model(args.b)
-    ba, ab = _composite_pair(A, B, args.composite)
+    ba, ab = tensor(B, A, args.composite), tensor(A, B, KINDS[args.composite][1])
     cert = find_teleportation(A, B, ab, ba)
+    verdicts = {"teleportable": False, "composite": args.composite}
+    residuals = certificates = None
     if cert is None:
-        return _finish(
-            args,
-            "teleport",
-            {"a": da, "b": db},
-            {"teleportable": False, "composite": args.composite, "exhausted": True},
-            ok=False,
-        )
-    check = verify_teleportation(cert, A, B)
+        verdicts["exhausted"] = True
+    else:
+        check = verify_teleportation(cert, A, B)
+        verdicts["teleportable"] = check.ok
+        residuals = {k: serialize.num_to_json(v) for k, v in check.residuals.items()}
+        certificates = certificate_to_json(cert)
     return _finish(
-        args,
-        "teleport",
-        {"a": da, "b": db},
-        {"teleportable": check.ok, "composite": args.composite},
-        residuals={k: serialize.num_to_json(v) for k, v in check.residuals.items()},
-        certificates=certificate_to_json(cert),
-        ok=check.ok,
+        args, "teleport", {"a": da, "b": db}, verdicts, residuals, certificates, ok=verdicts["teleportable"]
     )
 
 
@@ -216,10 +203,10 @@ def _cmd_compact_check(args) -> int:
         for B in objs:
             pair = f"{A.label}|{B.label}"
             kind = kinds[pair] = designations.get(pair, args.composite or _default_kind(A, B))
-            if not isinstance(kind, str) or kind not in DUAL_TWIN:
+            if not isinstance(kind, str) or kind not in KINDS:
                 raise SchemaError(f"unknown composite kind {kind!r} for {pair}")
             composites[(A.label, B.label)] = tensor(A, B, kind)
-            composites[("effects", A.label, B.label)] = tensor(A, B, DUAL_TWIN[kind])
+            composites[("effects", A.label, B.label)] = tensor(A, B, KINDS[kind][1])
     out = check_theory_compact_closed(objs, composites)
     verdicts = {
         "compact_closed": out["theory_compact_closed"],
@@ -253,36 +240,44 @@ def _cmd_wsd(args) -> int:
     found = (
         check_symmetric_self_duality(com) if args.symmetric else check_weak_self_duality(com)
     )
-    if found is None:
-        return _finish(
-            args,
-            "wsd",
-            {"model": desc},
-            {"weakly_self_dual": False, "symmetric_required": args.symmetric},
-            ok=False,
-        )
     return _finish(
         args,
         "wsd",
         {"model": desc},
-        {"weakly_self_dual": True, "symmetric_required": args.symmetric},
-        certificates=structure_to_json(found),
+        {"weakly_self_dual": found is not None, "symmetric_required": args.symmetric},
+        certificates=None if found is None else structure_to_json(found),
+        ok=found is not None,
     )
 
 
 def _structure_for(com: Com, variant: str | None):
-    """The builtin structure named by com's label and variant; KeyError when
-    there is none.  An unknown variant of a builtin model is an input error."""
+    """The structure that decides com, or None: the builtin one named by
+    its label and variant when com has the builtin's cones and unit, or
+    carried over by M = ``com_isomorphism`` (gamma_hat -> M gamma_hat M^T)
+    when com is the polyhedral builtin in another basis; else the first
+    symmetric, then weak, structure of the search.  An unknown variant of
+    a builtin label is an input error."""
     name = com.label if variant is None else f"{com.label}:{variant}"
     try:
-        return models.builtin_structure(name)
+        D = models.builtin_structure(name)
     except KeyError:
         known = models.structure_variants(com.label)
         if variant is not None and known:
             raise InputError(
                 f"unknown structure variant {variant!r} of {com.label}; known: {', '.join(known)}"
             ) from None
-        raise
+        D = None
+    if D is not None:
+        builtin = D.com
+        if (
+            cones_equal(builtin.state_cone, com.state_cone)
+            and cones_equal(builtin.effect_cone, com.effect_cone)
+            and max_abs(sub_vectors(builtin.unit, com.unit)) <= tolerance_for(builtin.unit, com.unit)
+        ):
+            return D
+        if builtin.kind == com.kind == POLYHEDRAL and (M := com_isomorphism(builtin, com)) is not None:
+            return build_structure(com, matmul(matmul(M, D.gamma_hat), transpose(M)))
+    return check_symmetric_self_duality(com) or check_weak_self_duality(com)
 
 
 def _cmd_dagger(args) -> int:
@@ -301,19 +296,16 @@ def _cmd_dagger(args) -> int:
         variants[label] = variant
     structures = []
     for com in objs:
-        try:
-            structures.append(_structure_for(com, variants.get(com.label)))
-        except KeyError:
-            found = check_symmetric_self_duality(com) or check_weak_self_duality(com)
-            if found is None:
-                return _finish(
-                    args,
-                    "dagger",
-                    inputs,
-                    {"dagger_compact": False, "reason": f"no structure for {com.label}"},
-                    ok=False,
-                )
-            structures.append(found)
+        found = _structure_for(com, variants.get(com.label))
+        if found is None:
+            return _finish(
+                args,
+                "dagger",
+                inputs,
+                {"dagger_compact": False, "reason": f"no structure for {com.label}"},
+                ok=False,
+            )
+        structures.append(found)
     verdict = dagger_compactness_verdict(structures)
     verdicts = {
         "dagger_compact": verdict["dagger_compact"],

@@ -130,14 +130,22 @@ def spatial_quantum_composite(A: Com, B: Com) -> CompositeCom:
     )
 
 
+# Composite kind name -> (factory, dual twin).  The twin hosts the effect
+# of a protocol whose shared state lives in the named kind; min and max are
+# each other's twins, and the spatial composite ("spatial") is its own.
+KINDS = {
+    MIN: (min_tensor, MAX),
+    MAX: (max_tensor, MIN),
+    SPATIAL: (spatial_quantum_composite, SPATIAL),
+    "spatial": (spatial_quantum_composite, SPATIAL),
+}
+
+
 def tensor(A: Com, B: Com, kind: str) -> CompositeCom:
-    if kind == MIN:
-        return min_tensor(A, B)
-    if kind == MAX:
-        return max_tensor(A, B)
-    if kind in (SPATIAL, "spatial"):
-        return spatial_quantum_composite(A, B)
-    raise KeyError(f"unknown composite kind {kind!r}")
+    """The composite of A and B of a kind named in ``KINDS``."""
+    if kind not in KINDS:
+        raise KeyError(f"unknown composite kind {kind!r}")
+    return KINDS[kind][0](A, B)
 
 
 def swap_map(A: Com, B: Com) -> tuple:

@@ -155,38 +155,34 @@ def _canonical_input(vectors: Iterable[Sequence], what: str) -> tuple[int, list]
 
 
 def cone_from_generators(gens: Iterable[Sequence]) -> Cone:
-    """Exact polyhedral cone from generating rays.
-
-    Zero vectors are dropped, redundant generators removed (LP test),
-    and regularity enforced: raises NotPointed / NotGenerating.  A
-    simplicial input, n independent rays in R^n, makes no LP: a basis
-    spans a pointed cone and none of its rays lies in the cone of the
-    others.
-    """
+    """Exact polyhedral cone from generating rays (see ``_regular``)."""
     n, rays = _canonical_input(gens, "generators")
-    if not rays:
-        raise NotGenerating("all generators are zero")
-    r = rank(rays)
-    if r < n:
-        raise NotGenerating(f"generators span rank {r} < {n}")
-    if len(rays) > n:
-        if not _pointed(rays, n):
-            raise NotPointed("cone contains a line")
-        rays = _drop_redundant(rays)
-    return Cone(POLYHEDRAL, n, generators=tuple(rays))
+    return Cone(POLYHEDRAL, n, generators=_regular(rays, n, "generators", NotGenerating, NotPointed))
 
 
 def cone_from_facets(facets: Iterable[Sequence]) -> Cone:
-    """Polyhedral cone {x : h.x >= 0 for all h}; h-list must be regular.
-    As for generators, n independent normals in R^n make no LP."""
+    """Polyhedral cone {x : h.x >= 0 for all h} (see ``_regular``)."""
     n, normals = _canonical_input(facets, "facets")
-    if rank(normals) < n:
-        raise NotPointed("facet normals do not span; cone contains a line")
-    if len(normals) > n:
-        if not _pointed(normals, n):
-            raise NotGenerating("facet system admits no interior; cone not generating")
-        normals = _drop_redundant(normals)
-    return Cone(POLYHEDRAL, n, facets=tuple(normals))
+    return Cone(POLYHEDRAL, n, facets=_regular(normals, n, "facet normals", NotPointed, NotGenerating))
+
+
+def _regular(rays: list, n: int, what: str, not_spanning, not_pointed) -> tuple:
+    """The irredundant rows of a regular description: the nonzero rows must
+    span R^n (else not_spanning) and their cone must be pointed (else
+    not_pointed), and a row in the cone of the others is dropped (one LP
+    each).  By duality, generators and facets swap the two errors.  n
+    independent rows in R^n make no LP: a basis spans a pointed cone and
+    none of its rows lies in the cone of the others."""
+    if not rays:
+        raise not_spanning(f"all {what} are zero")
+    r = rank(rays)
+    if r < n:
+        raise not_spanning(f"{what} span rank {r} < {n}")
+    if len(rays) > n:
+        if not _pointed(rays, n):
+            raise not_pointed(f"the cone of the {what} contains a line")
+        rays = _drop_redundant(rays)
+    return tuple(rays)
 
 
 def psd_cone(hilbert_dims: Iterable[int] | int) -> Cone:

@@ -7,7 +7,7 @@ The exact eliminations (rref, rank, solve, nullspace, inverse) scale each
 row to primitive integers and run on integers through one fraction-free
 Bareiss kernel, ``_eliminate``, whose ``row_step`` the simplex of ``lp``
 shares, as it shares ``integer_scaling``; only their results are
-Fractions.  The characteristic polynomial is computed over Fractions.
+Fractions.  ``symmetric_inertia`` runs on the same ``row_step``.
 
 Vectors are tuples, matrices are tuples of row tuples.  Integer entries
 are acceptable everywhere, but int / int is a float: exact callers that
@@ -51,14 +51,6 @@ def frac(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
-
-
-def frac_vector(xs) -> Vector:
-    return tuple(frac(x) for x in xs)
-
-
-def frac_matrix(rows) -> Matrix:
-    return tuple(frac_vector(r) for r in rows)
 
 
 def is_exact_scalar(x) -> bool:
@@ -142,10 +134,6 @@ def sub_vectors(x, y) -> Vector:
 
 def scale_matrix(c, M) -> Matrix:
     return tuple(tuple(c * a for a in row) for row in M)
-
-
-def add_matrices(A, B) -> Matrix:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def sub_matrices(A, B) -> Matrix:
@@ -338,39 +326,36 @@ def canonical_rays(vs) -> tuple[Vector, ...]:
     return tuple(sorted(set(primitive(v) for v in vs)))
 
 
-def char_poly(A) -> list[Fraction]:
-    """Coefficients [c_0, ..., c_{n-1}, 1] of det(tI - A), exact."""
-    n = len(A)
-    Af = frac_matrix(A)
-    coeffs = [Fraction(0)] * n + [Fraction(1)]
-    M = identity(n, Fraction(1))
-    for k in range(1, n + 1):
-        AM = matmul(Af, M)
-        c = -sum(AM[i][i] for i in range(n)) / k
-        coeffs[n - k] = c
-        M = add_matrices(AM, scale_matrix(c, identity(n, Fraction(1))))
-    return coeffs
-
-
-def _sign_variations(coeffs) -> int:
-    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
 def symmetric_inertia(A) -> tuple[int, int, int]:
-    """(positive, zero, negative) eigenvalue counts of an exact symmetric matrix.
+    """(positive, zero, negative) eigenvalue counts of an exact symmetric
+    matrix, by Sylvester's law of inertia on the fraction-free kernel.
 
-    Uses Descartes' rule on the characteristic polynomial, which is exact
-    because symmetric matrices have only real eigenvalues.
-    """
+    The matrix is scaled once to integers and eliminated with ``row_step``
+    on diagonal pivots, which keeps the live block symmetric; a pivot p
+    after the pivot d is a negative diagonal entry p / d of a congruent
+    matrix when p and d differ in sign.  When every live diagonal entry is
+    zero, the congruence e_k -> e_k + e_j makes M[k][k] = 2 M[k][j] != 0
+    and keeps the divisions exact.  A zero live block counts as zeros."""
     n = len(A)
-    if transpose(frac_matrix(A)) != frac_matrix(A):
+    if any(A[i][j] != A[j][i] for i in range(n) for j in range(i)):
         raise ValueError("symmetric_inertia requires a symmetric matrix")
-    coeffs = char_poly(A)
-    zero = 0
-    while zero <= n and coeffs[zero] == 0:
-        zero += 1
-    pos = _sign_variations(coeffs)
-    neg_coeffs = [c if (k % 2 == 0) else -c for k, c in enumerate(coeffs)]
-    neg = _sign_variations(neg_coeffs)
-    return pos, zero if zero <= n else n, neg
+    _, flat = integer_scaling([x for row in A for x in row])
+    rows = [flat[i * n : (i + 1) * n] for i in range(n)]
+    live = list(range(n))
+    neg, d = 0, 1
+    while live:
+        k = next((i for i in live if rows[i][i]), None)
+        if k is None:
+            k, j = next(((i, j) for i in live for j in live if rows[i][j]), (None, None))
+            if k is None:
+                break
+            rows[k] = [x + y for x, y in zip(rows[k], rows[j])]
+            for i in live:
+                rows[i][k] += rows[i][j]
+        live.remove(k)
+        p = rows[k][k]
+        for i in live:
+            rows[i] = row_step(rows[i], rows[k], k, p, d)
+        neg += (p > 0) != (d > 0)
+        d = p
+    return n - len(live) - neg, len(live), neg

@@ -329,8 +329,9 @@ def negative_inertia_count(D_A: DualityStructure) -> int:
 
 def _inertia(M) -> tuple[int, int, int]:
     """(positive, zero, negative) eigenvalue counts of a symmetric matrix:
-    exact by Descartes' rule on exact data; on float data, eigenvalues
-    within the tolerance of zero count as zero."""
+    exact on exact data, by Sylvester's law of inertia on the integer
+    elimination kernel (``linalg.symmetric_inertia``); on float data,
+    eigenvalues within the tolerance of zero count as zero."""
     if is_exact(M):
         return symmetric_inertia(M)
     eigs = np.linalg.eigvalsh(np.array(M, dtype=float))

@@ -34,6 +34,12 @@ on ``is_exact``), before the data alone chose it.  On exact data and on
 float data the package's versions must return the same values of the
 same types.
 
+``char_poly`` and ``symmetric_inertia`` are the exact inertia as the
+package computed it before it moved onto the integer kernel: Descartes'
+rule of signs on the Faddeev-LeVerrier characteristic polynomial, over
+Fractions, with no elimination.  The package's Sylvester count must give
+the same three numbers.
+
 ``from_mackey`` and ``find_teleportation`` are those functions as they
 were before each read its result off one exact computation.
 ``from_mackey`` grew a greedy column basis by rank tests and solved for
@@ -42,7 +48,10 @@ every state's coordinates, the unit and every outcome functional (with
 ``find_teleportation`` normalized each candidate pair by re-reading the
 scale off the diagonal of hat(omega) . r_hat.  The package's versions must
 return equal models (or raise the same message) and equal certificates
-after the same LPs.
+after the same LPs.  The LPs of the search (``_solve_r_hat``,
+``_candidate_omegas_stage2``, ``_solve_omega`` and ``_solve_matching``) are
+copies of the package's, kept here so that a changed LP in the package
+shows as a different LP call; they run on the Fraction simplex above.
 
 ``remote_evaluate_dual`` is that function as it was when it checked its
 result against its own mirrored contraction, ``_tripartite_right``, before
@@ -52,6 +61,7 @@ inputs.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 from typing import Optional, Sequence
 
@@ -78,8 +88,6 @@ from comcat.linalg import (
     dot,
     fmt,
     frac,
-    frac_matrix,
-    frac_vector,
     identity,
     is_exact,
     matmul,
@@ -90,23 +98,33 @@ from comcat.linalg import (
     scale_vector,
     sub_matrices,
     sub_vectors,
-    symmetric_inertia,
     tensor_vector,
     transpose,
     vec_to_matrix,
 )
-from comcat.lp import GE, LE, Constraint, LpResult, eq, in_cone, lp_feasible
+from comcat.lp import GE, LE, Constraint, LpResult, eq, ge, in_cone, lp_feasible
+from comcat.matching import MAX_RAYS
 from comcat.models import MackeyTriple
 from comcat.protocols import (
     TeleportationCertificate,
-    _candidate_omegas_stage2,
     _effect_interval_max_scale,
     _r_form_vector,
-    _solve_r_hat,
 )
 
 Vector = tuple
 Matrix = tuple
+
+
+def frac_vector(xs) -> Vector:
+    return tuple(frac(x) for x in xs)
+
+
+def frac_matrix(rows) -> Matrix:
+    return tuple(frac_vector(r) for r in rows)
+
+
+def add_matrices(A, B) -> Matrix:
+    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def rref(M: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
@@ -211,6 +229,44 @@ def kernel_if_corank_one(rows, n: int):
     for r, c in enumerate(pivots):
         v[c] = -reduced[r][free]
     return primitive(v)
+
+
+def char_poly(A) -> list[Fraction]:
+    """Coefficients [c_0, ..., c_{n-1}, 1] of det(tI - A), exact."""
+    n = len(A)
+    Af = frac_matrix(A)
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    M = identity(n, Fraction(1))
+    for k in range(1, n + 1):
+        AM = matmul(Af, M)
+        c = -sum(AM[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+        M = add_matrices(AM, scale_matrix(c, identity(n, Fraction(1))))
+    return coeffs
+
+
+def _sign_variations(coeffs) -> int:
+    signs = [1 if c > 0 else -1 for c in coeffs if c != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def symmetric_inertia(A) -> tuple[int, int, int]:
+    """(positive, zero, negative) eigenvalue counts of an exact symmetric matrix.
+
+    Uses Descartes' rule on the characteristic polynomial, which is exact
+    because symmetric matrices have only real eigenvalues.
+    """
+    n = len(A)
+    if transpose(frac_matrix(A)) != frac_matrix(A):
+        raise ValueError("symmetric_inertia requires a symmetric matrix")
+    coeffs = char_poly(A)
+    zero = 0
+    while zero <= n and coeffs[zero] == 0:
+        zero += 1
+    pos = _sign_variations(coeffs)
+    neg_coeffs = [c if (k % 2 == 0) else -c for k, c in enumerate(coeffs)]
+    neg = _sign_variations(neg_coeffs)
+    return pos, zero if zero <= n else n, neg
 
 
 class _Tableau:
@@ -621,6 +677,105 @@ def _normalize_state(omega, composite: CompositeCom):
     if total == 0:
         return None
     return scale_vector(Fraction(1) / total, omega)
+
+
+def _solve_r_hat(omega_hat, A: Com, B: Com) -> Optional[tuple]:
+    """LP for a positive r_hat: A -> B-effects with omega_hat . r_hat = id."""
+    n_a, n_b = A.dim, B.dim
+    nvars = n_b * n_a  # entries of r_hat, row-major
+    cons = []
+    for i in range(n_a):
+        for j in range(n_a):
+            row = [0] * nvars
+            for t in range(n_b):
+                row[t * n_a + j] = omega_hat[i][t]
+            cons.append(eq(row, 1 if i == j else 0))
+    eff_facets = B.effect_cone.facets
+    for g in A.state_cone.generators:
+        for h in eff_facets:
+            # (r_hat g).h >= 0: the row-major outer product of h and g
+            cons.append(ge([ht * gs for ht in h for gs in g], 0))
+    res = solve_lp(nvars, cons)
+    if res.status != "optimal":
+        return None
+    flat = res.x
+    return tuple(tuple(flat[t * n_a + s] for s in range(n_a)) for t in range(n_b))
+
+
+def _candidate_omegas_stage2(A: Com, B: Com, composite_ba: CompositeCom):
+    """(omega, r_hat) pairs from injective ray matchings A-states -> B-effects,
+    solving an exact LP for omega in the composite cone."""
+    a_rays = A.state_cone.generators
+    b_rays = B.effect_cone.generators
+    if len(a_rays) > len(b_rays) or len(b_rays) > MAX_RAYS:
+        return
+    n_a, n_b = A.dim, B.dim
+    gens_ba = composite_ba.state_cone.generators
+    for image in permutations(range(len(b_rays)), len(a_rays)):
+        r_hat = _solve_matching(a_rays, [b_rays[j] for j in image], n_b, n_a)
+        if r_hat is None:
+            continue
+        omega = _solve_omega(r_hat, A, B, gens_ba)
+        if omega is not None:
+            yield omega, r_hat
+
+
+def _solve_omega(r_hat, A: Com, B: Com, gens_ba) -> Optional[tuple]:
+    """LP for omega = sum mu_k G_k with hat(omega) . r_hat = id_A."""
+    n_a, n_b = A.dim, B.dim
+    k = len(gens_ba)
+    cons = []
+    # hat(omega) = W^T with W the (n_b x n_a) reshape of omega;
+    # (hat(omega) r_hat)[i][j] = sum_t W[t][i] r_hat[t][j]
+    Ws = [vec_to_matrix(g, n_b, n_a) for g in gens_ba]
+    for i in range(n_a):
+        for j in range(n_a):
+            row = [sum(W[t][i] * r_hat[t][j] for t in range(n_b)) for W in Ws]
+            cons.append(eq(row, 1 if i == j else 0))
+    mu = solve_lp(k, cons, nonneg=[True] * k)
+    if mu.status != "optimal":
+        return None
+    omega = [0] * (n_a * n_b)
+    for coef, g in zip(mu.x, gens_ba):
+        if coef:
+            omega = [w + coef * x for w, x in zip(omega, g)]
+    return tuple(omega)
+
+
+def _solve_matching(sources, targets, rows, cols, symmetric=False, extra_rows=None):
+    """LP for a rows x cols matrix M (free entries) and scalings lam_i >= 1
+    with M sources_i = lam_i targets_i; minimizes sum(lam) for a canonical
+    pick.  symmetric adds M = M^T (square M); extra_rows adds the exact
+    conditions of order_isomorphisms.  None when the LP is infeasible."""
+    k = len(sources)
+    nvars = rows * cols + k
+    cons = []
+    for i, (s, t) in enumerate(zip(sources, targets)):
+        for row in range(rows):
+            coeffs = [0] * nvars
+            coeffs[row * cols : (row + 1) * cols] = s
+            coeffs[rows * cols + i] = -t[row]
+            cons.append(eq(coeffs, 0))
+    for i in range(k):
+        coeffs = [0] * nvars
+        coeffs[rows * cols + i] = 1
+        cons.append(ge(coeffs, 1))
+    if symmetric:
+        for a in range(rows):
+            for b in range(a + 1, rows):
+                coeffs = [0] * nvars
+                coeffs[a * cols + b] = 1
+                coeffs[b * cols + a] = -1
+                cons.append(eq(coeffs, 0))
+    for coeff_matrix, value in extra_rows or ():
+        coeffs = [x for matrix_row in coeff_matrix for x in matrix_row] + [0] * k
+        cons.append(eq(coeffs, value))
+    objective = [0] * (rows * cols) + [1] * k
+    res = solve_lp(nvars, cons, objective=objective)
+    if res.status != "optimal":
+        return None
+    flat = res.x
+    return tuple(tuple(flat[row * cols + col] for col in range(cols)) for row in range(rows))
 
 
 def find_teleportation(

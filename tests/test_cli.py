@@ -11,7 +11,11 @@ from hypothesis import strategies as st
 
 import comcat
 from comcat.cli import build_parser, main
+from comcat.com import Com
+from comcat.cones import cone_from_generators
+from comcat.linalg import inverse, matrix_to_vec, matvec, transpose
 from comcat.models import classical, gbit, quantum
+from comcat.selfdual import check_symmetric_self_duality, verify_isomorphism_state
 from comcat.composites import min_tensor, spatial_quantum_composite
 from comcat.serialize import (
     com_from_json,
@@ -197,6 +201,47 @@ def test_dagger_variant_of_a_label_that_is_not_builtin_still_searches(capsys, tm
     code, out, err = run(capsys, "dagger", theory)
     assert code == 0, err
     assert body_of(out)["verdicts"]["dagger_compact"] is True
+
+
+def _gamma_hat(cert: dict) -> tuple:
+    return tuple(tuple(num_from_json(x) for x in row) for row in cert["gamma_hat"])
+
+
+@pytest.mark.parametrize("label", ["classical3", "quantum2"])
+def test_dagger_decides_a_mislabelled_gbit_by_the_search(capsys, tmp_path, label):
+    """A builtin label with another model's data gets no builtin structure
+    (I/3, or the 4 x 4 Choi map): the search finds the gbit's own
+    reflection."""
+    doc = com_to_json(gbit())
+    doc["label"] = label
+    code, out, err = run(capsys, "dagger", _write(tmp_path, "theory.json", {"objects": [doc]}))
+    assert code == 0, err
+    cert = body_of(out)["certificates"][label]
+    expected = check_symmetric_self_duality(com_from_json(doc))
+    assert _gamma_hat(cert) == expected.gamma_hat
+    assert not verify_isomorphism_state(matrix_to_vec(transpose(_gamma_hat(cert))), gbit())
+
+
+def _gbit_in_basis(U) -> Com:
+    """The gbit with states carried by U and effects by U^-T."""
+    g, V = gbit(), transpose(inverse(U))
+    return Com(
+        label="gbit",
+        state_cone=cone_from_generators([matvec(U, x) for x in g.state_cone.generators]),
+        effect_cone=cone_from_generators([matvec(V, e) for e in g.effect_cone.generators]),
+        unit=matvec(V, g.unit),
+    )
+
+
+@pytest.mark.parametrize("variant, code", [("rotation", 1), ("reflection", 0)])
+def test_dagger_carries_a_builtin_structure_into_the_objects_basis(capsys, tmp_path, variant, code):
+    com = _gbit_in_basis(((1, 1, 0), (0, 1, 0), (1, -2, 1)))
+    theory = _write(tmp_path, "theory.json", {"objects": [com_to_json(com)]})
+    got, out, err = run(capsys, "dagger", theory, "--structure", f"gbit={variant}")
+    assert got == code, err
+    gamma_hat = _gamma_hat(body_of(out)["certificates"]["gbit"])
+    assert not verify_isomorphism_state(matrix_to_vec(transpose(gamma_hat)), com)
+    assert verify_isomorphism_state(matrix_to_vec(transpose(gamma_hat)), gbit())
 
 
 def _with(doc, path, value):

@@ -15,7 +15,7 @@ import fraction_oracle as oracle
 from comcat.composites import max_tensor, min_tensor
 from comcat.cones import _enumerate_facets, cone_from_generators
 from comcat.com import Com
-from comcat.linalg import dot, frac_vector, rank
+from comcat.linalg import dot, rank
 from comcat.models import classical, gbit
 
 HEXAGON = [(1, 0, 1), (-1, 0, 1), (1, 1, 1), (0, 1, 1), (0, -1, 1), (-1, -1, 1)]
@@ -26,7 +26,7 @@ def brute_force_facets(rays, n) -> tuple:
     Kernels and integer scaling come from the Fraction oracle, so no code
     is shared with the double description under test."""
     if n == 1:
-        return (frac_vector(oracle.primitive(rays[0])),)
+        return (oracle.frac_vector(oracle.primitive(rays[0])),)
     prim = [oracle.primitive(r) for r in rays]
     found = set()
     for subset in combinations(range(len(prim)), n - 1):
@@ -38,7 +38,7 @@ def brute_force_facets(rays, n) -> tuple:
             found.add(h)
         elif all(s <= 0 for s in signs):
             found.add(tuple(-x for x in h))
-    return tuple(frac_vector(h) for h in sorted(found))
+    return tuple(oracle.frac_vector(h) for h in sorted(found))
 
 
 @st.composite

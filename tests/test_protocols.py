@@ -359,7 +359,9 @@ def _in_basis(com, U):
 @contextmanager
 def _recorded_lps():
     """Record every LP that the teleportation search and the ray matching
-    solve: arguments and result, in call order."""
+    solve, in the package or in the oracle's copies of its LP routines:
+    arguments and result, in call order.  The oracle's copies run on its
+    Fraction simplex, so equal records also mean equal LP solutions."""
     calls = []
 
     def recording(solve):
@@ -372,7 +374,7 @@ def _recorded_lps():
 
     with patch.object(protocols, "solve_lp", recording(protocols.solve_lp)), patch.object(
         matching, "solve_lp", recording(matching.solve_lp)
-    ):
+    ), patch.object(oracle, "solve_lp", recording(oracle.solve_lp)):
         yield calls
 
 
