@@ -48,7 +48,7 @@ import numpy as np
 from . import hermitian
 from .config import numeric_tolerance
 from .errors import DimensionMismatch, InputError, KindMismatch, NotGenerating, NotPointed
-from .linalg import _eliminate, canonical_rays, dot, matvec, primitive, rank
+from .linalg import _eliminate, canonical_rays, dot, integer_rows, is_fraction_matrix, matvec, primitive, rank
 from .lp import eq, in_cone, lp_feasible
 
 POLYHEDRAL = "polyhedral"
@@ -326,9 +326,14 @@ def rays_leaving(M, source: Cone, target: Cone, seed: int = 0) -> Iterator[tuple
     proven for a polyhedral source, checked on samples for a PSD one.
 
     A polyhedral target tests the rays lazily, one exact ``member`` call
-    each.  A PSD target tests them in one batch: all images as one matrix
-    product, their least eigenvalues in one batched eigvalsh."""
+    each; between polyhedral cones an exact M is first scaled once to the
+    integer matrix s M (s > 0, which moves no image in or out of the
+    cone), so every image is a Python-int product.  A PSD target tests
+    them in one batch: all images as one matrix product, their least
+    eigenvalues in one batched eigvalsh."""
     if target.kind == POLYHEDRAL:
+        if source.kind == POLYHEDRAL and is_fraction_matrix(M):
+            M = integer_rows(M)[1]
         return (x for x in probe_rays(source, seed) if not target.member(matvec(M, x)))
     M = np.asarray(M, dtype=float)
     if M.shape != (target.dim, source.dim):

@@ -8,6 +8,11 @@ row to primitive integers and run on integers through one fraction-free
 Bareiss kernel, ``_eliminate``, whose ``row_step`` the simplex of ``lp``
 shares, as it shares ``integer_scaling``; only their results are
 Fractions.  ``symmetric_inertia`` runs on the same ``row_step``.
+``matmul`` and ``matvec`` on exact operands that hold a Fraction run on
+integers too: each operand is scaled once to integers by
+``integer_scaling`` (s A and t B, ``integer_rows``), the products are
+Python ints, and each result entry is one Fraction(v, s * t).  All-int
+operands keep the plain loop, whose results are ints.
 
 Vectors are tuples, matrices are tuples of row tuples.  Integer entries
 are acceptable everywhere, but int / int is a float: exact callers that
@@ -29,7 +34,7 @@ every entry is a float and none is NaN.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 from math import gcd, lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -83,12 +88,23 @@ def dot(x, y):
 
 
 def matvec(M, x) -> Vector:
+    if is_fraction_matrix((*M, x)):
+        s, xs = integer_scaling(x)
+        t, rows = integer_rows(M)
+        st = s * t
+        return tuple(Fraction(dot(row, xs), st) for row in rows)
     return tuple(dot(row, x) for row in M)
 
 
 def matmul(A, B) -> Matrix:
     if not B:
         return tuple(() for _ in A)
+    if is_fraction_matrix((*A, *B)):
+        s, rows = integer_rows(A)
+        t, b_rows = integer_rows(B)
+        st = s * t
+        cols = list(zip(*b_rows))
+        return tuple(tuple(Fraction(dot(row, col), st) for col in cols) for row in rows)
     if len(A) * len(B[0]) >= _NUMPY_MIN_ENTRIES and len(A[0]) == len(B):
         types_a, types_b = _entry_types(A), _entry_types(B)
         if types_a and types_b and types_a | types_b <= _NUMBER and _FLOAT in (types_a, types_b):
@@ -103,7 +119,7 @@ def matmul(A, B) -> Matrix:
     return tuple(tuple(dot(row, col) for col in cols) for row in A)
 
 
-_FLOAT, _NUMBER = {float}, {float, int}
+_FLOAT, _NUMBER, _EXACT = {float}, {float, int}, {int, Fraction}
 _NUMPY_MIN_ENTRIES = 64  # below this numpy's fixed cost per call exceeds the loop's
 
 
@@ -113,6 +129,14 @@ def _entry_types(M) -> set:
     if not M or not set(map(type, M)) <= {tuple, list} or len(set(map(len, M))) != 1 or not M[0]:
         return set()
     return set(map(type, chain.from_iterable(M)))
+
+
+def is_fraction_matrix(M) -> bool:
+    """True when M's entries are ints and Fractions, at least one of them a
+    Fraction: the exact data that ``matmul`` and ``matvec`` multiply on
+    integers (``integer_rows``)."""
+    types = set(map(type, chain.from_iterable(M)))
+    return Fraction in types and types <= _EXACT
 
 
 def transpose(M) -> Matrix:
@@ -309,6 +333,14 @@ def integer_scaling(values) -> tuple[int, list[int]]:
     values = [v if isinstance(v, (int, Fraction)) else frac(v) for v in values]
     s = lcm(*(v.denominator for v in values))
     return s, [v.numerator * (s // v.denominator) for v in values]
+
+
+def integer_rows(M) -> tuple[int, list[list[int]]]:
+    """(s, rows): ``integer_scaling`` of the exact matrix M as a whole, s
+    the least s > 0 with s * M integral, and s * M row by row."""
+    s, flat = integer_scaling([x for row in M for x in row])
+    it = iter(flat)
+    return s, [list(islice(it, len(row))) for row in M]
 
 
 def primitive(v) -> Vector:

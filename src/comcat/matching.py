@@ -71,10 +71,14 @@ def order_isomorphisms(
 
 
 def _solve_matching(sources, targets, rows, cols, symmetric=False, extra_rows=None):
-    """LP for a rows x cols matrix M (free entries) and scalings lam_i >= 1
+    """LP for a rows x cols matrix M (free entries) and scalings lam_i
     with M sources_i = lam_i targets_i; minimizes sum(lam) for a canonical
     pick.  symmetric adds M = M^T (square M); extra_rows adds the exact
-    conditions of order_isomorphisms.  None when the LP is infeasible."""
+    conditions of order_isomorphisms.  Without extra rows lam_i >= 1 fixes
+    the free overall scale; extra rows may fix it themselves (the unit rows
+    of ``com_isomorphism`` force every lam_i > 0), so with them lam_i >= 0
+    and a map that shrinks rays stays feasible.  None when the LP is
+    infeasible."""
     k = len(sources)
     nvars = rows * cols + k
     cons = []
@@ -84,10 +88,11 @@ def _solve_matching(sources, targets, rows, cols, symmetric=False, extra_rows=No
             coeffs[row * cols : (row + 1) * cols] = s
             coeffs[rows * cols + i] = -t[row]
             cons.append(eq(coeffs, 0))
+    floor = 0 if extra_rows else 1
     for i in range(k):
         coeffs = [0] * nvars
         coeffs[rows * cols + i] = 1
-        cons.append(ge(coeffs, 1))
+        cons.append(ge(coeffs, floor))
     if symmetric:
         for a in range(rows):
             for b in range(a + 1, rows):

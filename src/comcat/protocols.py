@@ -41,6 +41,7 @@ from .linalg import (
     identity,
     matmul,
     matrix_to_vec,
+    matvec,
     max_abs,
     scale_matrix,
     scale_vector,
@@ -84,16 +85,12 @@ def _effect_interval_max_scale(r_form, composite_ab: CompositeCom):
     from the facets alone: the least ratio h.u / h.r_form over facets h
     with h.r_form > 0, or None when some h.r_form < 0 (no positive
     multiple of r_form is an effect) or none is positive."""
-    u = composite_ab.unit
-    best = None
-    for h in composite_ab.effect_cone.facets:
-        den = dot(h, r_form)
-        if den < 0:
-            return None
-        if den > 0:
-            ratio = Fraction(dot(h, u)) / den
-            best = ratio if best is None else min(best, ratio)
-    return best
+    facets = composite_ab.effect_cone.facets
+    dens = matvec(facets, r_form)
+    if any(den < 0 for den in dens):
+        return None
+    ratios = [Fraction(dot(h, composite_ab.unit)) / den for h, den in zip(facets, dens) if den > 0]
+    return min(ratios, default=None)
 
 
 def _solve_r_hat(omega_hat, A: Com, B: Com) -> Optional[tuple]:
@@ -153,19 +150,16 @@ def _solve_omega(r_hat, A: Com, B: Com, gens_ba) -> Optional[tuple]:
     cons = []
     # hat(omega) = W^T with W the (n_b x n_a) reshape of omega;
     # (hat(omega) r_hat)[i][j] = sum_t W[t][i] r_hat[t][j]
-    Ws = [vec_to_matrix(g, n_b, n_a) for g in gens_ba]
+    # so the k generators' W^T, stacked, times r_hat give every row at once.
+    products = matmul([col for g in gens_ba for col in transpose(vec_to_matrix(g, n_b, n_a))], r_hat)
     for i in range(n_a):
         for j in range(n_a):
-            row = [sum(W[t][i] * r_hat[t][j] for t in range(n_b)) for W in Ws]
+            row = [products[g * n_a + i][j] for g in range(k)]
             cons.append(eq(row, 1 if i == j else 0))
     mu = solve_lp(k, cons, nonneg=[True] * k)
     if mu.status != "optimal":
         return None
-    omega = [0] * (n_a * n_b)
-    for coef, g in zip(mu.x, gens_ba):
-        if coef:
-            omega = [w + coef * x for w, x in zip(omega, g)]
-    return tuple(omega)
+    return matvec(transpose(gens_ba), mu.x)
 
 
 def find_teleportation(

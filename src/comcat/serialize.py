@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import isfinite, prod
 from typing import Any
 
 from .com import Com
@@ -65,8 +65,10 @@ def num_from_json(v):
     if isinstance(v, bool):
         raise SchemaError("booleans are not numbers")
     if isinstance(v, int):
-        return Fraction(v)
+        return v
     if isinstance(v, float):
+        if not isfinite(v):
+            raise SchemaError(f"cannot read number from {v!r}: not finite")
         return v
     raise SchemaError(f"cannot read number from {v!r}")
 

@@ -53,6 +53,16 @@ after the same LPs.  The LPs of the search (``_solve_r_hat``,
 copies of the package's, kept here so that a changed LP in the package
 shows as a different LP call; they run on the Fraction simplex above.
 
+``matvec`` and ``matmul`` are the exact products as the package computed
+them before exact operands holding a Fraction were scaled to integers
+over one denominator: one Fraction sum of Fraction products per entry.
+(The package's numpy path for floats is left out; no oracle multiplies
+floats.)  ``rays_leaving`` is the polyhedral route of ``cones.rays_leaving``
+on them, one ``member`` call on the Fraction image of each generator, and
+``_effect_interval_max_scale`` the facet loop of ``protocols`` as it was.
+Every oracle here multiplies with these, so no oracle shares the integer
+products under test.
+
 ``remote_evaluate_dual`` is that function as it was when it checked its
 result against its own mirrored contraction, ``_tripartite_right``, before
 it ran the forward contraction on the swapped form and state.  The
@@ -90,8 +100,6 @@ from comcat.linalg import (
     frac,
     identity,
     is_exact,
-    matmul,
-    matvec,
     max_abs,
     rank,
     scale_matrix,
@@ -107,12 +115,45 @@ from comcat.matching import MAX_RAYS
 from comcat.models import MackeyTriple
 from comcat.protocols import (
     TeleportationCertificate,
-    _effect_interval_max_scale,
     _r_form_vector,
 )
 
 Vector = tuple
 Matrix = tuple
+
+
+def matvec(M, x) -> Vector:
+    return tuple(dot(row, x) for row in M)
+
+
+def matmul(A, B) -> Matrix:
+    if not B:
+        return tuple(() for _ in A)
+    cols = list(zip(*B))
+    return tuple(tuple(dot(row, col) for col in cols) for row in A)
+
+
+def rays_leaving(M, source: Cone, target: Cone) -> list:
+    """The generators x of the polyhedral source with M x outside the
+    polyhedral target, in generator order."""
+    return [x for x in source.generators if not target.member(matvec(M, x))]
+
+
+def _effect_interval_max_scale(r_form, composite_ab: CompositeCom):
+    """Largest c >= 0 with c*r_form and u - c*r_form in the effect cone,
+    from the facets alone: the least ratio h.u / h.r_form over facets h
+    with h.r_form > 0, or None when some h.r_form < 0 (no positive
+    multiple of r_form is an effect) or none is positive."""
+    u = composite_ab.unit
+    best = None
+    for h in composite_ab.effect_cone.facets:
+        den = dot(h, r_form)
+        if den < 0:
+            return None
+        if den > 0:
+            ratio = Fraction(dot(h, u)) / den
+            best = ratio if best is None else min(best, ratio)
+    return best
 
 
 def frac_vector(xs) -> Vector:

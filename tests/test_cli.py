@@ -18,6 +18,7 @@ from comcat.models import classical, gbit, quantum
 from comcat.selfdual import check_symmetric_self_duality, verify_isomorphism_state
 from comcat.composites import min_tensor, spatial_quantum_composite
 from comcat.serialize import (
+    SchemaError,
     com_from_json,
     com_to_json,
     cone_from_json,
@@ -548,3 +549,32 @@ def test_internal_key_and_value_errors_are_not_input_errors(monkeypatch, capsys,
     with pytest.raises(error, match="internal lookup failed"):
         main(["wsd", "builtin:gbit"])
     assert "input error" not in capsys.readouterr().err
+
+
+def test_json_numbers_load_as_ints_and_fractions():
+    assert type(num_from_json(3)) is int and num_from_json(3) == 3
+    assert num_from_json(json.loads('"3/2"')) == F(3, 2) and type(num_from_json("3/2")) is F
+    assert type(num_from_json(0.5)) is float
+    for value in (True, False):
+        with pytest.raises(SchemaError, match="booleans are not numbers"):
+            num_from_json(value)
+    back = com_from_json(json.loads(dumps(com_to_json(gbit()))))
+    assert all(type(x) is int for g in back.state_cone.generators for x in g)
+    assert all(type(x) is int for x in back.unit)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_number_in_a_model_exits_two_naming_it(tmp_path, capsys, token):
+    # json.loads reads these tokens as floats; a qubit unit holding one
+    # made dagger refuse the model as non-polyhedral (exit 1).
+    value = float(token.replace("Infinity", "inf"))
+    data = com_to_json(quantum(2))
+    data["unit"] = [float(x) for x in data["unit"]]
+    data["unit"][0] = value
+    model = _write(tmp_path, "qubit.json", data)
+    theory = _write(tmp_path, "theory.json", {"objects": [data]})
+    assert token in Path(model).read_text()
+    for argv in (("validate", model), ("dagger", theory)):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"cannot read number from {value!r}: not finite" in err

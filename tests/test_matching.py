@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from comcat.com import Com
 from comcat.cones import cone_from_generators, dual_cone
 from comcat.errors import UnsupportedKind
 from comcat.linalg import identity, matmul, matvec, rank, transpose
@@ -74,3 +75,16 @@ def test_com_isomorphism_respects_unit():
 
 def test_com_isomorphism_distinguishes_models():
     assert com_isomorphism(classical(3), gbit()) is None
+
+
+def test_com_isomorphism_finds_maps_that_shrink_rays():
+    # The unit rows fix the scale of M, so the ray scalings need no floor
+    # of 1: the bit with unit (2, 2) is the classical bit with every
+    # state halved, in both directions.
+    c2 = classical(2)
+    doubled = Com("classical2.doubled_unit", c2.state_cone, c2.effect_cone, (2, 2))
+    assert com_isomorphism(c2, doubled) == ((F(1, 2), 0), (0, F(1, 2)))
+    assert com_isomorphism(doubled, c2) == ((2, 0), (0, 2))
+    for A, B in ((c2, doubled), (doubled, c2)):
+        M = com_isomorphism(A, B)
+        assert matvec(transpose(M), B.unit) == A.unit
