@@ -3,7 +3,8 @@
 Exit codes: 0 property verified / object produced, 1 property refuted
 (with a witness in the report), 2 usage or input errors: an unreadable file
 or JSON document, or an ``InputError`` (a malformed field, an unknown name,
-a bad size or tolerance).  Any other exception is a fault of the program,
+a bad size or tolerance, a pair of models that the requested composite
+cannot combine).  Any other exception is a fault of the program,
 not of its input, and propagates with its traceback.
 """
 
@@ -20,9 +21,9 @@ from . import models, report, serialize
 from .com import Com, validate_com
 from .composites import KINDS, tensor
 from .conditioning import remote_evaluate
-from .cones import POLYHEDRAL, cones_equal
+from .cones import POLYHEDRAL, cones_equal, simplicial
 from .config import DEFAULT_SEED, numeric_tolerance, set_tolerance, tolerance_for
-from .errors import ComcatError, InputError
+from .errors import ComcatError, InputError, KindMismatch, MixedKindUnsupported
 from .linalg import matmul, max_abs, sub_vectors, transpose
 from .matching import com_isomorphism
 from .protocols import check_theory_compact_closed, find_teleportation, verify_teleportation
@@ -117,10 +118,21 @@ def _cmd_model(args) -> int:
     return 0
 
 
+def _composite(A: Com, B: Com, kind: str):
+    """``tensor(A, B, kind)``; a pair of models that the kind cannot
+    combine is an input error, not a refuted property."""
+    try:
+        return tensor(A, B, kind)
+    except (MixedKindUnsupported, KindMismatch) as exc:
+        raise InputError(
+            f"no {kind} composite of {A.label} ({A.kind}) and {B.label} ({B.kind}): {exc}"
+        ) from None
+
+
 def _cmd_tensor(args) -> int:
     A, _ = _resolve_model(args.a)
     B, _ = _resolve_model(args.b)
-    AB = tensor(A, B, args.kind)
+    AB = _composite(A, B, args.kind)
     _emit(com_to_json(AB), args.output)
     return 0
 
@@ -147,7 +159,7 @@ def _cmd_remote_eval(args) -> int:
 def _cmd_teleport(args) -> int:
     A, da = _resolve_model(args.a)
     B, db = _resolve_model(args.b)
-    ba, ab = tensor(B, A, args.composite), tensor(A, B, KINDS[args.composite][1])
+    ba, ab = _composite(B, A, args.composite), _composite(A, B, KINDS[args.composite][1])
     cert = find_teleportation(A, B, ab, ba)
     verdicts = {"teleportable": False, "composite": args.composite}
     residuals = certificates = None
@@ -186,12 +198,12 @@ def _load_theory(spec: str):
 
 
 def _default_kind(A: Com, B: Com) -> str:
-    """spatial for two quantum factors; min when a factor is polyhedral
-    with a simplicial state cone (as many extreme rays as dimensions),
-    where min and max coincide; max otherwise."""
+    """spatial for two quantum factors; min when a factor has a simplicial
+    state cone (``cones.simplicial``), where min and max coincide for
+    saturated factors; max otherwise."""
     if A.kind == "psd" and B.kind == "psd":
         return "spatial"
-    if any(X.kind == "polyhedral" and len(X.state_cone.generators) == X.dim for X in (A, B)):
+    if simplicial(A.state_cone) or simplicial(B.state_cone):
         return "min"
     return "max"
 
@@ -205,8 +217,8 @@ def _cmd_compact_check(args) -> int:
             kind = kinds[pair] = designations.get(pair, args.composite or _default_kind(A, B))
             if not isinstance(kind, str) or kind not in KINDS:
                 raise SchemaError(f"unknown composite kind {kind!r} for {pair}")
-            composites[(A.label, B.label)] = tensor(A, B, kind)
-            composites[("effects", A.label, B.label)] = tensor(A, B, KINDS[kind][1])
+            composites[(A.label, B.label)] = _composite(A, B, kind)
+            composites[("effects", A.label, B.label)] = _composite(A, B, KINDS[kind][1])
     out = check_theory_compact_closed(objs, composites)
     verdicts = {
         "compact_closed": out["theory_compact_closed"],

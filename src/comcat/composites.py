@@ -14,9 +14,22 @@ The two polyhedral composites are dual twins, both saturated:
        (facet description: the effect products); effects generated by
        the effect products.
 
-Generator descriptions of the facet-described cones are enumerated only
-on demand.  For two PSD factors the composite of interest is the spatial
-one: the PSD cone on the tensor-product Hilbert space, coordinatized by
+When one of the two factor cones that a composite multiplies (the state
+cones for min, the effect cones for max) is simplicial, as in a
+classical system, the cone their products generate is also the cone the
+products of their facets cut out: the minimal and maximal tensor
+products of those two cones coincide.  ``cones.product_cones`` then
+writes both descriptions of both composite cones from the factors'
+descriptions, with no construction LP and no conversion of the
+composite.  Otherwise each cone is built from the products by the cone
+factories (their construction LPs), and the description a factory was
+not given is enumerated only on demand.  That LP route is kept only
+while the benchmark's tracer pins the LP counts of composites without a
+simplicial factor; once those pins move, every composite is to be built
+by theorem and the route deleted.
+
+For two PSD factors the composite of interest is the spatial one: the
+PSD cone on the tensor-product Hilbert space, coordinatized by
 the product basis so that product states have product coordinates.
 """
 
@@ -36,6 +49,7 @@ from .cones import (
     cone_from_facets,
     cone_from_generators,
     probe_rays,
+    product_cones,
     psd_cone,
 )
 from .config import numeric_tolerance, tolerance_for
@@ -81,10 +95,14 @@ def min_tensor(A: Com, B: Com) -> CompositeCom:
     """Separable composite: states are mixtures of products, effects are
     everything positive on them (the full dual)."""
     _require_polyhedral(A, B)
-    state_cone = cone_from_generators(
-        tensor_vector(g, h) for g in A.state_cone.generators for h in B.state_cone.generators
-    )
-    effect_cone = cone_from_facets(state_cone.generators)
+    cones = product_cones(A.state_cone, B.state_cone)
+    if cones is not None:
+        state_cone, effect_cone = cones
+    else:  # the LP route; see the module docstring
+        state_cone = cone_from_generators(
+            tensor_vector(g, h) for g in A.state_cone.generators for h in B.state_cone.generators
+        )
+        effect_cone = cone_from_facets(state_cone.generators)
     return CompositeCom(
         label=f"{A.label}(min){B.label}",
         state_cone=state_cone,
@@ -99,11 +117,15 @@ def max_tensor(A: Com, B: Com) -> CompositeCom:
     """Nonsignaling composite: states are all bilinear forms positive on
     product effects; effects are generated by the product effects."""
     _require_polyhedral(A, B)
-    effect_products = [
-        tensor_vector(a, b) for a in A.effect_cone.generators for b in B.effect_cone.generators
-    ]
-    state_cone = cone_from_facets(effect_products)
-    effect_cone = cone_from_generators(effect_products)
+    cones = product_cones(A.effect_cone, B.effect_cone)
+    if cones is not None:
+        effect_cone, state_cone = cones
+    else:  # the LP route; see the module docstring
+        effect_products = [
+            tensor_vector(a, b) for a in A.effect_cone.generators for b in B.effect_cone.generators
+        ]
+        state_cone = cone_from_facets(effect_products)
+        effect_cone = cone_from_generators(effect_products)
     return CompositeCom(
         label=f"{A.label}(max){B.label}",
         state_cone=state_cone,

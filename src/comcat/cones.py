@@ -21,8 +21,11 @@ remain only in construction (``_pointed``, ``_drop_redundant``) and in
 ``member_by_lp``, the reference membership test; all three keep their
 names and LPs because the benchmark's tracer patches them by name and
 pins its LP counts per round.  A simplicial input (n independent rows in
-R^n, such as every classical system and its composites) makes no
-construction LP: pointedness and extremality are then theorems.  A PSD
+R^n, such as every classical system) makes no construction LP:
+pointedness and extremality are then theorems.  Nor does a composite
+with a simplicial factor: ``product_cones`` writes both descriptions of
+the product of two cones, and of its dual, from the factors'
+descriptions when one factor is simplicial (``simplicial``).  A PSD
 cone is the Hermitian positive-semidefinite cone in its fixed real
 coordinatization; it is self-dual and its membership test is spectral.
 
@@ -48,7 +51,17 @@ import numpy as np
 from . import hermitian
 from .config import numeric_tolerance
 from .errors import DimensionMismatch, InputError, KindMismatch, NotGenerating, NotPointed
-from .linalg import _eliminate, canonical_rays, dot, integer_rows, is_fraction_matrix, matvec, primitive, rank
+from .linalg import (
+    _eliminate,
+    canonical_rays,
+    dot,
+    integer_rows,
+    is_fraction_matrix,
+    matvec,
+    primitive,
+    rank,
+    tensor_vector,
+)
 from .lp import eq, in_cone, lp_feasible
 
 POLYHEDRAL = "polyhedral"
@@ -274,6 +287,37 @@ def dual_cone(C: Cone) -> Cone:
     if C.kind == PSD:
         return C
     return cone_from_generators(C.facets)
+
+
+def simplicial(C: Cone) -> bool:
+    """Is C a simplicial polyhedral cone: n generators, equivalently n
+    facets, in R^n?  Reads whichever description C holds and converts
+    none."""
+    if C.kind != POLYHEDRAL:
+        return False
+    rows = C._generators if C._generators is not None else C._facets
+    return len(rows) == C.dim
+
+
+def product_cones(K: Cone, L: Cone) -> tuple[Cone, Cone] | None:
+    """(P, dual of P) with both descriptions, P the cone generated by the
+    tensor products k (x) l of the generators of K and L, when both are
+    polyhedral and one of them is simplicial; else None.
+
+    In the basis of the simplicial factor's rays, P is a direct sum of
+    copies of the other factor, one per ray, so the minimal and maximal
+    tensor products of K and L coincide (Aubrun, Lami, Palazuelos and
+    Plavala, "Entangleability of cones", 2021): the extreme rays of P are
+    the products of generators and its facets the products of facets, with
+    no LP and no conversion of P.  Products of primitive rays are
+    primitive, as gcd(a (x) b) = gcd(a) gcd(b), and distinct rays have
+    distinct products, so both tuples only need sorting to be canonical."""
+    if not (K.kind == L.kind == POLYHEDRAL and (simplicial(K) or simplicial(L))):
+        return None
+    n = K.dim * L.dim
+    gens = tuple(sorted(tensor_vector(a, b) for a in K.generators for b in L.generators))
+    facets = tuple(sorted(tensor_vector(f, h) for f in K.facets for h in L.facets))
+    return Cone(POLYHEDRAL, n, generators=gens, facets=facets), Cone(POLYHEDRAL, n, generators=facets, facets=gens)
 
 
 def cones_equal(C: Cone, D: Cone) -> bool:

@@ -68,6 +68,14 @@ result against its own mirrored contraction, ``_tripartite_right``, before
 it ran the forward contraction on the swapped form and state.  The
 package's version must return the same vector and raise on the same
 inputs.
+
+``min_tensor`` and ``max_tensor`` are the composite factories as they were
+when every composite was built from the products by the package's cone
+factories (their construction LPs), with the description a factory was
+not given converted on demand.  The package keeps that route only for
+composites without a simplicial factor; with one, it writes both
+descriptions of both cones by theorem (``cones.product_cones``), and all
+four generator and facet tuples must be equal.
 """
 
 from fractions import Fraction
@@ -78,7 +86,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from comcat.com import Com, is_morphism, is_saturated, process_scale
-from comcat.composites import CompositeCom
+from comcat.composites import MAX, MIN, CompositeCom, _require_polyhedral
 from comcat import cones
 from comcat.cones import POLYHEDRAL, Cone, _canonical_input
 from comcat.conditioning import conditioning_adjoint, form_matrix, marginals
@@ -913,3 +921,40 @@ def remote_evaluate_dual(f, omega, beta, A: Com, B: Com, C: Com):
     if residual > tolerance_for(f, omega, beta):
         raise RemoteEvalMismatch(f"dual remote evaluation: sides differ by {residual}")
     return rhs
+
+
+def min_tensor(A: Com, B: Com) -> CompositeCom:
+    """Separable composite: states are mixtures of products, effects are
+    everything positive on them (the full dual)."""
+    _require_polyhedral(A, B)
+    state_cone = cones.cone_from_generators(
+        tensor_vector(g, h) for g in A.state_cone.generators for h in B.state_cone.generators
+    )
+    effect_cone = cones.cone_from_facets(state_cone.generators)
+    return CompositeCom(
+        label=f"{A.label}(min){B.label}",
+        state_cone=state_cone,
+        effect_cone=effect_cone,
+        unit=tensor_vector(A.unit, B.unit),
+        factors=(A, B),
+        composite_kind=MIN,
+    )
+
+
+def max_tensor(A: Com, B: Com) -> CompositeCom:
+    """Nonsignaling composite: states are all bilinear forms positive on
+    product effects; effects are generated by the product effects."""
+    _require_polyhedral(A, B)
+    effect_products = [
+        tensor_vector(a, b) for a in A.effect_cone.generators for b in B.effect_cone.generators
+    ]
+    state_cone = cones.cone_from_facets(effect_products)
+    effect_cone = cones.cone_from_generators(effect_products)
+    return CompositeCom(
+        label=f"{A.label}(max){B.label}",
+        state_cone=state_cone,
+        effect_cone=effect_cone,
+        unit=tensor_vector(A.unit, B.unit),
+        factors=(A, B),
+        composite_kind=MAX,
+    )

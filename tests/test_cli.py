@@ -309,6 +309,26 @@ def test_compact_check_theory(tmp_path, capsys):
     assert body_of(out)["verdicts"]["compact_closed"] is True
 
 
+@pytest.mark.parametrize("kind", ["min", "max", "spatial"])
+def test_tensor_of_a_quantum_and_a_polyhedral_model_exits_two(capsys, kind):
+    code, out, err = run(capsys, "tensor", "builtin:qubit", "builtin:classical2", "--kind", kind)
+    assert code == 2 and not out
+    assert "composite of quantum2 (psd) and classical2 (polyhedral)" in err
+
+
+def test_teleport_of_a_quantum_and_a_polyhedral_model_exits_two(capsys):
+    code, out, err = run(capsys, "teleport", "builtin:qubit", "builtin:classical2")
+    assert code == 2 and not out
+    assert "no min composite of classical2 (polyhedral) and quantum2 (psd)" in err
+
+
+def test_compact_check_of_a_mixed_theory_exits_two(tmp_path, capsys):
+    theory = _write(tmp_path, "theory.json", {"objects": ["builtin:qubit", "builtin:classical2"]})
+    code, out, err = run(capsys, "compact-check", theory)
+    assert code == 2 and not out
+    assert "no min composite of quantum2 (psd) and classical2 (polyhedral)" in err
+
+
 def test_remote_eval_cli(tmp_path, capsys):
     f = tmp_path / "f.json"
     omega = tmp_path / "omega.json"
