@@ -4,8 +4,9 @@ Exit codes: 0 property verified / object produced, 1 property refuted
 (with a witness in the report), 2 usage or input errors: an unreadable file
 or JSON document, or an ``InputError`` (a malformed field, an unknown name,
 a bad size or tolerance, a pair of models that the requested composite
-cannot combine).  Any other exception is a fault of the program,
-not of its input, and propagates with its traceback.
+cannot combine, a quantum model given to the exact-only searches of
+``compact-check`` and ``wsd``).  Any other exception is a fault of the
+program, not of its input, and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import functools
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import models, report, serialize
@@ -23,7 +25,7 @@ from .composites import KINDS, tensor
 from .conditioning import remote_evaluate
 from .cones import POLYHEDRAL, cones_equal, simplicial
 from .config import DEFAULT_SEED, numeric_tolerance, set_tolerance, tolerance_for
-from .errors import ComcatError, InputError, KindMismatch, MixedKindUnsupported
+from .errors import ComcatError, InputError, KindMismatch, MixedKindUnsupported, UnsupportedKind
 from .linalg import matmul, max_abs, sub_vectors, transpose
 from .matching import com_isomorphism
 from .protocols import check_theory_compact_closed, find_teleportation, verify_teleportation
@@ -129,6 +131,19 @@ def _composite(A: Com, B: Com, kind: str):
         ) from None
 
 
+@contextmanager
+def _exact_only(search: str, objs):
+    """Run an exact-only search on ``objs``: its refusal of a quantum
+    object is an input error, not a refuted property."""
+    try:
+        yield
+    except UnsupportedKind:
+        quantum = next((A for A in objs if A.kind != POLYHEDRAL), None)
+        if quantum is None:
+            raise
+        raise InputError(f"{search} is exact-only, and {quantum.label} is {quantum.kind}") from None
+
+
 def _cmd_tensor(args) -> int:
     A, _ = _resolve_model(args.a)
     B, _ = _resolve_model(args.b)
@@ -219,7 +234,8 @@ def _cmd_compact_check(args) -> int:
                 raise SchemaError(f"unknown composite kind {kind!r} for {pair}")
             composites[(A.label, B.label)] = _composite(A, B, kind)
             composites[("effects", A.label, B.label)] = _composite(A, B, KINDS[kind][1])
-    out = check_theory_compact_closed(objs, composites)
+    with _exact_only("the teleportation search", objs):
+        out = check_theory_compact_closed(objs, composites)
     verdicts = {
         "compact_closed": out["theory_compact_closed"],
         "composites": kinds,
@@ -249,9 +265,10 @@ def _cmd_compact_check(args) -> int:
 
 def _cmd_wsd(args) -> int:
     com, desc = _resolve_model(args.model)
-    found = (
-        check_symmetric_self_duality(com) if args.symmetric else check_weak_self_duality(com)
-    )
+    with _exact_only("the self-duality search", [com]):
+        found = (
+            check_symmetric_self_duality(com) if args.symmetric else check_weak_self_duality(com)
+        )
     return _finish(
         args,
         "wsd",

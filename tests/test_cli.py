@@ -329,6 +329,16 @@ def test_compact_check_of_a_mixed_theory_exits_two(tmp_path, capsys):
     assert "no min composite of quantum2 (psd) and classical2 (polyhedral)" in err
 
 
+@pytest.mark.parametrize(
+    "command, search",
+    [("compact-check", "the teleportation search"), ("wsd", "the self-duality search")],
+)
+def test_exact_only_search_of_a_quantum_model_exits_two(capsys, command, search):
+    code, out, err = run(capsys, command, "builtin:qubit")
+    assert code == 2 and not out
+    assert err == f"comcat: input error: {search} is exact-only, and quantum2 is psd\n"
+
+
 def test_remote_eval_cli(tmp_path, capsys):
     f = tmp_path / "f.json"
     omega = tmp_path / "omega.json"

@@ -176,11 +176,106 @@ def test_integer_tableau_matches_fraction_simplex(lp_data):
     # Same pivots as the Fraction simplex, so the same status, point and
     # value, on integer and rational data, feasible, infeasible, unbounded
     # and degenerate alike, with every tableau on int64 arrays and then with
-    # every tableau on list rows.
+    # every tableau on list rows.  The second pass also turns off the
+    # equality step, so that the LPs it decides reach a tableau too.
     n, constraints, kwargs = lp_data
     for min_cells in (0, float("inf")):
         with mock.patch.object(lp, "_ARRAY_MIN_CELLS", min_cells):
             _same_as_oracle(n, constraints, **kwargs)
+    with mock.patch.object(lp, "_settled_by_equalities", lambda *args: None):
+        for min_cells in (0, float("inf")):
+            with mock.patch.object(lp, "_ARRAY_MIN_CELLS", min_cells):
+                _same_as_oracle(n, constraints, **kwargs)
+
+
+@st.composite
+def _lps_with_n_equalities(draw):
+    # n equality rows A x = b in n variables, and up to two more: A random
+    # (so its last pivot is as often negative as positive) or with its
+    # last row a combination of the others (rank below n), b = A x0 or
+    # with the dependent row's rhs moved off (inconsistent).  Extra
+    # equalities through x0 or off it, and inequalities that x0 meets or
+    # misses by a little, in any order among them.
+    n = draw(st.integers(1, 4))
+    scalar = st.fractions(-3, 3, max_denominator=4) if draw(st.booleans()) else st.integers(-3, 3)
+    row = st.tuples(*[scalar] * n)
+    x0 = draw(row)
+
+    def through_x0(coeffs, off=0):
+        return sum(a * x for a, x in zip(coeffs, x0)) + off
+
+    A = draw(st.lists(row, min_size=n, max_size=n))
+    case = draw(st.sampled_from(["unique", "deficient", "inconsistent"]))
+    off = 0
+    if case != "unique":
+        weights = draw(st.lists(scalar, min_size=n - 1, max_size=n - 1))
+        A[-1] = tuple(sum(w * a[j] for w, a in zip(weights, A)) for j in range(n))
+        if case == "inconsistent":
+            off = draw(scalar.filter(bool))
+    constraints = [eq(a, through_x0(a)) for a in A[:-1]] + [eq(A[-1], through_x0(A[-1], off))]
+    for a in draw(st.lists(row, max_size=2)):
+        constraints.append(eq(a, through_x0(a, draw(st.just(0) | scalar))))
+    for a in draw(st.lists(row, max_size=3)):
+        constraints.append(Constraint(a, draw(st.sampled_from([LE, GE])), through_x0(a, draw(scalar))))
+    constraints = [constraints[i] for i in draw(st.permutations(range(len(constraints))))]
+    kwargs = {
+        "objective": draw(st.none() | row),
+        "maximize": draw(st.booleans()),
+        "nonneg": draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+    }
+    return n, constraints, kwargs
+
+
+@settings(max_examples=400, deadline=None)
+@given(_lps_with_n_equalities())
+def test_equality_rows_answer_as_the_fraction_simplex(lp_data):
+    # Inconsistent rows, a unique point that meets or breaks nonneg and the
+    # inequalities, and rank-deficient systems left to the simplex: the
+    # same status, point and value as the Fraction simplex, and the same
+    # repr as the integer simplex.  (The Fraction simplex's value is the
+    # int 0 when no basic column has a cost, as for 0 x = 0.)
+    n, constraints, kwargs = lp_data
+    got = _same_as_oracle(n, constraints, **kwargs)
+    with mock.patch.object(lp, "_settled_by_equalities", lambda *args: None):
+        assert repr(got) == repr(solve_lp(n, constraints, **kwargs))
+
+
+@pytest.mark.parametrize(
+    "num_vars, constraints, kwargs, result, tableaus",
+    [
+        # x + y = 1 and 2x + 2y = 3 are inconsistent.
+        (2, [eq((1, 1), 1), eq((2, 2), 3)], {}, lp.LpResult("infeasible"), 0),
+        # -x = 2 fixes x = -2 over the pivot -1.
+        (1, [eq((-1,), 2)], {"nonneg": [True]}, lp.LpResult("infeasible"), 0),
+        (1, [eq((-1,), -2)], {"nonneg": [True], "objective": (F(1, 2),)}, lp.LpResult("optimal", (F(2),), F(1)), 0),
+        # (1, 1) breaks x + y <= 1 and meets x - y >= 0.
+        (2, [eq((1, 0), 1), le((1, 1), 1), eq((0, 1), 1)], {}, lp.LpResult("infeasible"), 0),
+        (
+            2,
+            [eq((1, 0), 1), ge((1, -1), 0), eq((0, 3), 1)],
+            {"objective": (1, 1), "maximize": True},
+            lp.LpResult("optimal", (F(1), F(1, 3)), F(4, 3)),
+            0,
+        ),
+        # Rank 1 in two variables: the simplex decides.
+        (2, [eq((1, 1), 1), eq((2, 2), 2)], {"nonneg": [True, True]}, lp.LpResult("optimal", (F(1), F(0)), None), 1),
+        # One equality in two variables: below the gate.
+        (2, [eq((1, 1), 1), ge((1, 0), 2)], {}, lp.LpResult("optimal", (F(2), F(-1)), None), 1),
+    ],
+)
+def test_equality_rows_decide_only_when_they_fix_the_answer(
+    monkeypatch, num_vars, constraints, kwargs, result, tableaus
+):
+    built = []
+    init = lp._Tableau.__init__
+
+    def counted_init(tab, *args):
+        built.append(tab)
+        init(tab, *args)
+
+    monkeypatch.setattr(lp._Tableau, "__init__", counted_init)
+    got = _same_as_oracle(num_vars, constraints, **kwargs)
+    assert (repr(got), len(built)) == (repr(result), tableaus)
 
 
 def test_redundant_equality_with_negative_drive_out_pivot(monkeypatch):

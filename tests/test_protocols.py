@@ -1,4 +1,5 @@
 import random
+import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
 from unittest.mock import patch
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from comcat import hermitian, matching, protocols
+from comcat import hermitian, lp, matching, protocols
 from comcat.com import Com, random_positive_map
 from comcat.cones import cone_from_generators
 from comcat.composites import max_tensor, min_tensor, spatial_quantum_composite
@@ -403,3 +404,38 @@ def test_find_teleportation_equals_the_rescaling_oracle_after_the_same_lps(a, b,
         new = find_teleportation(A, B, ab, ba)
     assert new_lps == old_lps
     assert _certificate_fields(new) == _certificate_fields(old)
+
+
+@pytest.mark.parametrize(
+    "model, state_side, effect_side, lps, tableaus",
+    [
+        ("classical2", min_tensor, min_tensor, 6, 1),
+        ("gbit", max_tensor, min_tensor, 3, 0),
+        ("gbit", min_tensor, max_tensor, 48, 32),
+    ],
+)
+def test_equality_rows_decide_the_search_lps_without_a_tableau(
+    monkeypatch, model, state_side, effect_side, lps, tableaus
+):
+    # Every LP is still solved, but those whose equality rows are
+    # inconsistent or fix the one point (hat(omega) square) build no
+    # simplex tableau.
+    A, B = _MODELS[model](), _MODELS[model]()
+    ba, ab = state_side(B, A), effect_side(A, B)
+    calls, built = [], []
+    original, init = lp.solve_lp, lp._Tableau.__init__
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    def counted_init(tab, *args):
+        built.append(tab)
+        init(tab, *args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("comcat") and getattr(module, "solve_lp", None) is original:
+            monkeypatch.setattr(module, "solve_lp", counted)
+    monkeypatch.setattr(lp._Tableau, "__init__", counted_init)
+    find_teleportation(A, B, ab, ba)
+    assert (len(calls), len(built)) == (lps, tableaus)
