@@ -5,7 +5,9 @@ Exit codes: 0 property verified / object produced, 1 property refuted
 or JSON document, or an ``InputError`` (a malformed field, an unknown name,
 a bad size or tolerance, a pair of models that the requested composite
 cannot combine, a quantum model given to the exact-only searches of
-``compact-check`` and ``wsd``).  Any other exception is a fault of the
+``compact-check``, ``wsd`` and ``dagger``, or a polyhedral model with more
+extreme rays than the self-duality search of ``wsd`` and ``dagger``
+enumerates).  Any other exception is a fault of the
 program, not of its input, and propagates with its traceback.
 """
 
@@ -27,7 +29,7 @@ from .cones import POLYHEDRAL, cones_equal, simplicial
 from .config import DEFAULT_SEED, numeric_tolerance, set_tolerance, tolerance_for
 from .errors import ComcatError, InputError, KindMismatch, MixedKindUnsupported, UnsupportedKind
 from .linalg import matmul, max_abs, sub_vectors, transpose
-from .matching import com_isomorphism
+from .matching import MAX_RAYS, com_isomorphism
 from .protocols import check_theory_compact_closed, find_teleportation, verify_teleportation
 from .selfdual import (
     build_structure,
@@ -132,16 +134,24 @@ def _composite(A: Com, B: Com, kind: str):
 
 
 @contextmanager
-def _exact_only(search: str, objs):
-    """Run an exact-only search on ``objs``: its refusal of a quantum
-    object is an input error, not a refuted property."""
+def _search_scope(search: str, objs):
+    """Run an exact search on ``objs``: its refusal of a quantum object,
+    or of a polyhedral one with more extreme rays than the ray matching's
+    exhaustive bound ``MAX_RAYS``, is an input error, not a refuted
+    property."""
     try:
         yield
     except UnsupportedKind:
         quantum = next((A for A in objs if A.kind != POLYHEDRAL), None)
-        if quantum is None:
+        if quantum is not None:
+            raise InputError(f"{search} is exact-only, and {quantum.label} is {quantum.kind}") from None
+        large = next((A for A in objs if len(A.state_cone.generators) > MAX_RAYS), None)
+        if large is None:
             raise
-        raise InputError(f"{search} is exact-only, and {quantum.label} is {quantum.kind}") from None
+        raise InputError(
+            f"{search} is exhaustive up to {MAX_RAYS} extreme rays, "
+            f"and {large.label} has {len(large.state_cone.generators)}"
+        ) from None
 
 
 def _cmd_tensor(args) -> int:
@@ -234,7 +244,7 @@ def _cmd_compact_check(args) -> int:
                 raise SchemaError(f"unknown composite kind {kind!r} for {pair}")
             composites[(A.label, B.label)] = _composite(A, B, kind)
             composites[("effects", A.label, B.label)] = _composite(A, B, KINDS[kind][1])
-    with _exact_only("the teleportation search", objs):
+    with _search_scope("the teleportation search", objs):
         out = check_theory_compact_closed(objs, composites)
     verdicts = {
         "compact_closed": out["theory_compact_closed"],
@@ -265,7 +275,7 @@ def _cmd_compact_check(args) -> int:
 
 def _cmd_wsd(args) -> int:
     com, desc = _resolve_model(args.model)
-    with _exact_only("the self-duality search", [com]):
+    with _search_scope("the self-duality search", [com]):
         found = (
             check_symmetric_self_duality(com) if args.symmetric else check_weak_self_duality(com)
         )
@@ -325,7 +335,8 @@ def _cmd_dagger(args) -> int:
         variants[label] = variant
     structures = []
     for com in objs:
-        found = _structure_for(com, variants.get(com.label))
+        with _search_scope("the self-duality search", [com]):
+            found = _structure_for(com, variants.get(com.label))
         if found is None:
             return _finish(
                 args,

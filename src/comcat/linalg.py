@@ -21,14 +21,20 @@ divide two ints go through Fraction.
 Float data takes numpy kernels in ``matmul`` and ``max_abs`` once the
 result or the input has at least 64 entries (below that numpy's fixed
 cost per call exceeds the loop's); the entry types decide, and any
-Fraction keeps the pure-Python path.  ``matmul`` runs on numpy when every
-entry of one factor is a Python float and every entry of the other a
-float or an int, so that every product is a float (numpy converts an int
-as ``float()`` does).  It adds the products in the order ``dot`` does,
-one k at a time from a zero array, so its result equals ``dot``'s on
-CPython 3.11 to the bit, signed zeros included (no ``@``, BLAS or
+Fraction keeps the pure-Python path.  Float data means entries that are
+Python floats or ``numpy.float64`` scalars (the entries of a float
+ndarray's rows), both IEEE doubles with the same arithmetic; every other
+numpy scalar type, ``float32`` and ``int64`` among them, keeps the loop,
+since its arithmetic is not a double's.  ``matmul`` runs on numpy when
+every entry of one factor is float data and every entry of the other
+float data or an int, so that every product is a double (numpy converts
+an int as ``float()`` does).  It adds the products in the order ``dot``
+does, one k at a time from a zero array, so its result equals ``dot``'s
+on CPython 3.11 to the bit, signed zeros included (no ``@``, BLAS or
 einsum, whose summation orders differ).  ``max_abs`` runs on numpy when
-every entry is a float and none is NaN.
+every entry is float data and none is NaN.  The kernels return Python
+floats, also where the loop would return ``numpy.float64`` scalars of the
+same value.
 """
 
 from __future__ import annotations
@@ -97,6 +103,11 @@ def matvec(M, x) -> Vector:
 
 
 def matmul(A, B) -> Matrix:
+    """A B.  When one factor is all float data (Python floats and
+    ``numpy.float64`` entries), the other float data or ints, and the
+    result has at least 64 entries, the bit-identical numpy kernel runs
+    and yields Python floats.  Exact data that holds a Fraction runs on
+    integers; the rest runs ``dot`` per entry."""
     if not B:
         return tuple(() for _ in A)
     if is_fraction_matrix((*A, *B)):
@@ -120,15 +131,20 @@ def matmul(A, B) -> Matrix:
 
 
 _FLOAT, _NUMBER, _EXACT = {float}, {float, int}, {int, Fraction}
+_FLOAT64 = np.float64  # bound here: exact data never reads the module ``np``
 _NUMPY_MIN_ENTRIES = 64  # below this numpy's fixed cost per call exceeds the loop's
 
 
 def _entry_types(M) -> set:
     """The types of M's entries when M is a nonempty rectangular matrix,
-    else the empty set."""
+    else the empty set; ``numpy.float64`` counts as ``float``."""
     if not M or not set(map(type, M)) <= {tuple, list} or len(set(map(len, M))) != 1 or not M[0]:
         return set()
-    return set(map(type, chain.from_iterable(M)))
+    types = set(map(type, chain.from_iterable(M)))
+    if _FLOAT64 in types:
+        types.discard(_FLOAT64)
+        types.add(float)
+    return types
 
 
 def is_fraction_matrix(M) -> bool:
@@ -206,7 +222,9 @@ def swap_vector(v, n_a: int, n_b: int) -> Vector:
 
 
 def max_abs(obj) -> float:
-    """Largest absolute entry of a scalar, vector or matrix."""
+    """Largest absolute entry of a scalar, vector or matrix.  Float data
+    (Python floats and ``numpy.float64`` entries) of at least 64 entries
+    without a NaN runs on numpy and yields a Python float."""
     if not isinstance(obj, (list, tuple)):
         return abs(obj)
     rows = obj if obj and isinstance(obj[0], (list, tuple)) else (obj,)

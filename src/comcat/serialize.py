@@ -1,9 +1,14 @@
 """JSON codecs for cones, models, composites, structures and certificates.
 
 Rationals serialize as "p/q" strings (plain ints when integral) so that
-round-trips are lossless; floats pass through as JSON numbers.  Exact
-(polyhedral) data refuses floats: the generators of a polyhedral cone and
-the unit of a polyhedral model must be integers or "p/q" strings.
+round-trips are lossless; floats pass through as JSON numbers.
+``num_to_json`` and ``vector_to_json`` pass Python ints and floats on as
+they are, recognized by their exact type before the costlier
+``isinstance`` test against the ``Fraction`` ABC.  A bool stays a bool,
+and any other number, a numpy scalar included, becomes a Python float.
+Exact (polyhedral) data refuses floats: the generators of a polyhedral
+cone and the unit of a polyhedral model must be integers or "p/q"
+strings.
 
 ``dumps`` writes sorted-key JSON text: compact by ``json``'s C encoder, or
 indented, as the CLI prints its reports, by a one-pass writer whose text
@@ -46,7 +51,12 @@ def expect_json(value, kind: type, field: str):
     return value
 
 
+_PLAIN_NUMBERS = frozenset({int, float})  # passed on as they are, without the Fraction ABC check
+
+
 def num_to_json(x):
+    if type(x) in _PLAIN_NUMBERS:
+        return x
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return int(x)
@@ -74,6 +84,8 @@ def num_from_json(v):
 
 
 def vector_to_json(v):
+    if _PLAIN_NUMBERS.issuperset(map(type, v)):
+        return list(v)
     return [num_to_json(x) for x in v]
 
 

@@ -5,14 +5,16 @@ import sys
 from fractions import Fraction as F
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import comcat
+import serialize_oracle
 from comcat.cli import build_parser, main
 from comcat.com import Com
-from comcat.cones import cone_from_generators
+from comcat.cones import cone_from_generators, dual_cone
 from comcat.linalg import inverse, matrix_to_vec, matvec, transpose
 from comcat.models import classical, gbit, quantum
 from comcat.selfdual import check_symmetric_self_duality, verify_isomorphism_state
@@ -26,6 +28,7 @@ from comcat.serialize import (
     dumps,
     num_from_json,
     num_to_json,
+    vector_to_json,
 )
 
 
@@ -43,6 +46,34 @@ def test_number_codec_round_trip():
     values = [F(1, 3), F(-7, 2), F(4), 0.125, 0.1, -3.0]
     for v in values:
         assert num_from_json(json.loads(json.dumps(num_to_json(v)))) == v
+
+
+NUMBERS = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324]),
+    st.fractions(),
+    st.floats().map(np.float64),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+
+
+def _same_json_number(x, y) -> bool:
+    """Equal values of the same type, -0.0 and NaN told apart by repr."""
+    return type(x) is type(y) and repr(x) == repr(y)
+
+
+@given(NUMBERS)
+def test_num_to_json_equals_the_isinstance_encoder(x):
+    assert _same_json_number(num_to_json(x), serialize_oracle.num_to_json(x))
+
+
+@given(st.one_of(st.lists(NUMBERS), st.lists(st.one_of(st.integers(), st.floats())).map(tuple)))
+def test_vector_to_json_equals_the_isinstance_encoder(v):
+    got, expected = vector_to_json(v), serialize_oracle.vector_to_json(v)
+    assert type(got) is list and len(got) == len(expected)
+    assert all(map(_same_json_number, got, expected))
 
 
 def test_cone_json_round_trip():
@@ -337,6 +368,26 @@ def test_exact_only_search_of_a_quantum_model_exits_two(capsys, command, search)
     code, out, err = run(capsys, command, "builtin:qubit")
     assert code == 2 and not out
     assert err == f"comcat: input error: {search} is exact-only, and quantum2 is psd\n"
+
+
+def _decagon() -> dict:
+    """The polyhedral model on 10 of the 12 lattice points of the radius-5
+    circle, (x, y, 1): ten extreme rays, beyond ``matching.MAX_RAYS``."""
+    points = [(5, 0), (4, 3), (3, 4), (-3, 4), (-4, 3), (-5, 0), (-4, -3), (-3, -4), (3, -4), (4, -3)]
+    state = cone_from_generators([(x, y, 1) for x, y in points])
+    return com_to_json(Com(label="decagon", state_cone=state, effect_cone=dual_cone(state), unit=(0, 0, 1)))
+
+
+@pytest.mark.parametrize("command", [["wsd"], ["wsd", "--symmetric"], ["dagger"]])
+def test_self_duality_search_beyond_the_ray_bound_exits_two(tmp_path, capsys, command):
+    model = _write(tmp_path, "decagon.json", _decagon())
+    arg = _write(tmp_path, "theory.json", {"objects": [model]}) if command == ["dagger"] else model
+    code, out, err = run(capsys, *command, arg)
+    assert code == 2 and not out
+    assert err == (
+        "comcat: input error: the self-duality search is exhaustive up to 8 extreme rays, "
+        "and decagon has 10\n"
+    )
 
 
 def test_remote_eval_cli(tmp_path, capsys):

@@ -5,6 +5,7 @@ the stored record in ``sampling_oracle``."""
 
 from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sampling_oracle as oracle
-from comcat import cones, hermitian, linalg, selfdual
+from comcat import cones, hermitian, linalg, protocols, selfdual
 from comcat.composites import in_max_cone, is_composite, spatial_quantum_composite
 from comcat.config import set_tolerance
 from comcat.cones import PROBE_SAMPLES, probe_rays, psd_cone
@@ -516,6 +517,69 @@ def test_float_max_abs_equals_loop_to_the_bit(M, as_vector):
     assert _same(max_abs(M[0][0]), oracle.loop_max_abs(M[0][0]))
 
 
+# numpy.float64 entries, as the rows of a float ndarray hand them over: the
+# same doubles, so the kernels must give the loop's bits, as Python floats
+F64 = FLOATS.map(np.float64)
+F64_DATA = st.one_of(F64, FLOATS)
+F64_INTS = st.one_of(F64_DATA, st.integers(-(2**70), 2**70), st.sampled_from(ROUNDED_INTS))
+F64_NAN = st.sampled_from([np.float64("nan"), float("nan")])
+
+
+def _same_bits_as_float(x, y) -> bool:
+    """x is a Python float with the bits of y, a float or numpy.float64."""
+    return type(x) is float and float.hex(x) == float.hex(y)
+
+
+def _loop(f, *args):
+    """A loop oracle on numpy scalars, without numpy's overflow warnings."""
+    with np.errstate(all="ignore"):
+        return f(*args)
+
+
+@st.composite
+def float64_factors(draw):
+    """Factors that the kernel takes: at least 64 result entries, one factor
+    all float data with a numpy.float64 among it, the other float data or
+    ints; either may hold a NaN."""
+    m, k, n = draw(st.integers(8, 16)), draw(st.integers(1, 16)), draw(st.integers(8, 16))
+    nan = draw(st.booleans())
+    floats, other = F64_DATA, draw(st.sampled_from([F64, F64_DATA, F64_INTS]))
+    if nan:
+        floats, other = st.one_of(floats, F64_NAN), st.one_of(other, F64_NAN)
+    A = [[draw(floats) for _ in range(k)] for _ in range(m)]
+    A[draw(st.integers(0, m - 1))][draw(st.integers(0, k - 1))] = draw(F64)
+    B = tuple(tuple(draw(other) for _ in range(n)) for _ in range(k))
+    A = tuple(map(tuple, A))
+    return (A, B) if draw(st.booleans()) else (transpose(B), transpose(A))
+
+
+@settings(max_examples=300, deadline=None)
+@given(float64_factors())
+def test_float64_matmul_equals_loop_to_the_bit(factors):
+    A, B = factors
+    try:
+        expected = _loop(oracle.loop_matmul, A, B)
+    except OverflowError:  # an int beyond the double range meets a double
+        with pytest.raises(OverflowError):
+            matmul(A, B)
+        return
+    got = matmul(A, B)
+    assert len(got) == len(expected)
+    assert all(map(_same_bits_as_float, chain.from_iterable(got), chain.from_iterable(expected)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(8, 16), st.integers(8, 16), st.booleans(), st.booleans(), st.data())
+def test_float64_max_abs_equals_loop_to_the_bit(m, n, nan, as_vector, data):
+    entries = st.one_of(F64_DATA, F64_NAN) if nan else F64_DATA
+    M = [[np.float64(data.draw(FLOATS))] + [data.draw(entries) for _ in range(n - 1)] for _ in range(m)]
+    obj = list(chain.from_iterable(M)) if as_vector else M
+    got, expected = max_abs(obj), _loop(oracle.loop_max_abs, obj)
+    assert float.hex(got) == float.hex(expected)
+    if not any(x != x for x in chain.from_iterable(M)):  # a NaN keeps the loop
+        assert _same_bits_as_float(got, expected)
+
+
 def test_float_matmul_keeps_the_sign_of_zero_as_sum_does():
     A = ((-0.0,) * 16,) * 16
     B = ((0.0,) * 16,) * 16
@@ -533,6 +597,35 @@ def test_float_data_from_64_entries_runs_without_dot(monkeypatch):
     monkeypatch.setattr(linalg, "dot", None)
     assert _same_matrix(matmul(A, linalg.identity(8)), expected[0])
     assert _same_matrix(matmul(linalg.identity(8), A), A)
+
+
+def test_float64_data_runs_without_dot_while_other_numpy_scalars_keep_the_loop(monkeypatch):
+    grid = np.arange(64, dtype=np.float64).reshape(8, 8) * 0.5 - 7.25
+    rows = {t: tuple(tuple(r) for r in grid.astype(t)) for t in (np.float64, np.float32, np.int64)}
+    expected = {t: _loop(oracle.loop_matmul, M, M) for t, M in rows.items()}
+
+    def refuse(x, y):
+        raise AssertionError("dot called on float data")
+
+    monkeypatch.setattr(linalg, "dot", refuse)
+    M = rows[np.float64]
+    assert _same_matrix(matmul(M, M), tuple(tuple(map(float, r)) for r in expected[np.float64]))
+    assert _same_bits_as_float(max_abs(M), oracle.loop_max_abs(M))
+    calls = []
+
+    def counting(x, y):
+        calls.append(1)
+        return oracle.dot(x, y)
+
+    monkeypatch.setattr(linalg, "dot", counting)
+    for t in (np.float32, np.int64):
+        calls.clear()
+        got = matmul(rows[t], rows[t])
+        assert len(calls) == 64
+        assert all(type(x) is t for x in chain.from_iterable(got)) and got == expected[t]
+    monkeypatch.setattr(linalg, "np", None)
+    for t in (np.float32, np.int64):  # max_abs keeps the loop too
+        assert max_abs(rows[t]) == oracle.loop_max_abs(rows[t])
 
 
 def test_ragged_float_factors_take_the_loop():
@@ -555,3 +648,42 @@ def test_exact_data_never_enters_numpy(monkeypatch):
     assert [matmul(A, B) for A, B in pairs] == expected
     assert max_abs(M) == 63 and max_abs(ints) == 63 and max_abs(mixed) == 0.5
     assert max_abs(()) == 0 and max_abs([]) == 0
+
+
+def _ququart_certificate(seed: int):
+    """The data of a ququart teleportation certificate as the spectral
+    benchmark builds it: omega, the form of (U (x) 1)|phi+> for a random
+    unitary U, and r_hat, the inverse of hat(omega) = G^T as an ndarray."""
+    d, n = 4, 16
+    basis = hermitian.basis((d,))
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    psi = np.kron(U, np.eye(d)) @ (np.eye(d).reshape(n) / np.sqrt(d))
+    proj = np.outer(psi, psi.conj())
+    omega = tuple(float(np.trace(proj @ np.kron(Bk, Bl)).real) for Bk in basis for Bl in basis)
+    return omega, np.linalg.inv(np.reshape(omega, (n, n)).T)
+
+
+def _hex(v):
+    """float.hex of a float residual, or of each entry of a tuple of them."""
+    return tuple(map(_hex, v)) if isinstance(v, tuple) else float.hex(v)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_ndarray_rows_certificate_verifies_as_its_float_copy(seed):
+    A = quantum(4)
+    AB = spatial_quantum_composite(A, A)
+    omega, f_hat = _ququart_certificate(seed)
+    results = []
+    for r_hat in (tuple(tuple(r) for r in f_hat), tuple(map(tuple, f_hat.tolist()))):
+        c = protocols.max_effect_scale_psd(r_hat, A, A)
+        r_form = tuple(x for row in zip(*r_hat) for x in row)
+        cert = protocols.TeleportationCertificate(
+            omega=omega, r_hat=r_hat, c=c, f=tuple(c * x for x in r_form), residual=0.0,
+            composite_ab=AB, composite_ba=AB,
+        )
+        report = protocols.verify_teleportation(cert, A, A)
+        results.append((float.hex(c), report.ok, report.violations,
+                        {k: _hex(v) for k, v in report.residuals.items()}))
+    assert results[0] == results[1]
+    assert results[0][1] and abs(float.fromhex(results[0][0]) - 1 / 16) <= 1e-9
