@@ -3,11 +3,12 @@
 Exit codes: 0 property verified / object produced, 1 property refuted
 (with a witness in the report), 2 usage or input errors: an unreadable file
 or JSON document, or an ``InputError`` (a malformed field, an unknown name,
-a bad size or tolerance, a pair of models that the requested composite
-cannot combine, a quantum model given to the exact-only searches of
-``compact-check``, ``wsd`` and ``dagger``, or a polyhedral model with more
-extreme rays than the self-duality search of ``wsd`` and ``dagger``
-enumerates).  Any other exception is a fault of the
+a bad size or tolerance, a ``remote-eval`` vector whose length does not
+fit its models, a pair of models that the requested composite cannot
+combine, or a model that a search refuses, ``UnsupportedKind``: a quantum
+model given to the exact-only searches of ``teleport``, ``compact-check``,
+``wsd`` and ``dagger``, or a polyhedral model with more extreme rays than
+their ray matching enumerates).  Any other exception is a fault of the
 program, not of its input, and propagates with its traceback.
 """
 
@@ -18,7 +19,6 @@ import functools
 import json
 import sys
 import time
-from contextlib import contextmanager
 from pathlib import Path
 
 from . import models, report, serialize
@@ -27,9 +27,9 @@ from .composites import KINDS, tensor
 from .conditioning import remote_evaluate
 from .cones import POLYHEDRAL, cones_equal, simplicial
 from .config import DEFAULT_SEED, numeric_tolerance, set_tolerance, tolerance_for
-from .errors import ComcatError, InputError, KindMismatch, MixedKindUnsupported, UnsupportedKind
+from .errors import ComcatError, InputError, KindMismatch, MixedKindUnsupported
 from .linalg import matmul, max_abs, sub_vectors, transpose
-from .matching import MAX_RAYS, com_isomorphism
+from .matching import com_isomorphism
 from .protocols import check_theory_compact_closed, find_teleportation, verify_teleportation
 from .selfdual import (
     build_structure,
@@ -133,27 +133,6 @@ def _composite(A: Com, B: Com, kind: str):
         ) from None
 
 
-@contextmanager
-def _search_scope(search: str, objs):
-    """Run an exact search on ``objs``: its refusal of a quantum object,
-    or of a polyhedral one with more extreme rays than the ray matching's
-    exhaustive bound ``MAX_RAYS``, is an input error, not a refuted
-    property."""
-    try:
-        yield
-    except UnsupportedKind:
-        quantum = next((A for A in objs if A.kind != POLYHEDRAL), None)
-        if quantum is not None:
-            raise InputError(f"{search} is exact-only, and {quantum.label} is {quantum.kind}") from None
-        large = next((A for A in objs if len(A.state_cone.generators) > MAX_RAYS), None)
-        if large is None:
-            raise
-        raise InputError(
-            f"{search} is exhaustive up to {MAX_RAYS} extreme rays, "
-            f"and {large.label} has {len(large.state_cone.generators)}"
-        ) from None
-
-
 def _cmd_tensor(args) -> int:
     A, _ = _resolve_model(args.a)
     B, _ = _resolve_model(args.b)
@@ -172,6 +151,10 @@ def _cmd_remote_eval(args) -> int:
         state_from_json(_load_json(getattr(args, name)), name if exact else None)
         for name in ("f", "omega", "alpha")
     )
+    lengths = {"f": A.dim * B.dim, "omega": B.dim * C.dim, "alpha": A.dim}
+    for (name, length), vector in zip(lengths.items(), (f, omega, alpha)):
+        if len(vector) != length:
+            raise InputError(f"--{name} has length {len(vector)}, expected {length}")
     result = remote_evaluate(f, omega, alpha, A, B, C)
     return _finish(
         args,
@@ -244,8 +227,7 @@ def _cmd_compact_check(args) -> int:
                 raise SchemaError(f"unknown composite kind {kind!r} for {pair}")
             composites[(A.label, B.label)] = _composite(A, B, kind)
             composites[("effects", A.label, B.label)] = _composite(A, B, KINDS[kind][1])
-    with _search_scope("the teleportation search", objs):
-        out = check_theory_compact_closed(objs, composites)
+    out = check_theory_compact_closed(objs, composites)
     verdicts = {
         "compact_closed": out["theory_compact_closed"],
         "composites": kinds,
@@ -275,10 +257,7 @@ def _cmd_compact_check(args) -> int:
 
 def _cmd_wsd(args) -> int:
     com, desc = _resolve_model(args.model)
-    with _search_scope("the self-duality search", [com]):
-        found = (
-            check_symmetric_self_duality(com) if args.symmetric else check_weak_self_duality(com)
-        )
+    found = check_symmetric_self_duality(com) if args.symmetric else check_weak_self_duality(com)
     return _finish(
         args,
         "wsd",
@@ -335,8 +314,7 @@ def _cmd_dagger(args) -> int:
         variants[label] = variant
     structures = []
     for com in objs:
-        with _search_scope("the self-duality search", [com]):
-            found = _structure_for(com, variants.get(com.label))
+        found = _structure_for(com, variants.get(com.label))
         if found is None:
             return _finish(
                 args,

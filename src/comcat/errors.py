@@ -51,8 +51,10 @@ class ZeroMap(ComcatError):
     pass
 
 
-class UnsupportedKind(ComcatError):
-    pass
+class UnsupportedKind(InputError):
+    """A search refused its input: a quantum model given to an exact-only
+    search, or a polyhedral one with more extreme rays than the ray
+    matching enumerates.  The message names the search and the model."""
 
 
 class InvalidStructure(ComcatError):

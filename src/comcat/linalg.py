@@ -159,9 +159,8 @@ def transpose(M) -> Matrix:
     return tuple(zip(*M)) if M else ()
 
 
-def identity(n: int, one=1) -> Matrix:
-    zero = one - one
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+def identity(n: int) -> Matrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def scale_vector(c, x) -> Vector:

@@ -4,8 +4,10 @@ An order isomorphism must send extreme rays bijectively to extreme rays
 (up to positive scaling), so the search runs over ray bijections,
 pre-pruned by a combinatorial invariant (how many facets are tight at a
 ray), then solves one exact LP per surviving bijection for the matrix and
-the per-ray scalings.  Exhaustive and deterministic for cones with at
-most eight extreme rays; larger inputs are refused.
+the per-ray scalings.  ``ray_matchings`` is the one enumeration, which
+stage 2 of the teleportation search walks unfiltered.  Exhaustive and
+deterministic up to ``MAX_RAYS`` target rays; past them it refuses,
+naming the search and the model.
 """
 
 from __future__ import annotations
@@ -25,11 +27,33 @@ def _tightness_profile(rays, facets):
     return [sum(1 for h in facets if dot(h, g) == 0) for g in rays]
 
 
+def ray_matchings(sources, targets, rows, cols, search, label, allowed=None, symmetric=False, extra_rows=None):
+    """For each injection i -> image[i] of sources into targets, in
+    lexicographic order and with image[i] in allowed[i] if given, the
+    rows x cols M of the feasible matching LPs (``_solve_matching``).
+    Past ``MAX_RAYS`` targets, when some injection exists, raise
+    ``UnsupportedKind`` naming the search and the model labelled label."""
+    if len(sources) > len(targets):
+        return
+    if len(targets) > MAX_RAYS:
+        raise UnsupportedKind(
+            f"{search} is exhaustive up to {MAX_RAYS} extreme rays, and {label} has {len(targets)}"
+        )
+    for image in permutations(range(len(targets)), len(sources)):
+        if allowed is not None and any(j not in can for j, can in zip(image, allowed)):
+            continue
+        M = _solve_matching(sources, [targets[j] for j in image], rows, cols, symmetric, extra_rows)
+        if M is not None:
+            yield M
+
+
 def order_isomorphisms(
     source: Cone,
     target: Cone,
     symmetric: bool = False,
     extra_rows: Optional[Sequence[tuple[tuple, tuple]]] = None,
+    search: str = "the order-isomorphism search",
+    label: str = "the target cone",
 ) -> Iterator[tuple[tuple, tuple]]:
     """Yield the pairs (M, M^-1) with M(source) = target, extreme rays to
     extreme rays; optionally only symmetric M, optionally subject to
@@ -38,7 +62,8 @@ def order_isomorphisms(
 
     Results are verified (invertibility plus two-sided cone inclusion on
     generators) before being yielded, in deterministic order; M^-1 is the
-    inverse that the verification computed.
+    inverse that the verification computed.  search and label word the
+    refusal of a target past the bound (``ray_matchings``).
     """
     if source.kind != "polyhedral" or target.kind != "polyhedral":
         raise UnsupportedKind("ray matching needs polyhedral cones")
@@ -49,22 +74,10 @@ def order_isomorphisms(
     tgt = target.generators
     if len(src) != len(tgt):
         return
-    k = len(src)
-    if k > MAX_RAYS:
-        raise UnsupportedKind(f"{k} extreme rays exceed the exhaustive search bound {MAX_RAYS}")
-
     src_profile = _tightness_profile(src, source.facets)
     tgt_profile = _tightness_profile(tgt, target.facets)
-    compatible = [
-        [j for j in range(k) if tgt_profile[j] == src_profile[i]] for i in range(k)
-    ]
-
-    for perm in permutations(range(k)):
-        if any(perm[i] not in compatible[i] for i in range(k)):
-            continue
-        M = _solve_matching(src, [tgt[j] for j in perm], n, n, symmetric, extra_rows)
-        if M is None:
-            continue
+    allowed = [{j for j, p in enumerate(tgt_profile) if p == q} for q in src_profile]
+    for M in ray_matchings(src, tgt, n, n, search, label, allowed, symmetric, extra_rows):
         Minv = _verified_inverse(M, source, target)
         if Minv is not None:
             yield M, Minv
@@ -143,7 +156,7 @@ def com_isomorphism(A, B) -> Optional[tuple]:
         for r in range(n):
             row[r][col] = B.unit[r]
         unit_rows.append((row, A.unit[col]))
-    for M, M_inverse in order_isomorphisms(A.state_cone, B.state_cone, extra_rows=unit_rows):
+    for M, M_inverse in order_isomorphisms(A.state_cone, B.state_cone, extra_rows=unit_rows, label=B.label):
         if not any(rays_leaving(transpose(M_inverse), A.effect_cone, B.effect_cone)) and not any(
             rays_leaving(transpose(M), B.effect_cone, A.effect_cone)
         ):

@@ -20,14 +20,15 @@ candidate pairs, taken in order:
 Each LP's equality rows fix hat(omega) . r_hat = id_A exactly, so a pair
 only needs normalizing: omega / t and t * r_hat with t = u . omega.
 Both stages are deterministic; exhaustion of both is reported, not
-proven complete.
+proven complete.  Past the ray matching's bound on B's effect rays,
+stage 2 refuses (``UnsupportedKind``) instead of exhausting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, permutations
+from itertools import chain
 from typing import Optional, Sequence
 
 from . import hermitian
@@ -52,7 +53,9 @@ from .linalg import (
     vec_to_matrix,
 )
 from .lp import eq, ge, solve_lp
-from .matching import MAX_RAYS, _solve_matching
+from .matching import ray_matchings
+
+_SEARCH = "the teleportation search"
 
 
 @dataclass
@@ -130,14 +133,8 @@ def _candidate_omegas_stage2(A: Com, B: Com, composite_ba: CompositeCom):
     solving an exact LP for omega in the composite cone."""
     a_rays = A.state_cone.generators
     b_rays = B.effect_cone.generators
-    if len(a_rays) > len(b_rays) or len(b_rays) > MAX_RAYS:
-        return
-    n_a, n_b = A.dim, B.dim
     gens_ba = composite_ba.state_cone.generators
-    for image in permutations(range(len(b_rays)), len(a_rays)):
-        r_hat = _solve_matching(a_rays, [b_rays[j] for j in image], n_b, n_a)
-        if r_hat is None:
-            continue
+    for r_hat in ray_matchings(a_rays, b_rays, B.dim, A.dim, _SEARCH, B.label):
         omega = _solve_omega(r_hat, A, B, gens_ba)
         if omega is not None:
             yield omega, r_hat
@@ -168,10 +165,12 @@ def find_teleportation(
     """Search for a conclusive correction-free protocol sending A through B.
 
     composite_ba hosts the shared state; composite_ab hosts the measured
-    effect.  Exact polyhedral models only; returns the first certificate in
-    deterministic stage order, or None when both stages exhaust."""
-    if A.kind != POLYHEDRAL or B.kind != POLYHEDRAL:
-        raise UnsupportedKind("search is exact-only; verify an explicit PSD candidate instead")
+    effect.  Returns the first certificate in deterministic stage order, or
+    None when both stages exhaust.  ``UnsupportedKind`` refuses a quantum
+    model at once, and a B past the ray matching's bound after stage 1."""
+    for X in (A, B):
+        if X.kind != POLYHEDRAL:
+            raise UnsupportedKind(f"{_SEARCH} is exact-only, and {X.label} is {X.kind}")
     n_a, n_b = A.dim, B.dim
     candidates = chain(
         _candidate_omegas_stage1(A, B, composite_ba), _candidate_omegas_stage2(A, B, composite_ba)

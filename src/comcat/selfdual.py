@@ -46,6 +46,8 @@ from .linalg import (
 )
 from .matching import order_isomorphisms
 
+_SEARCH = "the self-duality search"
+
 
 @dataclass(frozen=True)
 class DualityStructure:
@@ -193,10 +195,9 @@ def check_symmetric_self_duality(A: Com) -> Optional[DualityStructure]:
 
 def _self_duality_search(A: Com, symmetric: bool) -> Optional[DualityStructure]:
     if A.kind != POLYHEDRAL:
-        raise UnsupportedKind(
-            "self-duality search needs a polyhedral model; verify an explicit candidate instead"
-        )
-    for phi, phi_inverse in order_isomorphisms(A.state_cone, A.effect_cone, symmetric=symmetric):
+        raise UnsupportedKind(f"{_SEARCH} is exact-only, and {A.label} is {A.kind}")
+    isomorphisms = order_isomorphisms(A.state_cone, A.effect_cone, symmetric, search=_SEARCH, label=A.label)
+    for phi, phi_inverse in isomorphisms:
         try:
             return build_structure(A, phi_inverse, f_hat=phi)
         except InvalidStructure:
@@ -354,7 +355,7 @@ def strongly_self_dual_model(A: Com) -> bool:
         return not verify_isomorphism_state(gamma, A)
     if not is_saturated(A):
         return False
-    for phi, _ in order_isomorphisms(A.state_cone, A.effect_cone, symmetric=True):
+    for phi, _ in order_isomorphisms(A.state_cone, A.effect_cone, True, search=_SEARCH, label=A.label):
         pos, zero, neg = symmetric_inertia(phi)
         if zero == 0 and neg == 0:
             return True

@@ -52,6 +52,14 @@ after the same LPs.  The LPs of the search (``_solve_r_hat``,
 ``_candidate_omegas_stage2``, ``_solve_omega`` and ``_solve_matching``) are
 copies of the package's, kept here so that a changed LP in the package
 shows as a different LP call; they run on the Fraction simplex above.
+``order_isomorphisms`` is the ray-matching loop of the self-duality and
+model-isomorphism searches as it was before it and stage 2 shared one
+enumerator (``matching.ray_matchings``): its own ``permutations`` loop
+over the bijections allowed by tight-facet counts, with this module's
+``_solve_matching``, ``inverse`` and ``rays_leaving``.  The searches must
+solve the same LPs with it as with the package's.  Like the stage-2 copy,
+it keeps the bound of that time: past ``MAX_RAYS`` rays stage 2 skipped
+itself, and the bijection loop raised without naming the model.
 
 ``matvec`` and ``matmul`` are the exact products as the package computed
 them before exact operands holding a Fraction were scaled to integers
@@ -99,6 +107,7 @@ from comcat.errors import (
     NotPointed,
     RemoteEvalMismatch,
     SingularMatrix,
+    UnsupportedKind,
     ZeroMap,
     ZeroProbabilityCondition,
 )
@@ -285,12 +294,12 @@ def char_poly(A) -> list[Fraction]:
     n = len(A)
     Af = frac_matrix(A)
     coeffs = [Fraction(0)] * n + [Fraction(1)]
-    M = identity(n, Fraction(1))
+    M = identity(n)
     for k in range(1, n + 1):
         AM = matmul(Af, M)
         c = -sum(AM[i][i] for i in range(n)) / k
         coeffs[n - k] = c
-        M = add_matrices(AM, scale_matrix(c, identity(n, Fraction(1))))
+        M = add_matrices(AM, scale_matrix(c, identity(n)))
     return coeffs
 
 
@@ -792,10 +801,12 @@ def _solve_omega(r_hat, A: Com, B: Com, gens_ba) -> Optional[tuple]:
 
 
 def _solve_matching(sources, targets, rows, cols, symmetric=False, extra_rows=None):
-    """LP for a rows x cols matrix M (free entries) and scalings lam_i >= 1
+    """LP for a rows x cols matrix M (free entries) and scalings lam_i
     with M sources_i = lam_i targets_i; minimizes sum(lam) for a canonical
     pick.  symmetric adds M = M^T (square M); extra_rows adds the exact
-    conditions of order_isomorphisms.  None when the LP is infeasible."""
+    conditions of order_isomorphisms.  Without extra rows lam_i >= 1 fixes
+    the free overall scale; with them lam_i >= 0.  None when the LP is
+    infeasible."""
     k = len(sources)
     nvars = rows * cols + k
     cons = []
@@ -805,10 +816,11 @@ def _solve_matching(sources, targets, rows, cols, symmetric=False, extra_rows=No
             coeffs[row * cols : (row + 1) * cols] = s
             coeffs[rows * cols + i] = -t[row]
             cons.append(eq(coeffs, 0))
+    floor = 0 if extra_rows else 1
     for i in range(k):
         coeffs = [0] * nvars
         coeffs[rows * cols + i] = 1
-        cons.append(ge(coeffs, 1))
+        cons.append(ge(coeffs, floor))
     if symmetric:
         for a in range(rows):
             for b in range(a + 1, rows):
@@ -825,6 +837,45 @@ def _solve_matching(sources, targets, rows, cols, symmetric=False, extra_rows=No
         return None
     flat = res.x
     return tuple(tuple(flat[row * cols + col] for col in range(cols)) for row in range(rows))
+
+
+def order_isomorphisms(source: Cone, target: Cone, symmetric=False, extra_rows=None):
+    """The pairs (M, M^-1) with M(source) = target, extreme rays to extreme
+    rays: every ray bijection in lexicographic order whose rays have equal
+    tight-facet counts, one ``_solve_matching`` LP each, then the inverse
+    and the two-sided inclusion on generators."""
+    if source.kind != POLYHEDRAL or target.kind != POLYHEDRAL:
+        raise UnsupportedKind("ray matching needs polyhedral cones")
+    n = source.dim
+    if target.dim != n:
+        return
+    src = source.generators
+    tgt = target.generators
+    if len(src) != len(tgt):
+        return
+    k = len(src)
+    if k > MAX_RAYS:
+        raise UnsupportedKind(f"{k} extreme rays exceed the exhaustive search bound {MAX_RAYS}")
+
+    src_profile = [sum(1 for h in source.facets if dot(h, g) == 0) for g in src]
+    tgt_profile = [sum(1 for h in target.facets if dot(h, g) == 0) for g in tgt]
+    compatible = [
+        [j for j in range(k) if tgt_profile[j] == src_profile[i]] for i in range(k)
+    ]
+
+    for perm in permutations(range(k)):
+        if any(perm[i] not in compatible[i] for i in range(k)):
+            continue
+        M = _solve_matching(src, [tgt[j] for j in perm], n, n, symmetric, extra_rows)
+        if M is None:
+            continue
+        try:
+            Minv = inverse(M)
+        except SingularMatrix:
+            continue
+        if rays_leaving(M, source, target) or rays_leaving(Minv, target, source):
+            continue
+        yield M, Minv
 
 
 def find_teleportation(

@@ -390,6 +390,17 @@ def test_self_duality_search_beyond_the_ray_bound_exits_two(tmp_path, capsys, co
     )
 
 
+@pytest.mark.parametrize("command", [["teleport", "builtin:classical9"], ["compact-check"]])
+def test_teleportation_search_beyond_the_ray_bound_exits_two(tmp_path, capsys, command):
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, *command, "builtin:classical9", "-o", str(report))
+    assert code == 2 and not out and not report.exists()
+    assert err == (
+        "comcat: input error: the teleportation search is exhaustive up to 8 extreme rays, "
+        "and classical9 has 9\n"
+    )
+
+
 def test_remote_eval_cli(tmp_path, capsys):
     f = tmp_path / "f.json"
     omega = tmp_path / "omega.json"
@@ -427,6 +438,18 @@ def test_remote_eval_refuses_floats_for_exact_models(tmp_path, capsys):
         )
         assert (code, out) == (2, "")
         assert err.startswith(f"comcat: input error: {name}: float ")
+
+
+@pytest.mark.parametrize("name, expected", [("f", 4), ("omega", 4), ("alpha", 2)])
+def test_remote_eval_vector_of_the_wrong_length_exits_two(tmp_path, capsys, name, expected):
+    vectors = {"f": ["1/2", 0, 0, "1/2"], "omega": ["1/2", 0, 0, "1/2"], "alpha": ["1/3", "2/3"]}
+    vectors[name] = ["1/3"] * 3
+    code, out, err = run(
+        capsys, "remote-eval", *_write_vectors(tmp_path, vectors),
+        "--models", "builtin:classical2", "builtin:classical2", "builtin:classical2",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"comcat: input error: --{name} has length 3, expected {expected}\n"
 
 
 def test_remote_eval_accepts_floats_for_psd_models(tmp_path, capsys):

@@ -162,7 +162,7 @@ def test_normalize_morphism():
     two = ((F(2), F(0)), (F(0), F(2)))
     process, M = normalize_morphism(two, c2, c2)
     assert M == 2
-    assert process == identity(2, F(1))
+    assert process == identity(2)
     process, M = normalize_morphism(identity(2), c2, c2)
     assert M == 1
     with pytest.raises(ZeroMap):

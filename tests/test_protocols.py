@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fraction_oracle as oracle
-from comcat import hermitian, lp, matching, protocols
+from comcat import hermitian, lp, matching, protocols, selfdual
 from comcat.com import Com, random_positive_map
-from comcat.cones import cone_from_generators
+from comcat.cones import cone_from_generators, dual_cone
 from comcat.composites import max_tensor, min_tensor, spatial_quantum_composite
-from comcat.errors import MixedKindUnsupported, UnsupportedKind
+from comcat.errors import InputError, MixedKindUnsupported, UnsupportedKind
 from comcat.linalg import identity, inverse, matvec, scale_vector, transpose
 from comcat.lp import eq, lp_feasible
 from comcat.models import (
@@ -208,7 +208,7 @@ def test_snake_misscaled_unit(c2):
 def test_factor_identity_recovers_unit(c2):
     D = classical_symmetric_structure(2)
     structure = compact_structure_from_duality(D)
-    out = factor_morphism(identity(2, F(1)), structure)
+    out = factor_morphism(identity(2), structure)
     assert out["ok"]
     assert out["omega"] == D.gamma
 
@@ -360,9 +360,10 @@ def _in_basis(com, U):
 @contextmanager
 def _recorded_lps():
     """Record every LP that the teleportation search and the ray matching
-    solve, in the package or in the oracle's copies of its LP routines:
-    arguments and result, in call order.  The oracle's copies run on its
-    Fraction simplex, so equal records also mean equal LP solutions."""
+    (of the self-duality and model-isomorphism searches too) solve, in the
+    package or in the oracle's copies of its LP routines: arguments and
+    result, in call order.  The oracle's copies run on its Fraction
+    simplex, so equal records also mean equal LP solutions."""
     calls = []
 
     def recording(solve):
@@ -439,3 +440,61 @@ def test_equality_rows_decide_the_search_lps_without_a_tableau(
     monkeypatch.setattr(lp._Tableau, "__init__", counted_init)
     find_teleportation(A, B, ab, ba)
     assert (len(calls), len(built)) == (lps, tableaus)
+
+
+def _hexagon() -> Com:
+    state = cone_from_generators([(1, 0, 1), (-1, 0, 1), (1, 1, 1), (0, 1, 1), (0, -1, 1), (-1, -1, 1)])
+    return Com("hexagon", state, dual_cone(state), (0, 0, 1))
+
+
+def _pyramid() -> Com:
+    """The cone over a square pyramid, whose apex lies on four facets and
+    each base vertex on three, so the tight-count filter skips bijections."""
+    state = cone_from_generators([(1, 1, 0, 1), (1, -1, 0, 1), (-1, 1, 0, 1), (-1, -1, 0, 1), (0, 0, 1, 1)])
+    return Com("pyramid", state, dual_cone(state), (0, 0, 0, 1))
+
+
+_SEARCHED = {"gbit": gbit, "hexagon": _hexagon, "pyramid": _pyramid} | {
+    f"classical{n}": (lambda n=n: classical(n)) for n in range(3, 7)
+}
+
+
+def _searches(A):
+    """The results of the weak, symmetric and strong self-duality searches
+    of A and of the model isomorphism from A onto A in a sheared basis."""
+    shear = [[int(j in (i, i + 1)) for j in range(A.dim)] for i in range(A.dim)]
+    weak, sym = selfdual.check_weak_self_duality(A), selfdual.check_symmetric_self_duality(A)
+    return (
+        [(D.gamma_hat, D.f_hat) for D in (weak, sym)],
+        selfdual.strongly_self_dual_model(A),
+        matching.com_isomorphism(A, _in_basis(A, shear)),
+    )
+
+
+@pytest.mark.parametrize("model", sorted(_SEARCHED))
+def test_ray_matching_searches_solve_the_oracle_loops_lps(model):
+    A = _SEARCHED[model]()
+
+    def old_loop(source, target, symmetric=False, extra_rows=None, search=None, label=None):
+        return oracle.order_isomorphisms(source, target, symmetric, extra_rows)
+
+    with _recorded_lps() as new_lps:
+        new = _searches(A)
+    # The old loop runs on the package's simplex: the oracle's Fraction
+    # simplex takes minutes over the hexagon's bijections, and equal LPs
+    # given to one deterministic solver return equal results.
+    with patch.object(oracle, "solve_lp", lp.solve_lp), patch.object(
+        selfdual, "order_isomorphisms", old_loop
+    ), patch.object(matching, "order_isomorphisms", old_loop), _recorded_lps() as old_lps:
+        old = _searches(A)
+    assert new_lps and new_lps == old_lps
+    assert new == old
+
+
+def test_teleportation_past_the_ray_bound_is_refused():
+    c9 = classical(9)
+    composite = min_tensor(c9, c9)
+    with pytest.raises(UnsupportedKind, match="^the teleportation search is exhaustive up to 8 extreme rays, "
+                       "and classical9 has 9$"):
+        find_teleportation(c9, c9, composite, composite)
+    assert issubclass(UnsupportedKind, InputError)

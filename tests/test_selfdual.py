@@ -201,9 +201,8 @@ def test_wsd_pentagon_nonsaturated():
 def test_canonical_adjoint_identity():
     for D in builtin_structures().values():
         n = D.com.dim
-        one = F(1) if D.exact() else 1.0
-        adj = canonical_adjoint(identity(n, one), D, D)
-        assert max_abs(sub_matrices(adj, identity(n, one))) <= 1e-10
+        adj = canonical_adjoint(identity(n), D, D)
+        assert max_abs(sub_matrices(adj, identity(n))) <= 1e-10
 
 
 def test_canonical_adjoint_classical_not():
@@ -267,7 +266,7 @@ def test_double_dual_rotation_projection():
 
 def test_double_dual_rotation_identity_map():
     rot = builtin_structures()["rotation"]
-    rep = double_dual_check(identity(3, F(1)), rot, rot)
+    rep = double_dual_check(identity(3), rot, rot)
     assert rep["involutive_on_this_map"]
 
 
@@ -357,8 +356,7 @@ def test_structure_inverse_residuals():
     for D in builtin_structures().values():
         left = matmul(D.f_hat, D.gamma_hat)
         right = matmul(D.gamma_hat, D.f_hat)
-        one = F(1) if D.exact() else 1.0
         n = D.com.dim
         tol = 0 if D.exact() else 1e-10
-        assert max_abs(sub_matrices(left, identity(n, one))) <= tol
-        assert max_abs(sub_matrices(right, identity(n, one))) <= tol
+        assert max_abs(sub_matrices(left, identity(n))) <= tol
+        assert max_abs(sub_matrices(right, identity(n))) <= tol
