@@ -241,7 +241,7 @@ def is_composite(AB: Com, A: Com, B: Com, seed: int = 0) -> list[str]:
     Xa, Xb = _probe_array(A.state_cone, seed), _probe_array(B.state_cone, seed + 1)
     k = min(len(Xa), len(Xb))
     products = np.einsum("ki,kj->kij", Xa[:k], Xb[:k]).reshape(k, AB.dim)
-    if hermitian.min_eigenvalues(products, AB.state_cone.hilbert_dims).min() < -tol:
+    if hermitian.rows_outside_psd(products, AB.state_cone.hilbert_dims, tol).size:
         violations.append("a sampled product state left the composite cone")
     Ra, Rb = _probe_array(A.effect_cone), _probe_array(B.effect_cone)
     W = _probe_array(AB.state_cone, seed).reshape(-1, A.dim, B.dim)

@@ -33,11 +33,12 @@ Whether a linear map carries one cone into another is decided on the
 source's probe rays (``rays_leaving``): every generator of a polyhedral
 cone, and a fixed seeded set of pure states of a PSD cone.  A polyhedral
 target is tested ray by ray in exact arithmetic; a PSD target in one
-batch of float arrays (``_probe_array``, one matrix product and one
-batched eigenvalue call).  The seeded unit vectors behind a PSD probe set
-are drawn once per process for each (d, seed) (``_probe_vectors``, a
-bounded cache of read-only arrays); their projector coordinates are
-formed anew for each check.
+batch of float arrays: all images as one matrix product, decided by
+``hermitian.rows_outside_psd`` (one batched Cholesky factorization when
+none leaves, else one batched eigvalsh).  The coordinates of a PSD probe
+set are formed once per process for each (hilbert_dims, seed)
+(``_psd_probe_array``, a bounded cache of read-only arrays) and shared
+by every later check.
 """
 
 from __future__ import annotations
@@ -333,35 +334,38 @@ def probe_rays(C: Cone, seed: int = 0) -> tuple:
     """The rays on which inclusion checks test a cone: the generators of a
     polyhedral cone (exact); for a PSD cone on C^d the d computational-basis
     projectors, then PROBE_SAMPLES pure states drawn from the seeded normal
-    stream (real part, then imaginary part, of each vector in turn)."""
+    stream (real part, then imaginary part, of each vector in turn).  A
+    PSD probe set is a new tuple of the memoized ``_probe_array`` rows."""
     if C.kind == POLYHEDRAL:
         return C.generators
     return tuple(map(tuple, _probe_array(C, seed).tolist()))
 
 
 def _probe_array(C: Cone, seed: int = 0) -> np.ndarray:
-    """``probe_rays`` as one new (k, n) float array: the projector
-    coordinates of ``_probe_vectors`` in the cone's factor basis."""
+    """``probe_rays`` as one (k, n) float array: a new array of the
+    generators of a polyhedral cone, the shared read-only
+    ``_psd_probe_array`` of a PSD one."""
     if C.kind == POLYHEDRAL:
         return np.array(C.generators, dtype=float)
-    return hermitian.projector_coords(_probe_vectors(prod(C.hilbert_dims), seed), C.hilbert_dims)
+    return _psd_probe_array(C.hilbert_dims, seed)
 
 
 @lru_cache()
-def _probe_vectors(d: int, seed: int) -> np.ndarray:
-    """The (d + PROBE_SAMPLES, d) complex unit vectors of a PSD probe set
-    on C^d: the computational basis, then PROBE_SAMPLES normalized draws
-    from the seeded normal stream.  Memoized on (d, seed), so cones whose
-    factor dims have the same product share a draw; the array is
-    read-only because every caller holds the same one.  The default bound
-    of 128 entries keeps caller-chosen seeds from growing it without
-    limit."""
+def _psd_probe_array(hilbert_dims: tuple[int, ...], seed: int) -> np.ndarray:
+    """The projector coordinates, in the factor basis of hilbert_dims, of
+    the (d + PROBE_SAMPLES) unit vectors of a PSD probe set on C^d: the
+    computational basis, then PROBE_SAMPLES normalized draws from the
+    seeded normal stream, which depend on d and seed only.  Memoized on
+    (hilbert_dims, seed); the array is read-only because every caller
+    holds the same one.  The default bound of 128 entries keeps
+    caller-chosen seeds from growing it without limit."""
+    d = prod(hilbert_dims)
     z = np.random.default_rng(seed).normal(size=(PROBE_SAMPLES, 2, d))
     v = z[:, 0] + 1j * z[:, 1]
     v /= np.linalg.norm(v, axis=1, keepdims=True)
-    V = np.concatenate([np.eye(d), v])
-    V.flags.writeable = False
-    return V
+    X = hermitian.projector_coords(np.concatenate([np.eye(d), v]), hilbert_dims)
+    X.flags.writeable = False
+    return X
 
 
 def rays_leaving(M, source: Cone, target: Cone, seed: int = 0) -> Iterator[tuple]:
@@ -373,8 +377,9 @@ def rays_leaving(M, source: Cone, target: Cone, seed: int = 0) -> Iterator[tuple
     each; between polyhedral cones an exact M is first scaled once to the
     integer matrix s M (s > 0, which moves no image in or out of the
     cone), so every image is a Python-int product.  A PSD target tests
-    them in one batch: all images as one matrix product, their least
-    eigenvalues in one batched eigvalsh."""
+    them in one batch: all images as one matrix product, decided by
+    ``hermitian.rows_outside_psd`` with the verdicts of one batched
+    eigvalsh.  A NaN or infinite image coordinate raises InputError."""
     if target.kind == POLYHEDRAL:
         if source.kind == POLYHEDRAL and is_fraction_matrix(M):
             M = integer_rows(M)[1]
@@ -383,9 +388,7 @@ def rays_leaving(M, source: Cone, target: Cone, seed: int = 0) -> Iterator[tuple
     if M.shape != (target.dim, source.dim):
         raise DimensionMismatch(f"map of shape {M.shape} vs cones of dims {source.dim}, {target.dim}")
     X = _probe_array(source, seed)
-    low = hermitian.min_eigenvalues(X @ M.T, target.hilbert_dims)
-    leaving = np.flatnonzero(low < -numeric_tolerance())
+    leaving = hermitian.rows_outside_psd(X @ M.T, target.hilbert_dims, numeric_tolerance())
     if source.kind == POLYHEDRAL:
         return iter([source.generators[i] for i in leaving])
     return iter([tuple(X[i].tolist()) for i in leaving])
-

@@ -28,7 +28,7 @@ import numpy as np
 from .com import Com, is_saturated
 from .cones import PSD, POLYHEDRAL, rays_leaving
 from .config import numeric_tolerance, tolerance_for
-from .errors import InvalidStructure, SingularMatrix, UnsupportedKind
+from .errors import InputError, InvalidStructure, SingularMatrix, UnsupportedKind
 from .linalg import (
     identity,
     inverse,
@@ -93,10 +93,12 @@ class DualityStructure:
 def _invert(M):
     """Exact inverse of exact data; otherwise the numerical inverse, with a
     smallest singular value within the tolerance counted as singular.
-    Raises SingularMatrix."""
+    Raises SingularMatrix, or InputError on a NaN or infinite entry."""
     if is_exact(M):
         return inverse(M)
     m = np.array(M, dtype=float)
+    if not np.isfinite(m).all():
+        raise InputError(f"the numerical inverse needs finite entries, got {m[~np.isfinite(m)][0]}")
     if np.linalg.svd(m, compute_uv=False)[-1] <= numeric_tolerance():
         raise SingularMatrix("matrix is numerically singular")
     return tuple(map(tuple, np.linalg.inv(m).tolist()))

@@ -27,6 +27,12 @@ draw behind a PSD probe set was memoized: the normal stream drawn,
 normalized and stacked under the basis on every call.  The memoized
 arrays must equal it to the bit.
 
+``psd_rows_outside`` is the batched rule that ``hermitian.rows_outside_psd``
+replaced, as it was then: the matrices of the coordinate rows by
+``np.tensordot``, their least eigenvalues by one batched ``eigvalsh``, and
+a row outside when its least eigenvalue is below -tol.  The kernel must
+give the same indices on every finite batch.
+
 ``loop_matmul`` and ``loop_max_abs`` are ``linalg.matmul`` and
 ``linalg.max_abs`` as they were before float data went through numpy:
 one ``dot`` per entry, one recursive ``abs`` per entry.  The numpy
@@ -86,6 +92,12 @@ def probe_array(C: Cone, seed: int = 0) -> np.ndarray:
     v = z[:, 0] + 1j * z[:, 1]
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return hermitian.projector_coords(np.concatenate([np.eye(d), v]), C.hilbert_dims)
+
+
+def psd_rows_outside(X: np.ndarray, dims: tuple[int, ...], tol: float) -> np.ndarray:
+    """Indices of the rows of X whose Hermitian matrix has a least
+    eigenvalue below -tol, by one batched eigvalsh."""
+    return np.flatnonzero(np.linalg.eigvalsh(np.tensordot(X, hermitian._stacked(dims), axes=1))[:, 0] < -tol)
 
 
 def matrix(x, dims: tuple[int, ...]) -> np.ndarray:

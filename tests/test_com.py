@@ -23,7 +23,7 @@ from comcat.com import (
 )
 from comcat.cones import cone_from_facets, cone_from_generators, dual_cone
 from comcat.com import Com
-from comcat.errors import NotAMorphism, ZeroMap
+from comcat.errors import InputError, NotAMorphism, ZeroMap
 from comcat.linalg import dot, identity, matmul, matvec, transpose
 from comcat.models import classical, gbit, quantum
 
@@ -140,6 +140,21 @@ def test_is_morphism_quantum_to_classical_negative():
     rep = is_morphism(negated, quantum(2), classical(2))
     assert not rep.ok and rep.sampled
     assert any("adjoint image of effect generator" in v for v in rep.violations)
+
+
+@pytest.mark.parametrize("entry", ["nan map", "inf diagonal"])
+def test_non_finite_quantum_morphism_is_an_input_error(entry):
+    # The least eigenvalue of a NaN image is NaN, which is not below -tol,
+    # so the spectral check used to accept the map.
+    if entry == "nan map":
+        phi = ((float("nan"),) * 4,) * 4
+    else:
+        phi = tuple(tuple(float("inf") if i == j else 0.0 for j in range(4)) for i in range(4))
+    q = quantum(2)
+    with pytest.raises(InputError, match="PSD inclusion check needs finite coordinates"):
+        is_morphism(phi, q, q)
+    with pytest.raises(InputError, match="eigenvalue check needs finite coordinates"):
+        q.state_cone.member((float("nan"), 1.0, 0.0, 0.0))
 
 
 def test_is_process():

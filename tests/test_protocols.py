@@ -158,6 +158,17 @@ def test_verify_mixed_kinds_without_composites_refused(c2, qubit):
         verify_teleportation(cert, c2, qubit)
 
 
+def test_teleportation_certificate_with_a_nan_r_hat_is_an_input_error(qubit):
+    cert = qubit_certificate()
+    r_hat = ((float("nan"),) + tuple(cert.r_hat[0][1:]),) + tuple(cert.r_hat[1:])
+    bad = TeleportationCertificate(
+        omega=cert.omega, r_hat=r_hat, c=cert.c, f=None, residual=0.0,
+        composite_ab=cert.composite_ab, composite_ba=cert.composite_ba,
+    )
+    with pytest.raises(InputError, match="needs finite"):
+        verify_teleportation(bad, qubit, qubit)
+
+
 def test_qubit_overscaled_fails(qubit):
     report = verify_teleportation(qubit_certificate(F(1, 2)), qubit, qubit)
     assert not report.ok

@@ -17,7 +17,7 @@ from comcat import cones, hermitian, linalg, protocols, selfdual
 from comcat.composites import in_max_cone, is_composite, spatial_quantum_composite
 from comcat.config import set_tolerance
 from comcat.cones import PROBE_SAMPLES, probe_rays, psd_cone
-from comcat.errors import DimensionMismatch, InvalidStructure, SingularMatrix
+from comcat.errors import DimensionMismatch, InputError, InvalidStructure, SingularMatrix
 from comcat.linalg import inverse, kron, matmul, matvec, max_abs, swap_matrix, transpose
 from comcat.models import (
     builtin,
@@ -50,28 +50,34 @@ def _assert_probe_rays_match_oracles(dims, seed):
 
 
 def test_memoized_probe_draws_equal_the_per_call_draw():
-    cones._probe_vectors.cache_clear()
+    cones._psd_probe_array.cache_clear()
     calls = [((2, 2), 3), ((2, 2), 3), ((3,), 0), ((2,), 3), ((2, 3), 1), ((3, 3), 6), ((2, 2), 3), ((3,), 0)]
     for dims, seed in calls:
         _assert_probe_rays_match_oracles(dims, seed)
-    info = cones._probe_vectors.cache_info()
+    info = cones._psd_probe_array.cache_info()
     assert (info.misses, info.hits) == (5, 3)
 
 
 def test_factor_dims_with_one_product_share_a_draw():
-    cones._probe_vectors.cache_clear()
+    # The coordinates are memoized per factorization, but the pure states
+    # behind them are one draw per (d, seed): 2x2 and 4 give the same
+    # density matrices.
+    cones._psd_probe_array.cache_clear()
     _assert_probe_rays_match_oracles((2, 2), 4)
     _assert_probe_rays_match_oracles((4,), 4)
-    info = cones._probe_vectors.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    info = cones._psd_probe_array.cache_info()
+    assert (info.misses, info.hits) == (2, 0)
+    for x, y in zip(probe_rays(psd_cone((2, 2)), 4), probe_rays(psd_cone(4), 4)):
+        assert np.allclose(hermitian.matrix(x, (2, 2)), hermitian.matrix(y, (4,)), atol=1e-12)
 
 
 def test_the_memoized_draw_is_read_only():
-    V = cones._probe_vectors(2, 0)
-    assert V.shape == (2 + PROBE_SAMPLES, 2)
+    X = cones._psd_probe_array((2,), 0)
+    assert X.shape == (2 + PROBE_SAMPLES, 4)
     with pytest.raises(ValueError):
-        V[0, 0] = 0.5
-    assert V[0, 0] == 1.0
+        X[0, 0] = 0.5
+    assert X[0, 0] == 1.0
+    assert cones._probe_array(psd_cone(2), 0) is X
 
 
 def test_probe_rays_of_polyhedral_cone_are_its_generators():
@@ -288,6 +294,116 @@ def test_batched_is_composite_on_the_spatial_composites():
     for d in (2, 3):
         q = quantum(d)
         assert is_composite(spatial_quantum_composite(q, q), q, q, seed=d) == []
+
+
+# -- the Cholesky accept against the batched eigvalsh rule --------------
+
+PLANT_TOL = 2.0**-20
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+@st.composite
+def planted_batches(draw):
+    """(dims, X, lows, norms, bad): rows of Hermitian coordinates whose
+    least eigenvalue is planted at lows[i]: 0 on a rank-deficient PSD
+    matrix, -PLANT_TOL (1 - 2^-e) or -PLANT_TOL (1 + 2^-e) (e up to 52, so
+    past rounding), or well inside.  Frobenius norms run from well inside
+    the accept's guard 8 d^2 u ||M||_F < tol/2 to 2^14 times past it.  A
+    boundary batch plants every row within rounding of -PLANT_TOL, inside
+    the guard, where only the tol/2 shift keeps the factorization from
+    accepting a row that eigvalsh puts outside.  With bad set, one
+    coordinate is replaced by NaN or an infinity."""
+    dims = draw(st.sampled_from([(2,), (3,), (2, 2)]))
+    d = int(np.prod(dims))
+    guard = PLANT_TOL / (16 * d * d * UNIT_ROUNDOFF)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    boundary = draw(st.booleans())
+    plants = ["above", "below"] if boundary else ["zero", "above", "below", "inside"]
+    rows, lows, norms = [], [], []
+    for _ in range(draw(st.integers(1, 6))):
+        plant = draw(st.sampled_from(plants))
+        e = draw(st.integers(34, 52) if boundary else st.integers(1, 52))
+        low = {"zero": 0.0, "above": -(1 - 2.0**-e), "below": -(1 + 2.0**-e), "inside": 0.5}[plant] * PLANT_TOL
+        norm = guard * 2.0 ** draw(st.integers(-30, -4) if boundary else st.integers(-30, 14))
+        rest = rng.random(d - 1)
+        if plant == "zero":
+            rest[: draw(st.integers(0, d - 2))] = 0.0
+        rest *= np.sqrt(norm**2 - low**2) / np.linalg.norm(rest)
+        U, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        rows.append(hermitian.coords(U @ np.diag([low, *rest]) @ U.conj().T, dims))
+        lows.append(low)
+        norms.append(norm)
+    X = np.array(rows)
+    bad = draw(st.sampled_from([None, np.nan, np.inf, -np.inf, None, None]))
+    if bad is not None:
+        X[draw(st.integers(0, len(X) - 1)), draw(st.integers(0, X.shape[1] - 1))] = bad
+    return dims, X, lows, norms, bad is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(planted_batches())
+def test_psd_inclusion_accept_gives_the_batched_eigvalsh_verdicts(case):
+    # The rows are the images of the generators e_j of a classical source
+    # under the map with columns X[j], so rays_leaving sees them to the bit.
+    dims, X, lows, norms, bad = case
+    source, target = classical(len(X)).state_cone, psd_cone(dims)
+    M = tuple(map(tuple, X.T.tolist()))
+    planted = [g.index(1) for g in source.generators]
+    set_tolerance(PLANT_TOL)
+    try:
+        if bad:
+            for check in (
+                lambda: hermitian.rows_outside_psd(X, dims, PLANT_TOL),
+                lambda: list(cones.rays_leaving(M, source, target)),
+                lambda: list(oracle.rays_leaving(M, source, target)),
+            ):
+                with pytest.raises(InputError, match="finite"):
+                    check()
+            return
+        images = np.array(source.generators, dtype=float) @ X
+        expected = oracle.psd_rows_outside(images, dims, PLANT_TOL)
+        assert np.array_equal(hermitian.rows_outside_psd(images, dims, PLANT_TOL), expected)
+        leaving = list(cones.rays_leaving(M, source, target))
+        assert leaving == [source.generators[i] for i in expected]
+        by_member = list(oracle.rays_leaving(M, source, target))
+        for g, j in zip(source.generators, planted):
+            # Where the plant is farther from -tol than rounding can move
+            # an eigenvalue, every route reads the planted verdict.
+            if abs(lows[j] + PLANT_TOL) > 2**10 * X.shape[1] * UNIT_ROUNDOFF * norms[j]:
+                assert (g in leaving) == (g in by_member) == (lows[j] < -PLANT_TOL)
+    finally:
+        set_tolerance(None)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.sampled_from([(2, 2, "one factor"), (2, 3, "one factor"), (2, 2, "spatial"), (2, 3, "spatial")]),
+    st.integers(0, 2**16),
+    st.integers(1, 52),
+    st.sampled_from([-1.0, 1.0]),
+)
+def test_is_composite_product_check_gives_the_batched_eigvalsh_verdict(case, seed, e, side):
+    # The tolerance is planted at the least eigenvalue of the sampled
+    # products, times 1 -+ 2^-e: quantum(d_a d_b) read as a composite takes
+    # product coordinates in the wrong basis (least eigenvalue about -0.8),
+    # the spatial composite holds them (least eigenvalue within rounding
+    # of 0).
+    da, db, kind = case
+    A, B = quantum(da), quantum(db)
+    AB = spatial_quantum_composite(A, B) if kind == "spatial" else quantum(da * db)
+    Xa = oracle.probe_array(A.state_cone, seed)
+    Xb = oracle.probe_array(B.state_cone, seed + 1)
+    k = min(len(Xa), len(Xb))
+    products = np.einsum("ki,kj->kij", Xa[:k], Xb[:k]).reshape(k, AB.dim)
+    dims = AB.state_cone.hilbert_dims
+    low = np.linalg.eigvalsh(np.tensordot(products, hermitian._stacked(dims), axes=1))[:, 0].min()
+    tol = abs(low) * (1 + side * 2.0**-e) if low else 2.0**-e
+    set_tolerance(tol)
+    try:
+        left = "a sampled product state left the composite cone" in is_composite(AB, A, B, seed)
+        assert left == bool(oracle.psd_rows_outside(products, dims, tol).size)
+    finally:
+        set_tolerance(None)
 
 
 def structure_from(gamma_hat, f_hat, com) -> selfdual.DualityStructure:

@@ -11,7 +11,7 @@ import fraction_oracle as oracle
 from comcat import hermitian
 from comcat.com import Com, validate_com
 from comcat.cones import cone_from_generators
-from comcat.errors import InvalidStructure, UnsupportedKind
+from comcat.errors import InputError, InvalidStructure, UnsupportedKind
 from comcat.linalg import (
     identity,
     inverse,
@@ -75,6 +75,13 @@ def test_verify_isomorphism_state_qubit():
     q = quantum(2)
     D = maximally_entangled_structure(2)
     assert verify_isomorphism_state(D.gamma, q) == []
+
+
+def test_isomorphism_state_with_a_nan_form_is_an_input_error():
+    q = quantum(2)
+    gamma = (float("nan"),) + tuple(maximally_entangled_structure(2).gamma[1:])
+    with pytest.raises(InputError, match="numerical inverse needs finite entries"):
+        verify_isomorphism_state(gamma, q)
 
 
 def test_verify_isomorphism_state_product_fails():
