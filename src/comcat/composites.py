@@ -6,27 +6,21 @@ composite state omega is simultaneously a vector of length n_A*n_B and a
 bilinear form on effect pairs via omega(a, b) = a^T W b, W the n_A x n_B
 reshape of the vector.
 
-The two polyhedral composites are dual twins, both saturated:
-
-  min: states generated by products of state generators; effects = the
-       full dual of that cone (facet description: the state products).
-  max: states = everything positive on products of effect generators
-       (facet description: the effect products); effects generated by
-       the effect products.
-
-When one of the two factor cones that a composite multiplies (the state
-cones for min, the effect cones for max) is simplicial, as in a
-classical system, the cone their products generate is also the cone the
-products of their facets cut out: the minimal and maximal tensor
-products of those two cones coincide.  ``cones.product_cones`` then
-writes both descriptions of both composite cones from the factors'
-descriptions, with no construction LP and no conversion of the
-composite.  Otherwise each cone is built from the products by the cone
-factories (their construction LPs), and the description a factory was
-not given is enumerated only on demand.  That LP route is kept only
-while the benchmark's tracer pins the LP counts of composites without a
-simplicial factor; once those pins move, every composite is to be built
-by theorem and the route deleted.
+The two polyhedral composites are dual twins, both saturated, built by
+one construction (``_product_composite``): P, the cone generated by the
+products of the factors' state generators (min) or effect generators
+(max), and its dual, whose facets are P's generators.  Min takes P for
+its states and the dual for its effects; max the other way round.
+When one of the two factor cones is simplicial, as in a classical
+system, their minimal and maximal tensor products coincide, and
+``cones.product_cones`` writes both descriptions of P and of its dual
+from the factors', with no construction LP and no conversion.
+Otherwise one LP branch builds P from the products and its dual from
+P's generators with the cone factories (their construction LPs); the
+description a factory was not given is enumerated only on demand.  That
+branch stays only while the benchmark's tracer pins the LP counts of
+composites without a simplicial factor; once those pins move, every
+composite is to be built by theorem and the branch deleted.
 
 For two PSD factors the composite of interest is the spatial one: the
 PSD cone on the tensor-product Hilbert space, coordinatized by
@@ -36,6 +30,7 @@ the product basis so that product states have product coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional
 
 import numpy as np
@@ -56,6 +51,7 @@ from .config import numeric_tolerance, tolerance_for
 from .errors import KindMismatch, MixedKindUnsupported
 from .linalg import (
     dot,
+    finite_array,
     matvec,
     max_abs,
     sub_vectors,
@@ -94,45 +90,32 @@ def _require_polyhedral(A: Com, B: Com):
 def min_tensor(A: Com, B: Com) -> CompositeCom:
     """Separable composite: states are mixtures of products, effects are
     everything positive on them (the full dual)."""
-    _require_polyhedral(A, B)
-    cones = product_cones(A.state_cone, B.state_cone)
-    if cones is not None:
-        state_cone, effect_cone = cones
-    else:  # the LP route; see the module docstring
-        state_cone = cone_from_generators(
-            tensor_vector(g, h) for g in A.state_cone.generators for h in B.state_cone.generators
-        )
-        effect_cone = cone_from_facets(state_cone.generators)
-    return CompositeCom(
-        label=f"{A.label}(min){B.label}",
-        state_cone=state_cone,
-        effect_cone=effect_cone,
-        unit=tensor_vector(A.unit, B.unit),
-        factors=(A, B),
-        composite_kind=MIN,
-    )
+    return _product_composite(A, B, MIN)
 
 
 def max_tensor(A: Com, B: Com) -> CompositeCom:
     """Nonsignaling composite: states are all bilinear forms positive on
     product effects; effects are generated by the product effects."""
+    return _product_composite(A, B, MAX)
+
+
+def _product_composite(A: Com, B: Com, kind: str) -> CompositeCom:
+    """The min or max composite of two polyhedral models, from P and its
+    dual (see the module docstring)."""
     _require_polyhedral(A, B)
-    cones = product_cones(A.effect_cone, B.effect_cone)
-    if cones is not None:
-        effect_cone, state_cone = cones
-    else:  # the LP route; see the module docstring
-        effect_products = [
-            tensor_vector(a, b) for a in A.effect_cone.generators for b in B.effect_cone.generators
-        ]
-        state_cone = cone_from_facets(effect_products)
-        effect_cone = cone_from_generators(effect_products)
+    K, L = (A.state_cone, B.state_cone) if kind == MIN else (A.effect_cone, B.effect_cone)
+    cones = product_cones(K, L)
+    if cones is None:  # the LP branch; see the module docstring
+        P = cone_from_generators(tensor_vector(k, l) for k in K.generators for l in L.generators)
+        cones = P, cone_from_facets(P.generators)
+    state_cone, effect_cone = cones if kind == MIN else cones[::-1]
     return CompositeCom(
-        label=f"{A.label}(max){B.label}",
+        label=f"{A.label}({kind}){B.label}",
         state_cone=state_cone,
         effect_cone=effect_cone,
         unit=tensor_vector(A.unit, B.unit),
         factors=(A, B),
-        composite_kind=MAX,
+        composite_kind=kind,
     )
 
 
@@ -186,7 +169,8 @@ def in_max_cone(omega, A: Com, B: Com) -> bool:
     B in integer or Fraction arithmetic.  A PSD factor contributes its
     basis projectors and seeded pure states, so the check is sampled; with
     a nonzero tolerance all pairs are read at once as the least entry of
-    Ra W Rb^T, Ra and Rb the probe rays as float arrays."""
+    Ra W Rb^T, Ra and Rb the probe rays as float arrays (a NaN or
+    infinite omega raises InputError)."""
     exact_rays = A.kind == B.kind == POLYHEDRAL
     tolerance = tolerance_for(omega) if exact_rays else numeric_tolerance()
     if tolerance == 0:
@@ -197,7 +181,7 @@ def in_max_cone(omega, A: Com, B: Com) -> bool:
             if any(dot(row, b) < 0 for b in b_rays):
                 return False
         return True
-    W = np.asarray(omega, dtype=float).reshape(A.dim, B.dim)
+    W = finite_array(omega, "the max-cone check").reshape(A.dim, B.dim)
     Ra, Rb = _probe_array(A.effect_cone), _probe_array(B.effect_cone)
     return bool((Ra @ W @ Rb.T).min() >= -tolerance)
 
@@ -206,13 +190,17 @@ def is_composite(AB: Com, A: Com, B: Com, seed: int = 0) -> list[str]:
     """All composite-contract violations (empty list = valid composite):
     unit is the product unit, product states and product effects belong to
     the designated cones, and every composite state is positive on product
-    effects (max-cone inclusion), the latter with a named witness pair."""
+    effects (max-cone inclusion), the latter with a named witness pair.
+    A float unit with a NaN or infinite entry raises InputError."""
     violations: list[str] = []
     if AB.dim != A.dim * B.dim:
         return [f"carrier dim {AB.dim} is not {A.dim}*{B.dim}"]
     u_prod = tensor_vector(A.unit, B.unit)
-    unit_residual = max_abs(sub_vectors(AB.unit, u_prod))
-    if len(AB.unit) != len(u_prod) or unit_residual > tolerance_for(AB.unit, u_prod):
+    residual = sub_vectors(AB.unit, u_prod)
+    tolerance = tolerance_for(AB.unit, u_prod)
+    if tolerance and not isfinite(sum(residual)):  # a NaN residual compares False
+        finite_array((*AB.unit, *u_prod), "the composite unit check")
+    if len(AB.unit) != len(u_prod) or max_abs(residual) > tolerance:
         violations.append("unit is not the product of the factor units")
 
     if AB.kind == POLYHEDRAL:

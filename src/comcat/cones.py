@@ -56,7 +56,9 @@ from .linalg import (
     _eliminate,
     canonical_rays,
     dot,
+    finite_array,
     integer_rows,
+    is_exact_matrix,
     is_fraction_matrix,
     matvec,
     primitive,
@@ -379,12 +381,15 @@ def rays_leaving(M, source: Cone, target: Cone, seed: int = 0) -> Iterator[tuple
     cone), so every image is a Python-int product.  A PSD target tests
     them in one batch: all images as one matrix product, decided by
     ``hermitian.rows_outside_psd`` with the verdicts of one batched
-    eigvalsh.  A NaN or infinite image coordinate raises InputError."""
+    eigvalsh.  A NaN or infinite entry of a float map raises InputError
+    before any arithmetic, as does one of an image on a PSD target."""
     if target.kind == POLYHEDRAL:
-        if source.kind == POLYHEDRAL and is_fraction_matrix(M):
+        if not is_exact_matrix(M):
+            finite_array(M, "the polyhedral inclusion check")
+        elif source.kind == POLYHEDRAL and is_fraction_matrix(M):
             M = integer_rows(M)[1]
         return (x for x in probe_rays(source, seed) if not target.member(matvec(M, x)))
-    M = np.asarray(M, dtype=float)
+    M = finite_array(M, "the PSD inclusion check")
     if M.shape != (target.dim, source.dim):
         raise DimensionMismatch(f"map of shape {M.shape} vs cones of dims {source.dim}, {target.dim}")
     X = _probe_array(source, seed)

@@ -60,7 +60,7 @@ from math import prod, sqrt
 
 import numpy as np
 
-from .errors import InputError
+from .linalg import finite_array
 
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
@@ -130,9 +130,7 @@ def _matrices(X, dims: tuple[int, ...], check: str) -> np.ndarray:
     """The Hermitian matrix of each coordinate vector along the last axis
     of X, by one ``np.dot`` with the flattened basis.  A NaN or infinite
     coordinate raises InputError naming check."""
-    X = np.asarray(X, dtype=float)
-    if not np.isfinite(X).all():
-        raise InputError(f"{check} needs finite coordinates, got {X[~np.isfinite(X)][0]}")
+    X = finite_array(X, check)
     B = _stacked(dims)
     if X.shape[-1] != len(B):
         raise ValueError(f"expected {len(B)} coordinates, got {X.shape[-1]}")

@@ -47,7 +47,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMatrix
+from .errors import DimensionMismatch, InputError, SingularMatrix
 
 Vector = tuple
 Matrix = tuple
@@ -73,10 +73,6 @@ def is_exact(obj) -> bool:
     if isinstance(obj, (list, tuple)):
         return all(is_exact(x) for x in obj)
     return is_exact_scalar(obj)
-
-
-def vector(xs) -> Vector:
-    return tuple(xs)
 
 
 def matrix(rows) -> Matrix:
@@ -147,12 +143,25 @@ def _entry_types(M) -> set:
     return types
 
 
+def is_exact_matrix(M) -> bool:
+    """``is_exact`` for a matrix, reading the entry types in one pass."""
+    return set(map(type, chain.from_iterable(M))) <= _EXACT
+
+
 def is_fraction_matrix(M) -> bool:
     """True when M's entries are ints and Fractions, at least one of them a
     Fraction: the exact data that ``matmul`` and ``matvec`` multiply on
     integers (``integer_rows``)."""
     types = set(map(type, chain.from_iterable(M)))
     return Fraction in types and types <= _EXACT
+
+
+def finite_array(X, check: str, what: str = "coordinates") -> np.ndarray:
+    """X as a float array; a NaN or infinite entry raises InputError."""
+    X = np.asarray(X, dtype=float)
+    if not np.isfinite(X).all():
+        raise InputError(f"{check} needs finite {what}, got {X[~np.isfinite(X)][0]}")
+    return X
 
 
 def transpose(M) -> Matrix:

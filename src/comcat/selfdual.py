@@ -28,8 +28,9 @@ import numpy as np
 from .com import Com, is_saturated
 from .cones import PSD, POLYHEDRAL, rays_leaving
 from .config import numeric_tolerance, tolerance_for
-from .errors import InputError, InvalidStructure, SingularMatrix, UnsupportedKind
+from .errors import InvalidStructure, SingularMatrix, UnsupportedKind
 from .linalg import (
+    finite_array,
     identity,
     inverse,
     is_exact,
@@ -96,9 +97,7 @@ def _invert(M):
     Raises SingularMatrix, or InputError on a NaN or infinite entry."""
     if is_exact(M):
         return inverse(M)
-    m = np.array(M, dtype=float)
-    if not np.isfinite(m).all():
-        raise InputError(f"the numerical inverse needs finite entries, got {m[~np.isfinite(m)][0]}")
+    m = finite_array(M, "the numerical inverse", "entries")
     if np.linalg.svd(m, compute_uv=False)[-1] <= numeric_tolerance():
         raise SingularMatrix("matrix is numerically singular")
     return tuple(map(tuple, np.linalg.inv(m).tolist()))

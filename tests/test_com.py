@@ -157,6 +157,30 @@ def test_non_finite_quantum_morphism_is_an_input_error(entry):
         q.state_cone.member((float("nan"), 1.0, 0.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "pair",
+    ["classical inf", "classical nan", "quantum to classical inf", "classical to quantum inf"],
+)
+def test_non_finite_float_map_is_an_input_error_whatever_the_target(pair):
+    # A polyhedral target used to read the image's signs by exact scaling,
+    # so a NaN or infinite entry escaped as a ValueError or OverflowError;
+    # a PSD target multiplied it first, with numpy's RuntimeWarning.
+    inf, nan = float("inf"), float("nan")
+    c2, q = classical(2), quantum(2)
+    if pair == "classical inf":
+        phi, A, B, check = ((inf, 0.0), (0.0, 1.0)), c2, c2, "polyhedral"
+    elif pair == "classical nan":
+        phi, A, B, check = ((1.0, 0.0), (0.0, nan)), c2, c2, "polyhedral"
+    elif pair == "quantum to classical inf":
+        phi = tuple(tuple(inf if (i, j) == (0, 0) else 0.0 for j in range(4)) for i in range(2))
+        A, B, check = q, c2, "polyhedral"
+    else:
+        phi = tuple(tuple(inf if (i, j) == (1, 1) else 0.0 for j in range(2)) for i in range(4))
+        A, B, check = c2, q, "PSD"
+    with pytest.raises(InputError, match=f"the {check} inclusion check needs finite coordinates"):
+        is_morphism(phi, A, B)
+
+
 def test_is_process():
     c2 = classical(2)
     assert is_process(identity(2), c2, c2)

@@ -17,7 +17,8 @@ from comcat.composites import (
     swap_map,
     tensor,
 )
-from comcat.errors import KindMismatch, MixedKindUnsupported
+from comcat.conditioning import conditioning_map
+from comcat.errors import InputError, KindMismatch, MixedKindUnsupported
 from comcat.linalg import canonical_rays, dot, matvec, tensor_vector
 from comcat.models import classical, gbit, quantum, gbit_rotation_structure
 
@@ -262,3 +263,32 @@ def test_tensor_dispatch(c2):
     assert tensor(c2, c2, "max").composite_kind == "max"
     q = quantum(2)
     assert tensor(q, q, "spatial").composite_kind == "spatial_quantum"
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+def test_non_finite_form_is_an_input_error_in_the_max_cone_check(g, entry):
+    # A NaN form used to read as outside the max cone, so conditioning
+    # reported a refuted NotNonsignalingState; an infinite one warned.
+    omega = (entry,) + (0.0,) * 8
+    with pytest.raises(InputError, match="the max-cone check needs finite coordinates"):
+        in_max_cone(omega, g, g)
+    with pytest.raises(InputError, match="the max-cone check needs finite coordinates"):
+        conditioning_map(omega, g, g)
+
+
+@pytest.mark.parametrize("kind", ["spatial", "min"])
+def test_non_finite_composite_unit_is_an_input_error(kind):
+    # A NaN unit residual compares False, so the unit check used to pass
+    # while validate_com refused the same unit.
+    A = quantum(2) if kind == "spatial" else gbit()
+    AB = tensor(A, A, kind)
+    broken = type(AB)(
+        label=AB.label,
+        state_cone=AB.state_cone,
+        effect_cone=AB.effect_cone,
+        unit=(float("nan"),) * AB.dim,
+        factors=AB.factors,
+        composite_kind=AB.composite_kind,
+    )
+    with pytest.raises(InputError, match="the composite unit check needs finite coordinates"):
+        is_composite(broken, A, A)

@@ -6,6 +6,12 @@ writes both descriptions from the factors'.  The LP route it replaces
 (``fraction_oracle.min_tensor``/``max_tensor``) must give the same four
 generator and facet tuples, and the new route must solve no LP and
 convert no composite cone.
+
+Without a simplicial factor the one product construction takes its LP
+branch.  It must solve the oracle's LPs (arguments, results and order)
+and give its four tuples, and its output must bear out the theorem that
+would let the branch go: the products of the multiplied generators are
+the extreme rays of the cone they generate and the facets of its dual.
 """
 
 import sys
@@ -19,7 +25,7 @@ from comcat import cones, lp
 from comcat.com import Com, is_saturated, validate_com
 from comcat.composites import max_tensor, min_tensor, tensor
 from comcat.cones import cone_from_facets, cone_from_generators, dual_cone, product_cones, simplicial
-from comcat.linalg import rank
+from comcat.linalg import rank, tensor_vector
 from comcat.models import classical, gbit, quantum
 
 HEXAGON = [(1, 0, 1), (-1, 0, 1), (1, 1, 1), (0, 1, 1), (0, -1, 1), (-1, -1, 1)]
@@ -118,14 +124,16 @@ def test_unsaturated_partner_separates_min_from_max():
 
 
 def _count_lps_and_conversions(monkeypatch) -> tuple[list, list]:
-    """Record every solve_lp call through any comcat binding, and the
-    dimension of every cone conversion."""
+    """Record every solve_lp call through any comcat binding, as its
+    (arguments, keyword arguments, result), and the dimension of every
+    cone conversion."""
     calls, dims = [], []
     original, enumerate_facets = lp.solve_lp, cones._enumerate_facets
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        calls.append((args, kwargs, result))
+        return result
 
     def converted(rays, n):
         dims.append(n)
@@ -152,3 +160,38 @@ def test_classical_gbit_composite_solves_no_lp_and_converts_no_composite(monkeyp
     del calls[:]
     min_tensor(g, g2)
     assert len(calls) == 34
+
+
+# Pairs of factors that are both non-simplicial, in both orders: their
+# composites take the LP branch of the one product construction.
+NON_SIMPLICIAL_PAIRS = [
+    ("gbit", "gbit"),
+    ("hexagon", "gbit"),
+    ("gbit", "hexagon"),
+    ("gbit.unsaturated", "gbit"),
+    ("gbit", "gbit.unsaturated"),
+    ("octahedron", "gbit"),
+    ("gbit", "octahedron"),
+    ("hexagon", "hexagon"),
+]
+
+
+@pytest.mark.parametrize("kind", ["min", "max"])
+@pytest.mark.parametrize("pair", NON_SIMPLICIAL_PAIRS, ids="-".join)
+def test_composite_without_a_simplicial_factor_equals_the_lp_route(monkeypatch, pair, kind):
+    A, B = (PARTNERS[name]() for name in pair)
+    calls, _ = _count_lps_and_conversions(monkeypatch)
+    AB = tensor(A, B, kind)
+    built = calls[:]
+    del calls[:]
+    LP = {"min": oracle.min_tensor, "max": oracle.max_tensor}[kind](A, B)
+    assert built and built == calls  # the same LPs, results and order
+    assert _descriptions(AB) == _descriptions(LP)
+    # The theorem that lets the LP branch go: P, the cone the products of
+    # the multiplied factor cones generate (the states of min, the effects
+    # of max), has exactly the products as extreme rays, and its dual,
+    # the other side, has them as facets.
+    K, L = (A.state_cone, B.state_cone) if kind == "min" else (A.effect_cone, B.effect_cone)
+    P, D = (AB.state_cone, AB.effect_cone) if kind == "min" else (AB.effect_cone, AB.state_cone)
+    products = tuple(sorted(tensor_vector(k, l) for k in K.generators for l in L.generators))
+    assert P.generators == products and D.facets == products
