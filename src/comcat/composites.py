@@ -35,7 +35,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import hermitian
 from .com import Com
 from .cones import (
     PSD,
@@ -46,12 +45,14 @@ from .cones import (
     probe_rays,
     product_cones,
     psd_cone,
+    rows_outside,
 )
 from .config import numeric_tolerance, tolerance_for
 from .errors import KindMismatch, MixedKindUnsupported
 from .linalg import (
     dot,
     finite_array,
+    is_exact,
     matvec,
     max_abs,
     sub_vectors,
@@ -163,17 +164,14 @@ def in_max_cone(omega, A: Com, B: Com) -> bool:
     rays of the two effect cones (``cones.probe_rays``)?
 
     Polyhedral factors contribute all their effect generators, so for two
-    of them the answer is exact: the tolerance is ``tolerance_for(omega)``,
-    zero on exact data, and
-    each probe ray a gives the row a^T W, tested against each probe ray of
-    B in integer or Fraction arithmetic.  A PSD factor contributes its
-    basis projectors and seeded pure states, so the check is sampled; with
-    a nonzero tolerance all pairs are read at once as the least entry of
-    Ra W Rb^T, Ra and Rb the probe rays as float arrays (a NaN or
-    infinite omega raises InputError)."""
-    exact_rays = A.kind == B.kind == POLYHEDRAL
-    tolerance = tolerance_for(omega) if exact_rays else numeric_tolerance()
-    if tolerance == 0:
+    of them and an exact omega the answer is exact: each probe ray a gives
+    the row a^T W, tested against each probe ray of B in integer or
+    Fraction arithmetic.  A PSD factor contributes its basis projectors
+    and seeded pure states, so the check is sampled.  A float omega or a
+    PSD factor is read under the tolerance, all pairs at once as the least
+    entry of Ra W Rb^T, Ra and Rb the probe rays as float arrays (a NaN
+    or infinite omega raises InputError)."""
+    if A.kind == B.kind == POLYHEDRAL and is_exact(omega):
         Wt = transpose(vec_to_matrix(omega, A.dim, B.dim))
         b_rays = probe_rays(B.effect_cone)
         for a in probe_rays(A.effect_cone):
@@ -183,7 +181,7 @@ def in_max_cone(omega, A: Com, B: Com) -> bool:
         return True
     W = finite_array(omega, "the max-cone check").reshape(A.dim, B.dim)
     Ra, Rb = _probe_array(A.effect_cone), _probe_array(B.effect_cone)
-    return bool((Ra @ W @ Rb.T).min() >= -tolerance)
+    return bool((Ra @ W @ Rb.T).min() >= -numeric_tolerance())
 
 
 def is_composite(AB: Com, A: Com, B: Com, seed: int = 0) -> list[str]:
@@ -229,7 +227,7 @@ def is_composite(AB: Com, A: Com, B: Com, seed: int = 0) -> list[str]:
     Xa, Xb = _probe_array(A.state_cone, seed), _probe_array(B.state_cone, seed + 1)
     k = min(len(Xa), len(Xb))
     products = np.einsum("ki,kj->kij", Xa[:k], Xb[:k]).reshape(k, AB.dim)
-    if hermitian.rows_outside_psd(products, AB.state_cone.hilbert_dims, tol).size:
+    if rows_outside(AB.state_cone, products).size:
         violations.append("a sampled product state left the composite cone")
     Ra, Rb = _probe_array(A.effect_cone), _probe_array(B.effect_cone)
     W = _probe_array(AB.state_cone, seed).reshape(-1, A.dim, B.dim)

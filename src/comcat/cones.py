@@ -31,14 +31,16 @@ coordinatization; it is self-dual and its membership test is spectral.
 
 Whether a linear map carries one cone into another is decided on the
 source's probe rays (``rays_leaving``): every generator of a polyhedral
-cone, and a fixed seeded set of pure states of a PSD cone.  A polyhedral
-target is tested ray by ray in exact arithmetic; a PSD target in one
-batch of float arrays: all images as one matrix product, decided by
-``hermitian.rows_outside_psd`` (one batched Cholesky factorization when
-none leaves, else one batched eigvalsh).  The coordinates of a PSD probe
-set are formed once per process for each (hilbert_dims, seed)
-(``_psd_probe_array``, a bounded cache of read-only arrays) and shared
-by every later check.
+cone, and a fixed seeded set of pure states of a PSD cone.  An exact map
+between polyhedral cones is tested ray by ray in integer arithmetic.
+Every other map gives one float batch of images, and float data has one
+verdict, ``rows_outside``, under the tolerance: the least facet value
+(polyhedral) or ``hermitian.rows_outside_psd`` (PSD: one batched
+Cholesky factorization when none leaves, else one batched eigvalsh).  A
+given float point is still read by its exact binary value in the
+polyhedral predicates.  The coordinates of a PSD probe set are formed
+once per process for each (hilbert_dims, seed) (``_psd_probe_array``, a
+bounded cache of read-only arrays) and shared by every later check.
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ from .linalg import (
     dot,
     finite_array,
     integer_rows,
-    is_exact_matrix,
-    is_fraction_matrix,
+    is_exact,
     matvec,
     primitive,
     rank,
@@ -123,12 +124,11 @@ class Cone:
     def member(self, x) -> bool:
         """Cone membership: h.x >= 0 on every facet normal h, on x scaled
         once to primitive integers (polyhedral; a generator-only cone
-        converts its facets once), or the least eigenvalue against the
-        tolerance (PSD)."""
+        converts its facets once), or ``rows_outside`` on x (PSD)."""
         if len(x) != self.dim:
             raise DimensionMismatch(f"vector of length {len(x)} vs cone dim {self.dim}")
         if self.kind == PSD:
-            return hermitian.min_eigenvalue(x, self.hilbert_dims) >= -numeric_tolerance()
+            return not rows_outside(self, finite_array([x], "the eigenvalue check")).size
         x = primitive(x)
         return all(dot(h, x) >= 0 for h in self.facets)
 
@@ -370,30 +370,42 @@ def _psd_probe_array(hilbert_dims: tuple[int, ...], seed: int) -> np.ndarray:
     return X
 
 
+def rows_outside(C: Cone, Y) -> np.ndarray:
+    """Indices, in order, of the float rows of the (k, C.dim) array Y that
+    lie outside C by more than the tolerance: by the least eigenvalue
+    (``hermitian.rows_outside_psd``) in a PSD cone, by the least facet
+    value h.y in a polyhedral one.  A NaN or infinite coordinate, or facet
+    value, raises InputError."""
+    tol = numeric_tolerance()
+    if C.kind == PSD:
+        return hermitian.rows_outside_psd(Y, C.hilbert_dims, tol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(Y, dtype=float) @ np.array(C.facets, dtype=float).T
+    return np.flatnonzero(finite_array(values, "the polyhedral inclusion check").min(axis=1) < -tol)
+
+
 def rays_leaving(M, source: Cone, target: Cone, seed: int = 0) -> Iterator[tuple]:
     """The probe rays x of source whose image M x is not in target, in
     probe order.  When there are none, M carries source into target:
     proven for a polyhedral source, checked on samples for a PSD one.
 
-    A polyhedral target tests the rays lazily, one exact ``member`` call
-    each; between polyhedral cones an exact M is first scaled once to the
-    integer matrix s M (s > 0, which moves no image in or out of the
-    cone), so every image is a Python-int product.  A PSD target tests
-    them in one batch: all images as one matrix product, decided by
-    ``hermitian.rows_outside_psd`` with the verdicts of one batched
-    eigvalsh.  A NaN or infinite entry of a float map raises InputError
-    before any arithmetic, as does one of an image on a PSD target."""
-    if target.kind == POLYHEDRAL:
-        if not is_exact_matrix(M):
-            finite_array(M, "the polyhedral inclusion check")
-        elif source.kind == POLYHEDRAL and is_fraction_matrix(M):
-            M = integer_rows(M)[1]
-        return (x for x in probe_rays(source, seed) if not target.member(matvec(M, x)))
-    M = finite_array(M, "the PSD inclusion check")
+    An exact M between polyhedral cones is decided exactly and lazily: it
+    is first scaled once to the integer matrix s M (s > 0, which moves no
+    image in or out of the cone), so every image is a Python-int product
+    tested by one ``member`` call.  Any other map is one float batch: all
+    images as one matrix product, decided by ``rows_outside`` under the
+    tolerance.  A NaN or infinite entry of the map, or an image that
+    overflows, raises InputError."""
+    if source.kind == target.kind == POLYHEDRAL and is_exact(M):
+        M = integer_rows(M)[1]
+        return (x for x in source.generators if not target.member(matvec(M, x)))
+    M = np.asarray(M, dtype=float)
     if M.shape != (target.dim, source.dim):
         raise DimensionMismatch(f"map of shape {M.shape} vs cones of dims {source.dim}, {target.dim}")
     X = _probe_array(source, seed)
-    leaving = hermitian.rows_outside_psd(X @ M.T, target.hilbert_dims, numeric_tolerance())
+    with np.errstate(over="ignore", invalid="ignore"):  # rows_outside refuses what is not finite
+        Y = X @ M.T
+    leaving = rows_outside(target, Y)
     if source.kind == POLYHEDRAL:
         return iter([source.generators[i] for i in leaving])
     return iter([tuple(X[i].tolist()) for i in leaving])

@@ -7,13 +7,15 @@ arithmetic: ``identity(n)`` holds the int 1, which stays exact against
 Fractions and becomes float against floats, and ``Fraction(1) / x`` is
 exactly ``1.0 / x`` when x is a float.
 
-Three choices stay with a model's kind, because the kind, not the data,
+Cone inclusion follows the same rule: every float batch goes to
+``cones.rows_outside``, while a given float point is read by its exact
+binary value in the polyhedral predicates of ``cones.Cone``.
+
+Two choices stay with a model's kind, because the kind, not the data,
 decides them:
 
 - which cone description decides a predicate: facet or generator signs
   for a polyhedral cone, eigenvalues for a PSD one;
-- the tolerance of ``composites.in_max_cone``, because a PSD
-  factor's probe rays are float data even when the form is exact;
 - the refusal of floats in exact models by ``cli``'s ``remote-eval``, an
   input-format rule.
 """

@@ -64,15 +64,9 @@ def frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
 
-def is_exact_scalar(x) -> bool:
-    return isinstance(x, (int, Fraction))
-
-
 def is_exact(obj) -> bool:
-    """True if a scalar / vector / matrix contains only exact entries."""
-    if isinstance(obj, (list, tuple)):
-        return all(is_exact(x) for x in obj)
-    return is_exact_scalar(obj)
+    """True if a scalar / vector / matrix holds only int and Fraction entries."""
+    return _entry_types(obj) <= _EXACT
 
 
 def matrix(rows) -> Matrix:
@@ -90,7 +84,8 @@ def dot(x, y):
 
 
 def matvec(M, x) -> Vector:
-    if is_fraction_matrix((*M, x)):
+    types = _entry_types((*M, x))
+    if Fraction in types and types <= _EXACT:
         s, xs = integer_scaling(x)
         t, rows = integer_rows(M)
         st = s * t
@@ -106,15 +101,16 @@ def matmul(A, B) -> Matrix:
     integers; the rest runs ``dot`` per entry."""
     if not B:
         return tuple(() for _ in A)
-    if is_fraction_matrix((*A, *B)):
+    types_a, types_b = _entry_types(A), _entry_types(B)
+    types = types_a | types_b
+    if Fraction in types and types <= _EXACT:
         s, rows = integer_rows(A)
         t, b_rows = integer_rows(B)
         st = s * t
         cols = list(zip(*b_rows))
         return tuple(tuple(Fraction(dot(row, col), st) for col in cols) for row in rows)
-    if len(A) * len(B[0]) >= _NUMPY_MIN_ENTRIES and len(A[0]) == len(B):
-        types_a, types_b = _entry_types(A), _entry_types(B)
-        if types_a and types_b and types_a | types_b <= _NUMBER and _FLOAT in (types_a, types_b):
+    if len(A) * len(B[0]) >= _NUMPY_MIN_ENTRIES and len(A[0]) == len(B) and types <= _NUMBER:
+        if _FLOAT in (types_a, types_b) and len(set(map(len, A))) == len(set(map(len, B))) == 1:
             a = np.array(A, dtype=float)
             b = np.array(B, dtype=float)
             acc = np.zeros((a.shape[0], b.shape[1]))
@@ -131,29 +127,20 @@ _FLOAT64 = np.float64  # bound here: exact data never reads the module ``np``
 _NUMPY_MIN_ENTRIES = 64  # below this numpy's fixed cost per call exceeds the loop's
 
 
-def _entry_types(M) -> set:
-    """The types of M's entries when M is a nonempty rectangular matrix,
-    else the empty set; ``numpy.float64`` counts as ``float``."""
-    if not M or not set(map(type, M)) <= {tuple, list} or len(set(map(len, M))) != 1 or not M[0]:
-        return set()
-    types = set(map(type, chain.from_iterable(M)))
+def _entry_types(obj) -> set:
+    """The types of the entries of a scalar, a vector or a matrix (a
+    sequence whose items are all tuples or lists), read in one pass;
+    ``numpy.float64`` counts as ``float``."""
+    if not isinstance(obj, (tuple, list)):
+        types = {type(obj)}
+    else:
+        types = set(map(type, obj))
+        if types and types <= {tuple, list}:
+            types = set(map(type, chain.from_iterable(obj)))
     if _FLOAT64 in types:
         types.discard(_FLOAT64)
         types.add(float)
     return types
-
-
-def is_exact_matrix(M) -> bool:
-    """``is_exact`` for a matrix, reading the entry types in one pass."""
-    return set(map(type, chain.from_iterable(M))) <= _EXACT
-
-
-def is_fraction_matrix(M) -> bool:
-    """True when M's entries are ints and Fractions, at least one of them a
-    Fraction: the exact data that ``matmul`` and ``matvec`` multiply on
-    integers (``integer_rows``)."""
-    types = set(map(type, chain.from_iterable(M)))
-    return Fraction in types and types <= _EXACT
 
 
 def finite_array(X, check: str, what: str = "coordinates") -> np.ndarray:
@@ -237,9 +224,10 @@ def max_abs(obj) -> float:
         return abs(obj)
     rows = obj if obj and isinstance(obj[0], (list, tuple)) else (obj,)
     if len(rows) * len(rows[0]) >= _NUMPY_MIN_ENTRIES and _entry_types(rows) == _FLOAT:
-        m = np.abs(np.array(rows, dtype=float)).max()
-        if m == m:  # not NaN: Python's max would depend on where the NaN sits
-            return float(m)
+        if len(set(map(len, rows))) == 1:  # a ragged matrix keeps the loop
+            m = np.abs(np.array(rows, dtype=float)).max()
+            if m == m:  # not NaN: Python's max would depend on where the NaN sits
+                return float(m)
     return max((max_abs(x) for x in obj), default=0)
 
 

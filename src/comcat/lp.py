@@ -62,14 +62,6 @@ class Constraint:
     rel: str
     rhs: object
 
-    def holds(self, x) -> bool:
-        lhs = sum(c * v for c, v in zip(self.coeffs, x))
-        if self.rel == LE:
-            return lhs <= self.rhs
-        if self.rel == GE:
-            return lhs >= self.rhs
-        return lhs == self.rhs
-
 
 def le(coeffs, rhs) -> Constraint:
     return Constraint(tuple(coeffs), LE, rhs)

@@ -249,7 +249,9 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
     r_form = _r_form_vector(r_hat)
     f = scale_vector(c, r_form)
     if cert.f is not None:
-        residuals["f_consistency"] = max_abs(sub_vectors(f, cert.f))
+        deviation = residuals["f_consistency"] = max_abs(sub_vectors(f, cert.f))
+        if len(cert.f) != len(f) or deviation > tolerance_for(f, cert.f):
+            violations.append(f"certificate f of length {len(cert.f)} deviates from c * r_form by {deviation}")
     if composite_ab is not None and composite_ab.kind == POLYHEDRAL:
         E = composite_ab.effect_cone
         u = composite_ab.unit

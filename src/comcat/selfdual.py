@@ -107,9 +107,9 @@ def verify_isomorphism_state(gamma, A: Com, ghat_inverse=None) -> list[str]:
     """Violations of the isomorphism-state contract for a bipartite form
     over (A, A): invertible conditioning map carrying the effect cone into
     the state cone and, by its inverse, the state cone into the effect
-    cone.  Both directions go through ``cones.rays_leaving``: exact over
-    the generators of a polyhedral model, on the seeded probe states of a
-    PSD one (seeds 3 and 4).  Exact data is inverted exactly, float data
+    cone.  Both directions go through ``cones.rays_leaving``: over the
+    generators of a polyhedral model (exactly when the map is exact), on
+    the seeded probe states of a PSD one (seeds 3 and 4).  Exact data is inverted exactly, float data
     numerically; a caller that already holds the inverse of the
     conditioning map passes it as ghat_inverse."""
     n = A.dim

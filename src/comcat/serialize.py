@@ -26,7 +26,7 @@ from typing import Any
 from .com import Com
 from .composites import CompositeCom
 from .cones import PSD, Cone, cone_from_generators, psd_cone
-from .errors import InputError
+from .errors import DimensionMismatch, InputError, NotGenerating, NotPointed
 
 
 class SchemaError(InputError):
@@ -137,7 +137,10 @@ def cone_from_json(data: dict) -> Cone:
         exact_vector_from_json(g, "generators")
         for g in expect_json(json_field(data, "generators"), list, "generators")
     ]
-    C = cone_from_generators(gens)
+    try:
+        C = cone_from_generators(gens)
+    except (DimensionMismatch, NotGenerating, NotPointed) as e:  # a malformed file, not a refuted property
+        raise SchemaError(f"generators: {e}") from None
     if C.dim != data.get("dim", C.dim):
         raise SchemaError("declared dimension does not match the generators")
     return C

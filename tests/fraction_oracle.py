@@ -71,6 +71,12 @@ on them, one ``member`` call on the Fraction image of each generator, and
 Every oracle here multiplies with these, so no oracle shares the integer
 products under test.
 
+``is_exact`` is the exactness test as it was before the package read the
+entry types of a scalar, vector or matrix in one pass: a recursive walk
+with one ``isinstance`` test per entry; the oracle ``conditional_state``
+branches on it.  The package's test must agree with it on scalars,
+vectors and matrices of ints, Fractions, floats and ``numpy.float64``.
+
 ``remote_evaluate_dual`` is that function as it was when it checked its
 result against its own mirrored contraction, ``_tripartite_right``, before
 it ran the forward contraction on the swapped form and state.  The
@@ -116,7 +122,6 @@ from comcat.linalg import (
     fmt,
     frac,
     identity,
-    is_exact,
     max_abs,
     rank,
     scale_matrix,
@@ -137,6 +142,13 @@ from comcat.protocols import (
 
 Vector = tuple
 Matrix = tuple
+
+
+def is_exact(obj) -> bool:
+    """True if a scalar / vector / matrix contains only exact entries."""
+    if isinstance(obj, (list, tuple)):
+        return all(is_exact(x) for x in obj)
+    return isinstance(obj, (int, Fraction))
 
 
 def matvec(M, x) -> Vector:

@@ -549,6 +549,25 @@ def test_float_in_exact_data_exits_two_naming_field_and_value(tmp_path, capsys):
         assert f"{field}: float {value}" in err
 
 
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        ([[1, 0, 1], [0, 1]], "generators of mixed length"),
+        ([[1, 0, 1], [-1, 0, 1], [0, 1, 1], [1, 0, -1], [-1, 0, -1]], "contains a line"),
+        ([[1, 0, 1], [2, 0, 2], [0, 0, 1]], "span rank 2 < 3"),
+    ],
+)
+def test_malformed_cone_in_a_file_exits_two_naming_generators(tmp_path, capsys, generators, message):
+    # cone_from_generators raises these as DimensionMismatch, NotPointed
+    # and NotGenerating, which the command line used to report as exit 1.
+    data = com_to_json(gbit())
+    data["state_cone"]["generators"] = generators
+    for command in ("validate", "wsd"):
+        code, out, err = run(capsys, command, _write(tmp_path, "model.json", data))
+        assert code == 2 and not out
+        assert "generators: " in err and message in err
+
+
 def test_float_unit_of_quantum_model_still_loads(tmp_path, capsys):
     data = com_to_json(quantum(2))
     data["unit"] = [float(x) for x in data["unit"]]

@@ -80,3 +80,15 @@ def test_every_private_module_level_name_is_read():
         if bound.startswith("_") and not bound.startswith("__") and bound not in used
     ]
     assert unread == []
+
+
+def test_only_cones_reads_the_psd_kernel():
+    # Float batches are decided in one module: every other module asks
+    # cones.rows_outside, never hermitian.rows_outside_psd itself.
+    callers = [
+        name
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and "rows_outside_psd" in _references(node.func)
+    ]
+    assert callers == ["cones.py"]

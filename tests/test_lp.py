@@ -90,6 +90,12 @@ def test_in_cone():
     assert not in_cone((-1, 0), gens)
 
 
+def _holds(c: Constraint, x) -> bool:
+    """Does the exact point x satisfy the constraint c?"""
+    lhs = sum(a * v for a, v in zip(c.coeffs, x))
+    return {LE: lhs <= c.rhs, GE: lhs >= c.rhs, EQ: lhs == c.rhs}[c.rel]
+
+
 def _brute_force_feasible(constraints, num_vars, box=6):
     """Vertex-enumeration oracle: intersect all subsets of boundaries.
 
@@ -108,7 +114,7 @@ def _brute_force_feasible(constraints, num_vars, box=6):
         point = la.solve(A, b)
         if point is None:
             continue
-        if all(c.holds(point) for c in cons):
+        if all(_holds(c, point) for c in cons):
             return point
     return None
 
@@ -137,7 +143,7 @@ def test_feasibility_matches_vertex_enumeration(raw):
         assert got is None
     else:
         assert got is not None
-        assert all(c.holds(got) for c in boxed)
+        assert all(_holds(c, got) for c in boxed)
 
 
 def _same_as_oracle(num_vars, constraints, **kwargs):

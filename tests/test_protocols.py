@@ -1,6 +1,7 @@
 import random
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction as F
 from unittest.mock import patch
 
@@ -121,6 +122,13 @@ def test_scale_maximality(classical_cert, gbit_cert, c2, g):
         )
         report = verify_teleportation(bumped, model, model)
         assert not report.ok
+
+
+def test_wrong_f_is_a_violation(classical_cert, c2):
+    wrong = replace(classical_cert, f=(7,) * len(classical_cert.f))
+    report = verify_teleportation(wrong, c2, c2)
+    assert not report.ok and report.residuals["f_consistency"] == 7
+    assert "certificate f of length 4 deviates from c * r_form by 7" in report.violations
 
 
 def qubit_certificate(c=F(1, 4)):

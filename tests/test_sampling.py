@@ -752,6 +752,7 @@ def test_ragged_float_factors_take_the_loop():
     with pytest.raises(DimensionMismatch):
         matmul(short, B)
     assert _same_matrix(matmul(A, short), oracle.loop_matmul(A, short))  # zip(*B) drops a column
+    assert max_abs(short) == oracle.loop_max_abs(short) == 0.5
 
 
 def test_exact_data_never_enters_numpy(monkeypatch):
