@@ -23,6 +23,7 @@ reads them unswapped, so a wrong swap shows as a mismatch.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .com import Com
 from .composites import in_max_cone
@@ -35,6 +36,8 @@ from .errors import (
 )
 from .linalg import (
     dot,
+    integer_scaling,
+    is_exact,
     matvec,
     max_abs,
     scale_vector,
@@ -93,14 +96,31 @@ def conditional_state(omega, b, A: Com, B: Com):
 
 
 def _tripartite_left(f, omega, alpha, A: Com, B: Com, C: Com):
-    """(f x id_C)(alpha x omega) by explicit tensor contraction."""
-    F = vec_to_matrix(f, A.dim, B.dim)
-    big = tensor_vector(alpha, omega)  # index (i*nB + j)*nC + k
+    """(f x id_C)(alpha x omega) by explicit tensor contraction.  Exact
+    data is scaled to integers once per vector (s f, t omega, r alpha) and
+    contracted in Python ints; entry k is then one Fraction over s t r
+    when f, alpha or column k of omega holds a Fraction, as the Fraction
+    loop gives, and an int otherwise (its sum holds only ints, so the
+    division is exact)."""
     nB, nC = B.dim, C.dim
+    if not is_exact((f, omega, alpha)):
+        return _contract(f, omega, alpha, A.dim, nB, nC)
+    (s, f_ints), (t, omega_ints), (r, alpha_ints) = map(integer_scaling, (f, omega, alpha))
+    d = s * t * r
+    shared = Fraction in map(type, chain(f, alpha))
+    return tuple(
+        Fraction(v, d) if shared or Fraction in map(type, omega[k::nC]) else v // d
+        for k, v in enumerate(_contract(f_ints, omega_ints, alpha_ints, A.dim, nB, nC))
+    )
+
+
+def _contract(f, omega, alpha, nA: int, nB: int, nC: int) -> tuple:
+    F = vec_to_matrix(f, nA, nB)
+    big = tensor_vector(alpha, omega)  # index (i*nB + j)*nC + k
     out = []
     for k in range(nC):
         total = 0
-        for i in range(A.dim):
+        for i in range(nA):
             for j in range(nB):
                 total = total + F[i][j] * big[(i * nB + j) * nC + k]
         out.append(total)

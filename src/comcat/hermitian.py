@@ -21,8 +21,10 @@ is an ``InputError`` naming the check that received it.
 
 ``rows_outside_psd`` gives the verdicts of one batched ``eigvalsh`` (a
 matrix is outside when its least computed eigenvalue is below -tol), but
-settles the common batch, where none is outside, with one batched
-Cholesky factorization of M_i + (tol/2) I.  With u the unit roundoff and
+settles the common batch of two or more, where none is outside, with one
+batched Cholesky factorization of M_i + (tol/2) I; a single matrix goes
+straight to ``eigvalsh``, which costs less than the guard and the
+factorization.  With u the unit roundoff and
 n the matrix order, the accept is sound under the guard
 8 n^2 u max_i ||M_i||_F < tol/2:
 
@@ -157,12 +159,13 @@ def min_eigenvalue(x, dims: tuple[int, ...]) -> float:
 def rows_outside_psd(X: np.ndarray, dims: tuple[int, ...], tol: float) -> np.ndarray:
     """Indices, in order, of the rows of the (k, n) coordinate array X
     whose Hermitian matrix has a least ``eigvalsh`` eigenvalue below -tol.
-    One batched Cholesky factorization of M_i + (tol/2) I returns none
-    when it succeeds under the norm guard of the module docstring; any
-    other batch is decided by one batched eigvalsh."""
+    For a batch of two or more, one batched Cholesky factorization of
+    M_i + (tol/2) I returns none when it succeeds under the norm guard of
+    the module docstring; a single row and any batch the accept does not
+    settle are decided by one batched eigvalsh."""
     M = _matrices(X, dims, "the PSD inclusion check")
     n = M.shape[-1]
-    if 8 * n * n * _UNIT_ROUNDOFF * np.sqrt(np.einsum("ij,ij->i", X, X).max()) < tol / 2:
+    if len(M) > 1 and 8 * n * n * _UNIT_ROUNDOFF * np.sqrt(np.einsum("ij,ij->i", X, X).max()) < tol / 2:
         try:
             np.linalg.cholesky(M + (tol / 2) * np.eye(n))
         except np.linalg.LinAlgError:

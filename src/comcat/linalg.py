@@ -7,7 +7,11 @@ The exact eliminations (rref, rank, solve, nullspace, inverse) scale each
 row to primitive integers and run on integers through one fraction-free
 Bareiss kernel, ``_eliminate``, whose ``row_step`` the simplex of ``lp``
 shares, as it shares ``integer_scaling``; only their results are
-Fractions.  ``symmetric_inertia`` runs on the same ``row_step``.
+Fractions.  ``symmetric_inertia`` runs on the same ``row_step``.  These
+kernels read the entry types of a vector once (``set(map(type, ...))``):
+all-int data skips the scaling, ``integer_scaling`` reads each
+denominator once, and ``primitive`` returns a tuple of coprime ints as it
+is.
 ``matmul`` and ``matvec`` on exact operands that hold a Fraction run on
 integers too: each operand is scaled once to integers by
 ``integer_scaling`` (s A and t B, ``integer_rows``), the products are
@@ -32,7 +36,8 @@ an int as ``float()`` does).  It adds the products in the order ``dot``
 does, one k at a time from a zero array, so its result equals ``dot``'s
 on CPython 3.11 to the bit, signed zeros included (no ``@``, BLAS or
 einsum, whose summation orders differ).  ``max_abs`` runs on numpy when
-every entry is float data and none is NaN.  The kernels return Python
+every entry is float data, and refuses a NaN entry of data that is not
+exact with InputError wherever it sits.  The kernels return Python
 floats, also where the loop would return ``numpy.float64`` scalars of the
 same value.
 """
@@ -42,7 +47,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd, lcm
-from operator import mul
+from operator import mul, ne
 from typing import Optional, Sequence
 
 import numpy as np
@@ -122,7 +127,7 @@ def matmul(A, B) -> Matrix:
     return tuple(tuple(dot(row, col) for col in cols) for row in A)
 
 
-_FLOAT, _NUMBER, _EXACT = {float}, {float, int}, {int, Fraction}
+_FLOAT, _NUMBER, _INT, _EXACT = {float}, {float, int}, {int}, {int, Fraction}
 _FLOAT64 = np.float64  # bound here: exact data never reads the module ``np``
 _NUMPY_MIN_ENTRIES = 64  # below this numpy's fixed cost per call exceeds the loop's
 
@@ -217,18 +222,25 @@ def swap_vector(v, n_a: int, n_b: int) -> Vector:
 
 
 def max_abs(obj) -> float:
-    """Largest absolute entry of a scalar, vector or matrix.  Float data
-    (Python floats and ``numpy.float64`` entries) of at least 64 entries
-    without a NaN runs on numpy and yields a Python float."""
+    """Largest absolute entry of a scalar, vector or matrix.  A NaN entry
+    raises InputError: Python's ``max`` skips a NaN that follows a number,
+    and a NaN residual would pass every ``> tol`` screen.  Exact data skips
+    that test.  Float data (Python floats and ``numpy.float64`` entries) of
+    at least 64 entries runs on numpy and yields a Python float."""
+    types = _entry_types(obj)
     if not isinstance(obj, (list, tuple)):
-        return abs(obj)
+        obj = (obj,)
     rows = obj if obj and isinstance(obj[0], (list, tuple)) else (obj,)
-    if len(rows) * len(rows[0]) >= _NUMPY_MIN_ENTRIES and _entry_types(rows) == _FLOAT:
+    if types == _FLOAT and len(rows) * len(rows[0]) >= _NUMPY_MIN_ENTRIES:
         if len(set(map(len, rows))) == 1:  # a ragged matrix keeps the loop
             m = np.abs(np.array(rows, dtype=float)).max()
-            if m == m:  # not NaN: Python's max would depend on where the NaN sits
+            if m == m:  # a NaN goes on to the test below
                 return float(m)
-    return max((max_abs(x) for x in obj), default=0)
+    if not types <= _EXACT:
+        entries = list(chain.from_iterable(rows))
+        if any(map(ne, entries, entries)):
+            raise InputError("a residual with a NaN entry cannot be compared with a tolerance")
+    return max((max(map(abs, row), default=0) for row in rows), default=0)
 
 
 def fmt(obj) -> str:
@@ -260,8 +272,10 @@ def _eliminate(rows: list, reduce: bool = False) -> tuple[list[int], int]:
         r = len(pivots)
         if r == m:
             break
-        piv = next((i for i in range(r, m) if rows[i][c]), None)
-        if piv is None:
+        for piv in range(r, m):
+            if rows[piv][c]:
+                break
+        else:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         row_r = rows[r]
@@ -342,11 +356,14 @@ def inverse(M) -> Matrix:
 
 def integer_scaling(values) -> tuple[int, list[int]]:
     """(s, ints): the least s > 0 with every s * value an integer, and those."""
-    if all(type(v) is int for v in values):
+    types = set(map(type, values))
+    if types <= _INT:
         return 1, list(values)
-    values = [v if isinstance(v, (int, Fraction)) else frac(v) for v in values]
-    s = lcm(*(v.denominator for v in values))
-    return s, [v.numerator * (s // v.denominator) for v in values]
+    if not types <= _EXACT:
+        values = [v if isinstance(v, (int, Fraction)) else frac(v) for v in values]
+    dens = [v.denominator for v in values]
+    s = lcm(*dens)
+    return s, [v.numerator * (s // d) for v, d in zip(values, dens)]
 
 
 def integer_rows(M) -> tuple[int, list[list[int]]]:
@@ -358,12 +375,15 @@ def integer_rows(M) -> tuple[int, list[list[int]]]:
 
 
 def primitive(v) -> Vector:
-    """Scale an exact vector to coprime integers; sign is preserved."""
-    if not all(type(x) is int for x in v):
+    """Scale an exact vector to coprime integers; sign is preserved.  A
+    tuple of coprime ints is returned as it is."""
+    if not set(map(type, v)) <= _INT:
         v = integer_scaling(v)[1]
     g = gcd(*v)
+    if g == 1:
+        return tuple(v)
     if g == 0:
-        return tuple(0 for _ in v)
+        return (0,) * len(v)
     return tuple(x // g for x in v)
 
 

@@ -21,7 +21,17 @@ Each LP's equality rows fix hat(omega) . r_hat = id_A exactly, so a pair
 only needs normalizing: omega / t and t * r_hat with t = u . omega.
 Both stages are deterministic; exhaustion of both is reported, not
 proven complete.  Past the ray matching's bound on B's effect rays,
-stage 2 refuses (``UnsupportedKind``) instead of exhausting.
+stage 2 refuses (``UnsupportedKind``) instead of exhausting.  Stage 1's
+positivity rows do not depend on the ray, so each search builds them once.
+
+The certificate arithmetic of the search and of ``verify_teleportation``
+is fraction-free on exact data: each vector or matrix is scaled once to
+integers (``integer_scaling``), the identity residual is one integer
+product compared with s t I, the effect scale compares the integer
+ratios h.u / h.r_form by cross-multiplication, and each quantity is
+divided once at the end (``_quotient``), with the type the Fraction
+arithmetic gave it.  Float data keeps the loops over ``matmul``, ``dot``
+and ``max_abs``.
 """
 
 from __future__ import annotations
@@ -40,6 +50,9 @@ from .errors import InvalidStructure, MixedKindUnsupported, UnsupportedKind
 from .linalg import (
     dot,
     identity,
+    integer_rows,
+    integer_scaling,
+    is_exact,
     matmul,
     matrix_to_vec,
     matvec,
@@ -87,18 +100,37 @@ def _effect_interval_max_scale(r_form, composite_ab: CompositeCom):
     """Largest c >= 0 with c*r_form and u - c*r_form in the effect cone,
     from the facets alone: the least ratio h.u / h.r_form over facets h
     with h.r_form > 0, or None when some h.r_form < 0 (no positive
-    multiple of r_form is an effect) or none is positive."""
+    multiple of r_form is an effect) or none is positive.
+
+    Exact data reads every ratio in integers: with r_form = r / s and
+    u = v / t, h.u / h.r_form = (h.v s) / (h.r t), the ratios h.v / h.r
+    are compared by cross-multiplication and the least becomes one
+    Fraction.  Float data keeps the Fraction and float loop."""
     facets = composite_ab.effect_cone.facets
-    dens = matvec(facets, r_form)
-    if any(den < 0 for den in dens):
-        return None
-    ratios = [Fraction(dot(h, composite_ab.unit)) / den for h, den in zip(facets, dens) if den > 0]
-    return min(ratios, default=None)
+    u = composite_ab.unit
+    if not is_exact((r_form, u)):
+        dens = matvec(facets, r_form)
+        if any(den < 0 for den in dens):
+            return None
+        ratios = [Fraction(dot(h, u)) / den for h, den in zip(facets, dens) if den > 0]
+        return min(ratios, default=None)
+    s, r = integer_scaling(r_form)
+    t, v = integer_scaling(u)
+    least = None  # (h.v, h.r) of the least ratio so far
+    for h in facets:
+        den = dot(h, r)
+        if den < 0:
+            return None
+        if den > 0:
+            num = dot(h, v)
+            if least is None or num * least[1] < least[0] * den:
+                least = num, den
+    return None if least is None else Fraction(least[0] * s, least[1] * t)
 
 
-def _solve_r_hat(omega_hat, A: Com, B: Com) -> Optional[tuple]:
-    """LP for a positive r_hat: A -> B-effects with omega_hat . r_hat = id."""
-    n_a, n_b = A.dim, B.dim
+def _solve_r_hat(omega_hat, n_a: int, n_b: int, positivity: list) -> Optional[tuple]:
+    """LP for a positive r_hat: A -> B-effects with omega_hat . r_hat = id;
+    ``positivity`` holds the rows (r_hat g).h >= 0 on A's state generators."""
     nvars = n_b * n_a  # entries of r_hat, row-major
     cons = []
     for i in range(n_a):
@@ -107,12 +139,7 @@ def _solve_r_hat(omega_hat, A: Com, B: Com) -> Optional[tuple]:
             for t in range(n_b):
                 row[t * n_a + j] = omega_hat[i][t]
             cons.append(eq(row, 1 if i == j else 0))
-    eff_facets = B.effect_cone.facets
-    for g in A.state_cone.generators:
-        for h in eff_facets:
-            # (r_hat g).h >= 0: the row-major outer product of h and g
-            cons.append(ge([ht * gs for ht in h for gs in g], 0))
-    res = solve_lp(nvars, cons)
+    res = solve_lp(nvars, cons + positivity)
     if res.status != "optimal":
         return None
     flat = res.x
@@ -121,9 +148,14 @@ def _solve_r_hat(omega_hat, A: Com, B: Com) -> Optional[tuple]:
 
 def _candidate_omegas_stage1(A: Com, B: Com, composite_ba: CompositeCom):
     """(omega, r_hat) pairs from the pure shared states (extreme rays of the
-    composite state cone), solving an exact LP for r_hat."""
+    composite state cone), solving an exact LP for r_hat.  The positivity
+    rows (r_hat g).h >= 0, one for each generator g of A's state cone and
+    facet h of B's effect cone (the row-major outer product of h and g),
+    are the same for every ray and built once."""
+    facets = B.effect_cone.facets
+    positivity = [ge([ht * gs for ht in h for gs in g], 0) for g in A.state_cone.generators for h in facets]
     for ray in composite_ba.state_cone.generators:
-        r_hat = _solve_r_hat(transpose(vec_to_matrix(ray, B.dim, A.dim)), A, B)
+        r_hat = _solve_r_hat(transpose(vec_to_matrix(ray, B.dim, A.dim)), A.dim, B.dim, positivity)
         if r_hat is not None:
             yield ray, r_hat
 
@@ -171,36 +203,88 @@ def find_teleportation(
     for X in (A, B):
         if X.kind != POLYHEDRAL:
             raise UnsupportedKind(f"{_SEARCH} is exact-only, and {X.label} is {X.kind}")
-    n_a, n_b = A.dim, B.dim
     candidates = chain(
         _candidate_omegas_stage1(A, B, composite_ba), _candidate_omegas_stage2(A, B, composite_ba)
     )
     for omega, r_hat in candidates:
-        # The LP's equality rows made hat(omega) . r_hat = id_A, so with
-        # t = u . omega the normalized pair is (omega / t, t * r_hat).
-        t = dot(composite_ba.unit, omega)
-        if t == 0:
-            continue
-        omega_n = scale_vector(Fraction(1) / t, omega)
-        r_scaled = scale_matrix(t, r_hat)
-        omega_hat = transpose(vec_to_matrix(omega_n, n_b, n_a))
-        residual = max_abs(sub_matrices(matmul(omega_hat, r_scaled), identity(n_a)))
-        if residual > tolerance_for(omega_hat, r_scaled):
-            continue
-        r_form = _r_form_vector(r_scaled)
-        c = _effect_interval_max_scale(r_form, composite_ab)
-        if c is None or c <= 0:
-            continue
-        return TeleportationCertificate(
-            omega=omega_n,
-            r_hat=r_scaled,
-            c=c,
-            f=scale_vector(c, r_form),
-            residual=residual,
-            composite_ab=composite_ab,
-            composite_ba=composite_ba,
-        )
+        cert = _certificate(omega, r_hat, A.dim, B.dim, composite_ab, composite_ba)
+        if cert is not None:
+            return cert
     return None
+
+
+def _certificate(omega, r_hat, n_a: int, n_b: int, composite_ab, composite_ba):
+    """The certificate of one candidate pair, or None.  The LP's equality
+    rows made hat(omega) . r_hat = id_A, so with t = u . omega the
+    normalized pair is (omega / t, t * r_hat)."""
+    t = _dot(composite_ba.unit, omega)
+    if t == 0:
+        return None
+    omega_n = scale_vector(Fraction(1) / t, omega)
+    r_scaled = scale_matrix(t, r_hat)
+    residual = _identity_residual(omega_n, r_scaled, n_a, n_b)
+    if residual > tolerance_for(omega_n, r_scaled):
+        return None
+    r_form = _r_form_vector(r_scaled)
+    c = _effect_interval_max_scale(r_form, composite_ab)
+    if c is None or c <= 0:
+        return None
+    return TeleportationCertificate(
+        omega=omega_n,
+        r_hat=r_scaled,
+        c=c,
+        f=scale_vector(c, r_form),
+        residual=residual,
+        composite_ab=composite_ab,
+        composite_ba=composite_ba,
+    )
+
+
+def _identity_residual(omega, r_hat, n_a: int, n_b: int):
+    """Max-abs entry of hat(omega) . r_hat - id_A.  Exact data is one
+    integer product: omega and r_hat scaled once to integers (s omega,
+    t r_hat), their product compared with s t I, and the largest
+    deviation divided once (``_quotient``).  Float data takes matmul."""
+    if not is_exact((omega, *r_hat)):
+        omega_hat = transpose(vec_to_matrix(omega, n_b, n_a))
+        return max_abs(sub_matrices(matmul(omega_hat, r_hat), identity(n_a)))
+    s, omega_ints = integer_scaling(omega)
+    t, r_ints = integer_rows(r_hat)
+    st = s * t
+    cols = list(zip(*r_ints))
+    deviation = max(
+        abs(dot(row, col) - (st if i == j else 0))
+        for i, row in enumerate(transpose(vec_to_matrix(omega_ints, n_b, n_a)))
+        for j, col in enumerate(cols)
+    )
+    return _quotient(deviation, st, (omega, *r_hat))
+
+
+def _dot(x, y):
+    """x . y.  Exact vectors are scaled once each to integers and give one
+    integer dot product, divided once (``_quotient``); float data takes
+    ``dot``."""
+    if not is_exact((x, y)):
+        return dot(x, y)
+    (s, xs), (t, ys) = integer_scaling(x), integer_scaling(y)
+    return _quotient(dot(xs, ys), s * t, (x, y))
+
+
+def _deviation(x, y):
+    """Max-abs entry of x - y.  Exact vectors of one length are scaled
+    once each to integers, compared in integers and divided once
+    (``_quotient``); other data takes ``max_abs``."""
+    if len(x) != len(y) or not is_exact((x, y)):
+        return max_abs(sub_vectors(x, y))
+    (s, xs), (t, ys) = integer_scaling(x), integer_scaling(y)
+    return _quotient(max((abs(a * t - b * s) for a, b in zip(xs, ys)), default=0), s * t, (x, y))
+
+
+def _quotient(num: int, den: int, data):
+    """num / den for integers read off the exact vectors of data, typed as
+    their own arithmetic would type it: the int num when every entry is an
+    int (den is then 1), else one Fraction."""
+    return num if all(set(map(type, x)) <= {int} for x in data) else Fraction(num, den)
 
 
 def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> VerificationReport:
@@ -228,7 +312,7 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
         if not in_max_cone(omega, B, A):
             violations.append("shared state is not nonsignaling-positive")
     tol = tolerance_for(omega, r_hat, u_ba)
-    norm = dot(u_ba, omega)
+    norm = _dot(u_ba, omega)
     if abs(norm - 1) > tol:
         violations.append(f"shared state has normalization {norm}")
 
@@ -238,10 +322,7 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
         violations.append(f"r_hat image of state generator {g} leaves the effect cone")
 
     # identity equation
-    W = vec_to_matrix(omega, n_b, n_a)
-    prod = matmul(transpose(W), r_hat)
-    res_id = max_abs(sub_matrices(prod, identity(n_a)))
-    residuals["identity"] = res_id
+    res_id = residuals["identity"] = _identity_residual(omega, r_hat, n_a, n_b)
     if res_id > tol:
         violations.append(f"hat(omega) . r_hat deviates from the identity by {res_id}")
 
@@ -249,7 +330,7 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
     r_form = _r_form_vector(r_hat)
     f = scale_vector(c, r_form)
     if cert.f is not None:
-        deviation = residuals["f_consistency"] = max_abs(sub_vectors(f, cert.f))
+        deviation = residuals["f_consistency"] = _deviation(f, cert.f)
         if len(cert.f) != len(f) or deviation > tolerance_for(f, cert.f):
             violations.append(f"certificate f of length {len(cert.f)} deviates from c * r_form by {deviation}")
     if composite_ab is not None and composite_ab.kind == POLYHEDRAL:

@@ -90,11 +90,22 @@ not given converted on demand.  The package keeps that route only for
 composites without a simplicial factor; with one, it writes both
 descriptions of both cones by theorem (``cones.product_cones``), and all
 four generator and facet tuples must be equal.
+
+The last six functions are the exact kernels and certificate arithmetic
+as they were before the teleportation check read its quantities off
+integers: ``integer_scaling``, ``scaled_primitive`` (then
+``linalg.primitive``) and ``_eliminate`` with their generator tests and
+``next`` pivot search; ``normalized_certificate``, the body of
+``find_teleportation``'s candidate loop, whose residual is a Fraction
+matrix product minus the identity and whose effect scale,
+``ratio_effect_interval_max_scale``, builds one Fraction ratio per facet;
+and ``_tripartite_left``, which adds Fraction terms one at a time.  The
+package's versions must give the same values of the same types.
 """
 
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -124,6 +135,7 @@ from comcat.linalg import (
     identity,
     max_abs,
     rank,
+    row_step,
     scale_matrix,
     scale_vector,
     sub_matrices,
@@ -1021,3 +1033,109 @@ def max_tensor(A: Com, B: Com) -> CompositeCom:
         factors=(A, B),
         composite_kind=MAX,
     )
+
+
+def integer_scaling(values) -> tuple[int, list[int]]:
+    """(s, ints): the least s > 0 with every s * value an integer, and those."""
+    if all(type(v) is int for v in values):
+        return 1, list(values)
+    values = [v if isinstance(v, (int, Fraction)) else frac(v) for v in values]
+    s = lcm(*(v.denominator for v in values))
+    return s, [v.numerator * (s // v.denominator) for v in values]
+
+
+def scaled_primitive(v) -> Vector:
+    """Scale an exact vector to coprime integers; sign is preserved."""
+    if not all(type(x) is int for x in v):
+        v = integer_scaling(v)[1]
+    g = gcd(*v)
+    if g == 0:
+        return tuple(0 for _ in v)
+    return tuple(x // g for x in v)
+
+
+def _eliminate(rows: list, reduce: bool = False) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) elimination of a list of integer rows, in
+    place: the list is reordered and changed rows are replaced by new lists.
+
+    Pivot rows are swapped to the top; every division is exact.  Returns
+    the pivot columns and d, the last pivot (1 when there is none).  With
+    reduce=True the entries above each pivot are cleared too, every pivot
+    ends equal to d, and rows / d is the reduced row echelon form."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    pivots: list[int] = []
+    d = 1
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        row_r = rows[r]
+        p = row_r[c]
+        for i in range(0 if reduce else r + 1, m):
+            if i != r:
+                rows[i] = row_step(rows[i], row_r, c, p, d)
+        pivots.append(c)
+        d = p
+    return pivots, d
+
+
+def ratio_effect_interval_max_scale(r_form, composite_ab: CompositeCom):
+    """Largest c >= 0 with c*r_form and u - c*r_form in the effect cone,
+    from the facets alone: the least ratio h.u / h.r_form over facets h
+    with h.r_form > 0, or None when some h.r_form < 0 (no positive
+    multiple of r_form is an effect) or none is positive."""
+    facets = composite_ab.effect_cone.facets
+    dens = matvec(facets, r_form)
+    if any(den < 0 for den in dens):
+        return None
+    ratios = [Fraction(dot(h, composite_ab.unit)) / den for h, den in zip(facets, dens) if den > 0]
+    return min(ratios, default=None)
+
+
+def normalized_certificate(omega, r_hat, n_a: int, n_b: int, composite_ab, composite_ba):
+    """The body of ``find_teleportation``'s candidate loop, a ``continue``
+    read as ``return None``."""
+    # The LP's equality rows made hat(omega) . r_hat = id_A, so with
+    # t = u . omega the normalized pair is (omega / t, t * r_hat).
+    t = dot(composite_ba.unit, omega)
+    if t == 0:
+        return None
+    omega_n = scale_vector(Fraction(1) / t, omega)
+    r_scaled = scale_matrix(t, r_hat)
+    omega_hat = transpose(vec_to_matrix(omega_n, n_b, n_a))
+    residual = max_abs(sub_matrices(matmul(omega_hat, r_scaled), identity(n_a)))
+    if residual > tolerance_for(omega_hat, r_scaled):
+        return None
+    r_form = _r_form_vector(r_scaled)
+    c = ratio_effect_interval_max_scale(r_form, composite_ab)
+    if c is None or c <= 0:
+        return None
+    return TeleportationCertificate(
+        omega=omega_n,
+        r_hat=r_scaled,
+        c=c,
+        f=scale_vector(c, r_form),
+        residual=residual,
+        composite_ab=composite_ab,
+        composite_ba=composite_ba,
+    )
+
+
+def _tripartite_left(f, omega, alpha, A: Com, B: Com, C: Com):
+    """(f x id_C)(alpha x omega) by explicit tensor contraction."""
+    F = vec_to_matrix(f, A.dim, B.dim)
+    big = tensor_vector(alpha, omega)  # index (i*nB + j)*nC + k
+    nB, nC = B.dim, C.dim
+    out = []
+    for k in range(nC):
+        total = 0
+        for i in range(A.dim):
+            for j in range(nB):
+                total = total + F[i][j] * big[(i * nB + j) * nC + k]
+        out.append(total)
+    return tuple(out)

@@ -363,6 +363,9 @@ def test_psd_inclusion_accept_gives_the_batched_eigvalsh_verdicts(case):
         images = np.array(source.generators, dtype=float) @ X
         expected = oracle.psd_rows_outside(images, dims, PLANT_TOL)
         assert np.array_equal(hermitian.rows_outside_psd(images, dims, PLANT_TOL), expected)
+        for i in range(len(images)):  # one row at a time, as Cone.member asks
+            one = images[i : i + 1]
+            assert np.array_equal(hermitian.rows_outside_psd(one, dims, PLANT_TOL), oracle.psd_rows_outside(one, dims, PLANT_TOL))
         leaving = list(cones.rays_leaving(M, source, target))
         assert leaving == [source.generators[i] for i in expected]
         by_member = list(oracle.rays_leaving(M, source, target))
@@ -373,6 +376,16 @@ def test_psd_inclusion_accept_gives_the_batched_eigvalsh_verdicts(case):
                 assert (g in leaving) == (g in by_member) == (lows[j] < -PLANT_TOL)
     finally:
         set_tolerance(None)
+
+
+def test_a_single_psd_point_goes_straight_to_eigvalsh(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the Cholesky accept ran on a batch of one")
+
+    cone = quantum(3).state_cone
+    point = cone.interior_point()
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    assert cone.member(point) and not cone.member(tuple(-x for x in point))
 
 
 @settings(max_examples=120, deadline=None)
@@ -629,8 +642,18 @@ def test_float_matmul_equals_loop_to_the_bit(factors):
     lambda n: float_matrix(m, n, nan=True))), st.booleans())
 def test_float_max_abs_equals_loop_to_the_bit(M, as_vector):
     data = M[0] if as_vector else [list(row) for row in M]
-    assert _same(max_abs(data), oracle.loop_max_abs(data))
-    assert _same(max_abs(M[0][0]), oracle.loop_max_abs(M[0][0]))
+    for obj in (data, M[0][0]):
+        if any(x != x for x in chain.from_iterable(_rows(obj))):  # a NaN is an input error
+            with pytest.raises(InputError):
+                max_abs(obj)
+        else:
+            assert _same(max_abs(obj), oracle.loop_max_abs(obj))
+
+
+def _rows(obj):
+    if not isinstance(obj, (list, tuple)):
+        return ((obj,),)
+    return obj if obj and isinstance(obj[0], (list, tuple)) else (obj,)
 
 
 # numpy.float64 entries, as the rows of a float ndarray hand them over: the
@@ -690,10 +713,11 @@ def test_float64_max_abs_equals_loop_to_the_bit(m, n, nan, as_vector, data):
     entries = st.one_of(F64_DATA, F64_NAN) if nan else F64_DATA
     M = [[np.float64(data.draw(FLOATS))] + [data.draw(entries) for _ in range(n - 1)] for _ in range(m)]
     obj = list(chain.from_iterable(M)) if as_vector else M
-    got, expected = max_abs(obj), _loop(oracle.loop_max_abs, obj)
-    assert float.hex(got) == float.hex(expected)
-    if not any(x != x for x in chain.from_iterable(M)):  # a NaN keeps the loop
-        assert _same_bits_as_float(got, expected)
+    if any(x != x for x in chain.from_iterable(M)):  # a NaN is an input error
+        with pytest.raises(InputError):
+            max_abs(obj)
+        return
+    assert _same_bits_as_float(max_abs(obj), _loop(oracle.loop_max_abs, obj))
 
 
 def test_float_matmul_keeps_the_sign_of_zero_as_sum_does():
