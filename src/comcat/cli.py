@@ -28,7 +28,7 @@ from .conditioning import remote_evaluate
 from .cones import POLYHEDRAL, cones_equal, simplicial
 from .config import DEFAULT_SEED, numeric_tolerance, set_tolerance, tolerance_for
 from .errors import ComcatError, InputError, KindMismatch, MixedKindUnsupported
-from .linalg import matmul, max_abs, sub_vectors, transpose
+from .linalg import deviation, matmul, transpose
 from .matching import com_isomorphism
 from .protocols import check_theory_compact_closed, find_teleportation, verify_teleportation
 from .selfdual import (
@@ -290,7 +290,7 @@ def _structure_for(com: Com, variant: str | None):
         if (
             cones_equal(builtin.state_cone, com.state_cone)
             and cones_equal(builtin.effect_cone, com.effect_cone)
-            and max_abs(sub_vectors(builtin.unit, com.unit)) <= tolerance_for(builtin.unit, com.unit)
+            and deviation(builtin.unit, com.unit) <= tolerance_for(builtin.unit, com.unit)
         ):
             return D
         if builtin.kind == com.kind == POLYHEDRAL and (M := com_isomorphism(builtin, com)) is not None:

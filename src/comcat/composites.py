@@ -50,13 +50,11 @@ from .cones import (
 from .config import numeric_tolerance, tolerance_for
 from .errors import KindMismatch, MixedKindUnsupported
 from .linalg import (
+    deviation,
     dot,
     finite_array,
     is_exact,
     matvec,
-    max_abs,
-    sub_vectors,
-    swap_matrix,
     tensor_vector,
     transpose,
     vec_to_matrix,
@@ -75,10 +73,6 @@ class CompositeCom(Com):
         return (
             f"CompositeCom({self.label!r}, kind={self.composite_kind}, dim={self.dim})"
         )
-
-
-def product_state(alpha, beta) -> tuple:
-    return tensor_vector(alpha, beta)
 
 
 def _require_polyhedral(A: Com, B: Com):
@@ -154,11 +148,6 @@ def tensor(A: Com, B: Com, kind: str) -> CompositeCom:
     return KINDS[kind][0](A, B)
 
 
-def swap_map(A: Com, B: Com) -> tuple:
-    """Matrix of the symmetry isomorphism from the (A,B) carrier to (B,A)."""
-    return swap_matrix(A.dim, B.dim)
-
-
 def in_max_cone(omega, A: Com, B: Com) -> bool:
     """Is the form omega(a, b) = a^T W b nonnegative on every pair of probe
     rays of the two effect cones (``cones.probe_rays``)?
@@ -194,11 +183,10 @@ def is_composite(AB: Com, A: Com, B: Com, seed: int = 0) -> list[str]:
     if AB.dim != A.dim * B.dim:
         return [f"carrier dim {AB.dim} is not {A.dim}*{B.dim}"]
     u_prod = tensor_vector(A.unit, B.unit)
-    residual = sub_vectors(AB.unit, u_prod)
     tolerance = tolerance_for(AB.unit, u_prod)
-    if tolerance and not isfinite(sum(residual)):  # a NaN residual compares False
+    if tolerance and not isfinite(sum(AB.unit) + sum(u_prod)):  # a non-finite unit has no residual
         finite_array((*AB.unit, *u_prod), "the composite unit check")
-    if len(AB.unit) != len(u_prod) or max_abs(residual) > tolerance:
+    if len(AB.unit) != len(u_prod) or deviation(AB.unit, u_prod) > tolerance:
         violations.append("unit is not the product of the factor units")
 
     if AB.kind == POLYHEDRAL:
@@ -206,18 +194,16 @@ def is_composite(AB: Com, A: Com, B: Com, seed: int = 0) -> list[str]:
             for h in B.state_cone.generators:
                 if not AB.state_cone.member(tensor_vector(g, h)):
                     violations.append(f"product state of {g} and {h} missing from the state cone")
-        for a in A.effect_cone.generators:
-            for b in B.effect_cone.generators:
-                if not AB.effect_cone.member(tensor_vector(a, b)):
-                    violations.append(f"product effect of {a} and {b} missing from the effect cone")
-        state_gens = AB.state_cone.generators
-        for w in state_gens:
-            for a in A.effect_cone.generators:
-                for b in B.effect_cone.generators:
-                    if dot(w, tensor_vector(a, b)) < 0:
-                        violations.append(
-                            f"state {w} is negative on the product effect of {a} and {b}"
-                        )
+        effects = [
+            (a, b, tensor_vector(a, b)) for a in A.effect_cone.generators for b in B.effect_cone.generators
+        ]
+        for a, b, ab in effects:
+            if not AB.effect_cone.member(ab):
+                violations.append(f"product effect of {a} and {b} missing from the effect cone")
+        for w in AB.state_cone.generators:
+            for a, b, ab in effects:
+                if dot(w, ab) < 0:
+                    violations.append(f"state {w} is negative on the product effect of {a} and {b}")
         return violations
 
     # Spectral composite: products of the factors' i-th probe rays, and

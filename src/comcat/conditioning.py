@@ -35,13 +35,12 @@ from .errors import (
     ZeroProbabilityCondition,
 )
 from .linalg import (
+    deviation,
     dot,
     integer_scaling,
     is_exact,
     matvec,
-    max_abs,
     scale_vector,
-    sub_vectors,
     swap_vector,
     tensor_vector,
     transpose,
@@ -145,7 +144,7 @@ def remote_evaluation_residual(f, omega, alpha, A: Com, B: Com, C: Com):
     omega_hat = conditioning_map(omega, B, C, check=False)
     rhs = matvec(omega_hat, matvec(f_hat, alpha))
     lhs = _tripartite_left(f, omega, alpha, A, B, C)
-    return rhs, max_abs(sub_vectors(lhs, rhs))
+    return rhs, deviation(lhs, rhs)
 
 
 def remote_evaluate_dual(f, omega, beta, A: Com, B: Com, C: Com):
@@ -158,7 +157,7 @@ def remote_evaluate_dual(f, omega, beta, A: Com, B: Com, C: Com):
     rhs = matvec(omega_hat_star, matvec(f_hat_star, beta))
     f_swapped, omega_swapped = swap_vector(f, C.dim, B.dim), swap_vector(omega, A.dim, C.dim)
     lhs = _tripartite_left(f_swapped, omega_swapped, beta, B, C, A)
-    residual = max_abs(sub_vectors(lhs, rhs))
+    residual = deviation(lhs, rhs)
     if residual > tolerance_for(f, omega, beta):
         raise RemoteEvalMismatch(f"dual remote evaluation: sides differ by {residual}")
     return rhs

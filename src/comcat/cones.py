@@ -18,14 +18,15 @@ Each predicate reads the description that decides it by integer sign
 checks: membership the facets, strict positivity of a functional the
 generators; a missing description is converted once and kept.  LPs
 remain only in construction (``_pointed``, ``_drop_redundant``) and in
-``member_by_lp``, the reference membership test; all three keep their
-names and LPs because the benchmark's tracer patches them by name and
-pins its LP counts per round.  A simplicial input (n independent rows in
-R^n, such as every classical system) makes no construction LP:
-pointedness and extremality are then theorems.  Nor does a composite
-with a simplicial factor: ``product_cones`` writes both descriptions of
-the product of two cones, and of its dual, from the factors'
-descriptions when one factor is simplicial (``simplicial``).  A PSD
+``member_by_lp``, the reference membership test.  All three keep their
+LPs because the benchmark's tracer pins its ``solve_lp`` counts per
+round, and ``member_by_lp`` keeps its name because the tracer patches
+it by name; it patches neither construction helper.  A simplicial input
+(n independent rows in R^n, such as every classical system) makes no
+construction LP: pointedness and extremality are then theorems.  Nor
+does a composite with a simplicial factor: ``product_cones`` writes both
+descriptions of the product of two cones, and of its dual, from the
+factors' descriptions when one factor is simplicial (``simplicial``).  A PSD
 cone is the Hermitian positive-semidefinite cone in its fixed real
 coordinatization; it is self-dual and its membership test is spectral.
 

@@ -16,16 +16,17 @@ is.
 integers too: each operand is scaled once to integers by
 ``integer_scaling`` (s A and t B, ``integer_rows``), the products are
 Python ints, and each result entry is one Fraction(v, s * t).  All-int
-operands keep the plain loop, whose results are ints.
+operands keep the plain loop, whose results are ints.  So does
+``deviation``, the one residual kernel (max-abs of a difference).
 
 Vectors are tuples, matrices are tuples of row tuples.  Integer entries
 are acceptable everywhere, but int / int is a float: exact callers that
 divide two ints go through Fraction.
 
-Float data takes numpy kernels in ``matmul`` and ``max_abs`` once the
-result or the input has at least 64 entries (below that numpy's fixed
-cost per call exceeds the loop's); the entry types decide, and any
-Fraction keeps the pure-Python path.  Float data means entries that are
+Float data takes numpy kernels in ``matmul`` and ``max_abs`` (whose one
+caller is ``deviation``) once the result or the input has at least 64
+entries (below that numpy's fixed cost per call exceeds the loop's); the
+entry types decide, and any Fraction keeps the pure-Python path.  Float data means entries that are
 Python floats or ``numpy.float64`` scalars (the entries of a float
 ndarray's rows), both IEEE doubles with the same arithmetic; every other
 numpy scalar type, ``float32`` and ``int64`` among them, keeps the loop,
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, islice
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from operator import mul, ne
 from typing import Optional, Sequence
 
@@ -59,12 +60,15 @@ Matrix = tuple
 
 
 def frac(x) -> Fraction:
-    """Coerce to Fraction.  Floats convert exactly (binary value)."""
+    """Coerce to Fraction.  Floats convert exactly (binary value); a NaN or
+    infinite float has no such value and raises InputError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, (int, str)):
         return Fraction(x)
     if isinstance(x, float):
+        if not isfinite(x):
+            raise InputError(f"{x!r} is not a finite number, so it has no exact rational value")
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
 
@@ -168,16 +172,8 @@ def scale_vector(c, x) -> Vector:
     return tuple(c * a for a in x)
 
 
-def sub_vectors(x, y) -> Vector:
-    return tuple(a - b for a, b in zip(x, y))
-
-
 def scale_matrix(c, M) -> Matrix:
     return tuple(tuple(c * a for a in row) for row in M)
-
-
-def sub_matrices(A, B) -> Matrix:
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def tensor_vector(x, y) -> Vector:
@@ -241,6 +237,33 @@ def max_abs(obj) -> float:
         if any(map(ne, entries, entries)):
             raise InputError("a residual with a NaN entry cannot be compared with a tolerance")
     return max((max(map(abs, row), default=0) for row in rows), default=0)
+
+
+def deviation(X, Y):
+    """Largest absolute entry of X - Y, two vectors or two matrices paired
+    by position (row by row; the shorter operand ends a pairing).  Unless
+    X starts with a float, the entry types of X and Y are read once:
+    all-int data gives an int, other exact data is scaled once per operand
+    to integers (s X, t Y), compared in ints and divided once by s t into
+    one Fraction.  Other data is ``max_abs`` of the differences, which
+    refuses a NaN."""
+    matrices = bool(X) and isinstance(X[0], (list, tuple))
+    rows_x, rows_y = (X, Y) if matrices else ((X,), (Y,))
+    if not isinstance(next(chain.from_iterable(rows_x), None), float):
+        types = _entry_types((*rows_x, *rows_y))
+        if types <= _INT:
+            return max((abs(a - b) for rx, ry in zip(rows_x, rows_y) for a, b in zip(rx, ry)), default=0)
+        if types <= _EXACT:
+            if matrices:
+                (s, xs), (t, ys) = integer_rows(X), integer_rows(Y)
+            else:
+                (s, x), (t, y) = integer_scaling(X), integer_scaling(Y)
+                xs, ys = (x,), (y,)
+            num = max((abs(a * t - b * s) for rx, ry in zip(xs, ys) for a, b in zip(rx, ry)), default=0)
+            return Fraction(num, s * t)
+    if matrices:
+        return max_abs(tuple(tuple(a - b for a, b in zip(rx, ry)) for rx, ry in zip(X, Y)))
+    return max_abs(tuple(a - b for a, b in zip(X, Y)))
 
 
 def fmt(obj) -> str:

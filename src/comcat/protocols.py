@@ -30,8 +30,8 @@ integers (``integer_scaling``), the identity residual is one integer
 product compared with s t I, the effect scale compares the integer
 ratios h.u / h.r_form by cross-multiplication, and each quantity is
 divided once at the end (``_quotient``), with the type the Fraction
-arithmetic gave it.  Float data keeps the loops over ``matmul``, ``dot``
-and ``max_abs``.
+arithmetic gave it.  Float data keeps the loops over ``matmul`` and
+``dot``.  Every other residual is ``linalg.deviation``.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .cones import POLYHEDRAL, PSD, rays_leaving
 from .config import numeric_tolerance, tolerance_for
 from .errors import InvalidStructure, MixedKindUnsupported, UnsupportedKind
 from .linalg import (
+    deviation,
     dot,
     identity,
     integer_rows,
@@ -56,11 +57,8 @@ from .linalg import (
     matmul,
     matrix_to_vec,
     matvec,
-    max_abs,
     scale_matrix,
     scale_vector,
-    sub_matrices,
-    sub_vectors,
     tensor_vector,
     transpose,
     vec_to_matrix,
@@ -244,20 +242,21 @@ def _identity_residual(omega, r_hat, n_a: int, n_b: int):
     """Max-abs entry of hat(omega) . r_hat - id_A.  Exact data is one
     integer product: omega and r_hat scaled once to integers (s omega,
     t r_hat), their product compared with s t I, and the largest
-    deviation divided once (``_quotient``).  Float data takes matmul."""
+    deviation divided once (``_quotient``).  Float data takes ``matmul``
+    and ``deviation``."""
     if not is_exact((omega, *r_hat)):
         omega_hat = transpose(vec_to_matrix(omega, n_b, n_a))
-        return max_abs(sub_matrices(matmul(omega_hat, r_hat), identity(n_a)))
+        return deviation(matmul(omega_hat, r_hat), identity(n_a))
     s, omega_ints = integer_scaling(omega)
     t, r_ints = integer_rows(r_hat)
     st = s * t
     cols = list(zip(*r_ints))
-    deviation = max(
+    worst = max(
         abs(dot(row, col) - (st if i == j else 0))
         for i, row in enumerate(transpose(vec_to_matrix(omega_ints, n_b, n_a)))
         for j, col in enumerate(cols)
     )
-    return _quotient(deviation, st, (omega, *r_hat))
+    return _quotient(worst, st, (omega, *r_hat))
 
 
 def _dot(x, y):
@@ -268,16 +267,6 @@ def _dot(x, y):
         return dot(x, y)
     (s, xs), (t, ys) = integer_scaling(x), integer_scaling(y)
     return _quotient(dot(xs, ys), s * t, (x, y))
-
-
-def _deviation(x, y):
-    """Max-abs entry of x - y.  Exact vectors of one length are scaled
-    once each to integers, compared in integers and divided once
-    (``_quotient``); other data takes ``max_abs``."""
-    if len(x) != len(y) or not is_exact((x, y)):
-        return max_abs(sub_vectors(x, y))
-    (s, xs), (t, ys) = integer_scaling(x), integer_scaling(y)
-    return _quotient(max((abs(a * t - b * s) for a, b in zip(xs, ys)), default=0), s * t, (x, y))
 
 
 def _quotient(num: int, den: int, data):
@@ -330,9 +319,9 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
     r_form = _r_form_vector(r_hat)
     f = scale_vector(c, r_form)
     if cert.f is not None:
-        deviation = residuals["f_consistency"] = _deviation(f, cert.f)
-        if len(cert.f) != len(f) or deviation > tolerance_for(f, cert.f):
-            violations.append(f"certificate f of length {len(cert.f)} deviates from c * r_form by {deviation}")
+        res_f = residuals["f_consistency"] = deviation(f, cert.f)
+        if len(cert.f) != len(f) or res_f > tolerance_for(f, cert.f):
+            violations.append(f"certificate f of length {len(cert.f)} deviates from c * r_form by {res_f}")
     if composite_ab is not None and composite_ab.kind == POLYHEDRAL:
         E = composite_ab.effect_cone
         u = composite_ab.unit
@@ -399,8 +388,8 @@ def verify_compact_structure(A: Com, A_dual: Com, eta, epsilon) -> VerificationR
     eps_hat = transpose(E)  # A -> A'-effects
     snake1 = matmul(eta_hat, eps_hat)
     snake2 = matmul(N, E)
-    res1 = max_abs(sub_matrices(snake1, identity(n)))
-    res2 = max_abs(sub_matrices(snake2, identity(m)))
+    res1 = deviation(snake1, identity(n))
+    res2 = deviation(snake2, identity(m))
     tol = tolerance_for(eta, epsilon)
     ok = res1 <= tol and res2 <= tol
     report = VerificationReport(ok, [] if ok else ["zig-zag identities fail"], {
@@ -437,7 +426,7 @@ def factor_morphism(phi, structure: CompactStructure) -> dict:
     E = vec_to_matrix(structure.epsilon, n, m)
     # hat(omega_phi): A'-effects -> B; hat(epsilon): A -> A'-effects
     recovered = matmul(transpose(omega_phi_matrix), transpose(E))
-    residual = max_abs(sub_matrices(recovered, phi))
+    residual = deviation(recovered, phi)
     return {
         "omega": omega_phi,
         "co_unit": structure.epsilon,

@@ -30,16 +30,14 @@ from .cones import PSD, POLYHEDRAL, rays_leaving
 from .config import numeric_tolerance, tolerance_for
 from .errors import InvalidStructure, SingularMatrix, UnsupportedKind
 from .linalg import (
+    deviation,
     finite_array,
     identity,
     inverse,
     is_exact,
     matmul,
     matrix_to_vec,
-    max_abs,
     rank,
-    sub_matrices,
-    sub_vectors,
     swap_vector,
     symmetric_inertia,
     transpose,
@@ -82,8 +80,8 @@ class DualityStructure:
 
     @cached_property
     def symmetric(self) -> bool:
-        g_res = max_abs(sub_matrices(self.gamma_hat, transpose(self.gamma_hat)))
-        f_res = max_abs(sub_matrices(self.f_hat, transpose(self.f_hat)))
+        g_res = deviation(self.gamma_hat, transpose(self.gamma_hat))
+        f_res = deviation(self.f_hat, transpose(self.f_hat))
         tol = tolerance_for(self.gamma_hat, self.f_hat)
         return g_res <= tol and f_res <= tol
 
@@ -156,13 +154,13 @@ def build_structure(A: Com, gamma_hat, f_hat=None) -> DualityStructure:
     left = matmul(f_hat, gamma_hat)
     right = matmul(gamma_hat, f_hat)
     ident = identity(A.dim)
-    res_inv = max(max_abs(sub_matrices(left, ident)), max_abs(sub_matrices(right, ident)))
+    res_inv = max(deviation(left, ident), deviation(right, ident))
     tol = tolerance_for(gamma_hat, f_hat)
     if res_inv > tol:
         raise InvalidStructure(f"f_hat is not the inverse of gamma_hat (residual {res_inv})")
     residuals = {
         "inverse": res_inv,
-        "gamma_symmetry": max_abs(sub_matrices(gamma_hat, transpose(gamma_hat))),
+        "gamma_symmetry": deviation(gamma_hat, transpose(gamma_hat)),
         "tau_automorphism": 0,
     }
     struct = DualityStructure(A, gamma_hat, f_hat, residuals)
@@ -215,27 +213,26 @@ def canonical_adjoint(phi, D_A: DualityStructure, D_B: DualityStructure):
         transpose(D_A.gamma_hat), matmul(transpose(phi), transpose(D_B.f_hat))
     )
     route2 = transpose(matmul(D_B.f_hat, matmul(phi, D_A.gamma_hat)))
-    res = max_abs(sub_matrices(route1, route2))
+    res = deviation(route1, route2)
     if res > tolerance_for(route1, route2):
         raise InvalidStructure(f"adjoint routes disagree by {res}")
     return route1
 
 
 def tau_is_identity(D_A: DualityStructure) -> bool:
-    return max_abs(sub_matrices(D_A.tau, identity(len(D_A.tau)))) <= tolerance_for(D_A.tau)
+    return deviation(D_A.tau, identity(len(D_A.tau))) <= tolerance_for(D_A.tau)
 
 
 def double_dual_check(phi, D_A: DualityStructure, D_B: DualityStructure) -> dict:
     """Compare the twice-adjoint of phi with tau_B^{-1} . phi . tau_A."""
     twice = canonical_adjoint(canonical_adjoint(phi, D_A, D_B), D_B, D_A)
     direct = matmul(_invert(D_B.tau), matmul(phi, D_A.tau))
-    diff = max_abs(sub_matrices(twice, direct))
-    deviation = max_abs(sub_matrices(twice, phi))
+    off_phi = deviation(twice, phi)
     return {
         "double_dual": twice,
-        "route_difference": diff,
-        "deviation_from_identity_behaviour": deviation,
-        "involutive_on_this_map": deviation <= tolerance_for(twice, phi),
+        "route_difference": deviation(twice, direct),
+        "deviation_from_identity_behaviour": off_phi,
+        "involutive_on_this_map": off_phi <= tolerance_for(twice, phi),
     }
 
 
@@ -264,9 +261,9 @@ def symmetry_equivalence_report(A: Com, D_A: DualityStructure) -> dict:
     q_off, q_all = _maxima_off_diagonal(Q)
     witness = None
     for a, b in product(range(n), repeat=2):
-        deviation = max(p_off[a] * q_all[b], abs(P[a][a]) * q_off[b], abs(P[a][a] * Q[b][b] - 1))
-        if deviation > tol:
-            witness = {"basis_map": (a, b), "deviation": deviation}
+        worst = max(p_off[a] * q_all[b], abs(P[a][a]) * q_off[b], abs(P[a][a] * Q[b][b] - 1))
+        if worst > tol:
+            witness = {"basis_map": (a, b), "deviation": worst}
             break
     cond_i = witness is None
     cond_ii = tau_is_identity(D_A)
@@ -302,7 +299,7 @@ def counit_dual_check(D_A: DualityStructure) -> dict:
     K = transpose(D_A.gamma_hat)
     f_adjoint = matrix_to_vec(matmul(matmul(K, vec_to_matrix(D_A.f, n, n)), transpose(K)))
     swapped_gamma = swap_vector(D_A.gamma, n, n)
-    residual = max_abs(sub_vectors(f_adjoint, swapped_gamma))
+    residual = deviation(f_adjoint, swapped_gamma)
     return {
         "f_adjoint": f_adjoint,
         "swapped_gamma": swapped_gamma,

@@ -101,11 +101,24 @@ matrix product minus the identity and whose effect scale,
 ``ratio_effect_interval_max_scale``, builds one Fraction ratio per facet;
 and ``_tripartite_left``, which adds Fraction terms one at a time.  The
 package's versions must give the same values of the same types.
+
+``sub_vectors`` and ``sub_matrices`` are the entrywise differences every
+residual was read from, as ``max_abs`` of one of them, before
+``linalg.deviation`` read them all; ``integer_deviation`` (with
+``_quotient``) is the integer residual that ``protocols`` kept for the
+certificate's f before the same change.  ``linalg.deviation`` must equal
+``max_abs`` of the difference in value, to the bit on float data, and
+``integer_deviation`` in value and type on exact vectors of one length.
+
+``polyhedral_composite_violations`` is ``composites.is_composite`` on a
+polyhedral composite as it was when the negativity check formed each
+product effect again for every state generator.  The package's version
+must return the same messages in the same order.
 """
 
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -137,9 +150,8 @@ from comcat.linalg import (
     rank,
     row_step,
     scale_matrix,
+    finite_array,
     scale_vector,
-    sub_matrices,
-    sub_vectors,
     tensor_vector,
     transpose,
     vec_to_matrix,
@@ -154,6 +166,14 @@ from comcat.protocols import (
 
 Vector = tuple
 Matrix = tuple
+
+
+def sub_vectors(x, y) -> Vector:
+    return tuple(a - b for a, b in zip(x, y))
+
+
+def sub_matrices(A, B) -> Matrix:
+    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def is_exact(obj) -> bool:
@@ -1139,3 +1159,53 @@ def _tripartite_left(f, omega, alpha, A: Com, B: Com, C: Com):
                 total = total + F[i][j] * big[(i * nB + j) * nC + k]
         out.append(total)
     return tuple(out)
+
+
+def integer_deviation(x, y):
+    """Max-abs entry of x - y.  Exact vectors of one length are scaled
+    once each to integers, compared in integers and divided once
+    (``_quotient``); other data takes ``max_abs``."""
+    if len(x) != len(y) or not is_exact((x, y)):
+        return max_abs(sub_vectors(x, y))
+    (s, xs), (t, ys) = integer_scaling(x), integer_scaling(y)
+    return _quotient(max((abs(a * t - b * s) for a, b in zip(xs, ys)), default=0), s * t, (x, y))
+
+
+def _quotient(num: int, den: int, data):
+    """num / den for integers read off the exact vectors of data, typed as
+    their own arithmetic would type it: the int num when every entry is an
+    int (den is then 1), else one Fraction."""
+    return num if all(set(map(type, x)) <= {int} for x in data) else Fraction(num, den)
+
+
+def polyhedral_composite_violations(AB: Com, A: Com, B: Com) -> list[str]:
+    """All composite-contract violations of a polyhedral composite."""
+    violations: list[str] = []
+    if AB.dim != A.dim * B.dim:
+        return [f"carrier dim {AB.dim} is not {A.dim}*{B.dim}"]
+    u_prod = tensor_vector(A.unit, B.unit)
+    residual = sub_vectors(AB.unit, u_prod)
+    tolerance = tolerance_for(AB.unit, u_prod)
+    if tolerance and not isfinite(sum(residual)):  # a NaN residual compares False
+        finite_array((*AB.unit, *u_prod), "the composite unit check")
+    if len(AB.unit) != len(u_prod) or max_abs(residual) > tolerance:
+        violations.append("unit is not the product of the factor units")
+
+    assert AB.kind == POLYHEDRAL
+    for g in A.state_cone.generators:
+        for h in B.state_cone.generators:
+            if not AB.state_cone.member(tensor_vector(g, h)):
+                violations.append(f"product state of {g} and {h} missing from the state cone")
+    for a in A.effect_cone.generators:
+        for b in B.effect_cone.generators:
+            if not AB.effect_cone.member(tensor_vector(a, b)):
+                violations.append(f"product effect of {a} and {b} missing from the effect cone")
+    state_gens = AB.state_cone.generators
+    for w in state_gens:
+        for a in A.effect_cone.generators:
+            for b in B.effect_cone.generators:
+                if dot(w, tensor_vector(a, b)) < 0:
+                    violations.append(
+                        f"state {w} is negative on the product effect of {a} and {b}"
+                    )
+    return violations

@@ -60,7 +60,6 @@ from comcat.linalg import (
     matrix_to_vec,
     matvec,
     max_abs,
-    sub_matrices,
     transpose,
     vec_to_matrix,
 )
@@ -71,6 +70,10 @@ from comcat.selfdual import (
     tau_is_identity,
     verify_isomorphism_state,
 )
+
+
+def sub_matrices(A, B):
+    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
 def psd_state_samples(dims, seed=0, count=24):

@@ -3,23 +3,25 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import fraction_oracle as oracle
+
 from comcat import hermitian
 from comcat.com import is_saturated, validate_com
 from comcat.composites import (
     in_max_cone,
     is_composite,
     max_tensor,
+    CompositeCom,
     min_tensor,
-    product_state,
     separability_check,
     separating_functional,
     spatial_quantum_composite,
-    swap_map,
     tensor,
 )
 from comcat.conditioning import conditioning_map
 from comcat.errors import InputError, KindMismatch, MixedKindUnsupported
-from comcat.linalg import canonical_rays, dot, matvec, tensor_vector
+from comcat.cones import cone_from_generators
+from comcat.linalg import canonical_rays, dot, matvec, swap_matrix, tensor_vector
 from comcat.models import classical, gbit, quantum, gbit_rotation_structure
 
 import pytest
@@ -111,7 +113,7 @@ def test_spatial_quantum():
     assert QQ.state_cone.hilbert_dims == (2, 2)
     rho = hermitian.coords(np.diag([0.5, 0.5]).astype(complex), (2,))
     sigma = hermitian.coords(np.array([[1, 0], [0, 0]], dtype=complex), (2,))
-    assert QQ.state_cone.member(product_state(rho, sigma))
+    assert QQ.state_cone.member(tensor_vector(rho, sigma))
     with pytest.raises(KindMismatch):
         spatial_quantum_composite(q, classical(2))
 
@@ -172,12 +174,12 @@ def test_separability(c2):
     M = min_tensor(c2, c2)
     alpha = (F(1, 2), F(1, 2))
     beta = (F(1, 4), F(3, 4))
-    assert separability_check(product_state(alpha, beta), M)
+    assert separability_check(tensor_vector(alpha, beta), M)
     mix = tuple(
         F(1, 2) * x + F(1, 2) * y
         for x, y in zip(
-            product_state((F(1), F(0)), (F(0), F(1))),
-            product_state((F(0), F(1)), (F(1), F(0))),
+            tensor_vector((F(1), F(0)), (F(0), F(1))),
+            tensor_vector((F(0), F(1)), (F(1), F(0))),
         )
     )
     assert separability_check(mix, M)
@@ -186,7 +188,7 @@ def test_separability(c2):
 def test_swap_symmetry(c2, g):
     AB = min_tensor(c2, g)
     BA = min_tensor(g, c2)
-    S = swap_map(c2, g)
+    S = swap_matrix(c2.dim, g.dim)
     swapped = canonical_rays(matvec(S, w) for w in AB.state_cone.generators)
     assert swapped == canonical_rays(BA.state_cone.generators)
 
@@ -238,6 +240,29 @@ def test_is_composite_negative_state_names_witness(g, gbit_pair_min):
     )
     out = is_composite(broken, g, g)
     assert any("negative on the product effect" in v for v in out)
+
+
+@pytest.mark.parametrize("left", ["c2", "gbit"])
+def test_is_composite_lists_the_violations_of_the_loops(left, g):
+    # Missing product states and effects, negative states and a wrong unit
+    # at once: the messages and their order are those of the loops that
+    # formed each product effect again for every state generator.
+    A = classical(2) if left == "c2" else g
+    mn, mx = min_tensor(A, g), max_tensor(A, g)
+    n = A.dim * g.dim
+    bad = tuple(tuple(-2 if i == j else (1 if i == n - 1 else 0) for i in range(n)) for j in (0, 2))
+    broken = CompositeCom(
+        label="broken",
+        state_cone=cone_from_generators(mn.state_cone.generators[2:] + bad),
+        effect_cone=cone_from_generators(mx.effect_cone.generators[1:]),
+        unit=tuple(2 * x for x in mn.unit),
+        factors=(A, g),
+        composite_kind="custom",
+    )
+    out = is_composite(broken, A, g)
+    assert out == oracle.polyhedral_composite_violations(broken, A, g)
+    for kind in ("unit is not", "product state of", "product effect of", "negative on the product effect"):
+        assert any(kind in v for v in out)
 
 
 def test_duality_swap_exact(g):

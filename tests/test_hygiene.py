@@ -92,3 +92,22 @@ def test_only_cones_reads_the_psd_kernel():
         if isinstance(node, ast.Call) and "rows_outside_psd" in _references(node.func)
     ]
     assert callers == ["cones.py"]
+
+
+def test_every_residual_is_read_by_linalg_deviation():
+    # One residual kernel: only linalg.deviation calls max_abs, and no
+    # module keeps an entrywise difference of its own.
+    def calls(tree):
+        return [n for n in ast.walk(tree) if isinstance(n, ast.Call) and "max_abs" in _references(n.func)]
+
+    trees = _trees()
+    assert {name for name, tree in trees.items() if calls(tree)} == {"linalg.py"}
+    (deviation,) = [f for f in ast.walk(trees["linalg.py"]) if isinstance(f, ast.FunctionDef) and f.name == "deviation"]
+    assert len(calls(deviation)) == len(calls(trees["linalg.py"]))
+    defined = [
+        f"{name}:{node.name}"
+        for name, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in ("sub_vectors", "sub_matrices", "_deviation")
+    ]
+    assert defined == []

@@ -2,7 +2,12 @@
 
 Python's ``max`` skips a NaN that follows a number, and NaN > tol is
 false, so a residual screen that read ``max_abs`` passed such data.  Each
-screen below gets its NaN past the first entry."""
+screen below gets its NaN past the first entry.
+
+A polyhedral predicate reads a given float point by its exact binary
+value, which a NaN or an infinity does not have: ``linalg.frac`` refuses
+it with InputError naming the value, where it used to escape as the
+ValueError or OverflowError of ``Fraction``."""
 
 from dataclasses import replace
 from fractions import Fraction as F
@@ -11,10 +16,11 @@ import numpy as np
 import pytest
 
 from comcat.conditioning import remote_evaluate, remote_evaluate_dual
+from comcat.com import Com, validate_com
 from comcat.composites import min_tensor
 from comcat.errors import InputError
 from comcat.linalg import identity, max_abs
-from comcat.models import classical, classical_symmetric_structure
+from comcat.models import classical, classical_symmetric_structure, gbit
 from comcat.protocols import (
     compact_structure_from_duality,
     factor_morphism,
@@ -90,3 +96,34 @@ SCREENS = {
 def test_nan_residual_is_an_input_error(screen):
     with pytest.raises(InputError, match="NaN"):
         SCREENS[screen]()
+
+
+INF = float("inf")
+
+
+def _teleportation_with_omega(omega):
+    c2 = classical(2)
+    c2_min = min_tensor(c2, c2)
+    return verify_teleportation(replace(find_teleportation(c2, c2, c2_min, c2_min), omega=omega), c2, c2)
+
+
+def _gbit_with_unit(unit):
+    g = gbit()
+    return validate_com(Com("gbit", g.state_cone, g.effect_cone, unit))
+
+
+EXACT_READS = {
+    "member nan": (lambda: classical(2).state_cone.member((1.0, NAN)), "nan"),
+    "strictly_positive nan": (lambda: classical(2).state_cone.strictly_positive((NAN, 1.0)), "nan"),
+    "member inf": (lambda: classical(2).state_cone.member((1.0, INF)), "inf"),
+    "strictly_positive inf": (lambda: classical(2).state_cone.strictly_positive((1.0, INF)), "inf"),
+    "validate_com unit": (lambda: _gbit_with_unit((0.0, 0.0, NAN)), "nan"),
+    "teleportation omega": (lambda: _teleportation_with_omega((0.5, 0.0, NAN, 0.5)), "nan"),
+}
+
+
+@pytest.mark.parametrize("read", sorted(EXACT_READS))
+def test_a_non_finite_float_read_exactly_is_an_input_error(read):
+    call, value = EXACT_READS[read]
+    with pytest.raises(InputError, match=f"^{value} is not a finite number"):
+        call()

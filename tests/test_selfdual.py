@@ -17,8 +17,7 @@ from comcat.linalg import (
     inverse,
     matmul,
     matvec,
-    max_abs,
-    sub_matrices,
+    deviation,
     tensor_vector,
     transpose,
 )
@@ -131,11 +130,11 @@ def test_symmetric_is_computed_once(monkeypatch):
     D = gbit_reflection_structure()
     calls = []
 
-    def counting_sub_matrices(A, B):
+    def counting_deviation(A, B):
         calls.append(A)
-        return linalg.sub_matrices(A, B)
+        return linalg.deviation(A, B)
 
-    monkeypatch.setattr(selfdual, "sub_matrices", counting_sub_matrices)
+    monkeypatch.setattr(selfdual, "deviation", counting_deviation)
     assert D.symmetric and D.symmetric and D.symmetric
     assert len(calls) == 2  # the gamma_hat and f_hat residuals, once
 
@@ -209,7 +208,7 @@ def test_canonical_adjoint_identity():
     for D in builtin_structures().values():
         n = D.com.dim
         adj = canonical_adjoint(identity(n), D, D)
-        assert max_abs(sub_matrices(adj, identity(n))) <= 1e-10
+        assert deviation(adj, identity(n)) <= 1e-10
 
 
 def test_canonical_adjoint_classical_not():
@@ -365,5 +364,5 @@ def test_structure_inverse_residuals():
         right = matmul(D.gamma_hat, D.f_hat)
         n = D.com.dim
         tol = 0 if D.exact() else 1e-10
-        assert max_abs(sub_matrices(left, identity(n))) <= tol
-        assert max_abs(sub_matrices(right, identity(n))) <= tol
+        assert deviation(left, identity(n)) <= tol
+        assert deviation(right, identity(n)) <= tol
