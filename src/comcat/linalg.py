@@ -46,7 +46,7 @@ same value.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain
 from math import gcd, isfinite, lcm
 from operator import mul, ne
 from typing import Optional, Sequence
@@ -75,7 +75,7 @@ def frac(x) -> Fraction:
 
 def is_exact(obj) -> bool:
     """True if a scalar / vector / matrix holds only int and Fraction entries."""
-    return _entry_types(obj) <= _EXACT
+    return entry_types(obj) <= _EXACT
 
 
 def matrix(rows) -> Matrix:
@@ -93,7 +93,7 @@ def dot(x, y):
 
 
 def matvec(M, x) -> Vector:
-    types = _entry_types((*M, x))
+    types = entry_types((*M, x))
     if Fraction in types and types <= _EXACT:
         s, xs = integer_scaling(x)
         t, rows = integer_rows(M)
@@ -110,7 +110,7 @@ def matmul(A, B) -> Matrix:
     integers; the rest runs ``dot`` per entry."""
     if not B:
         return tuple(() for _ in A)
-    types_a, types_b = _entry_types(A), _entry_types(B)
+    types_a, types_b = entry_types(A), entry_types(B)
     types = types_a | types_b
     if Fraction in types and types <= _EXACT:
         s, rows = integer_rows(A)
@@ -136,7 +136,7 @@ _FLOAT64 = np.float64  # bound here: exact data never reads the module ``np``
 _NUMPY_MIN_ENTRIES = 64  # below this numpy's fixed cost per call exceeds the loop's
 
 
-def _entry_types(obj) -> set:
+def entry_types(obj) -> set:
     """The types of the entries of a scalar, a vector or a matrix (a
     sequence whose items are all tuples or lists), read in one pass;
     ``numpy.float64`` counts as ``float``."""
@@ -223,7 +223,7 @@ def max_abs(obj) -> float:
     and a NaN residual would pass every ``> tol`` screen.  Exact data skips
     that test.  Float data (Python floats and ``numpy.float64`` entries) of
     at least 64 entries runs on numpy and yields a Python float."""
-    types = _entry_types(obj)
+    types = entry_types(obj)
     if not isinstance(obj, (list, tuple)):
         obj = (obj,)
     rows = obj if obj and isinstance(obj[0], (list, tuple)) else (obj,)
@@ -239,18 +239,22 @@ def max_abs(obj) -> float:
     return max((max(map(abs, row), default=0) for row in rows), default=0)
 
 
-def deviation(X, Y):
+def deviation(X, Y, types=None):
     """Largest absolute entry of X - Y, two vectors or two matrices paired
-    by position (row by row; the shorter operand ends a pairing).  Unless
-    X starts with a float, the entry types of X and Y are read once:
-    all-int data gives an int, other exact data is scaled once per operand
-    to integers (s X, t Y), compared in ints and divided once by s t into
-    one Fraction.  Other data is ``max_abs`` of the differences, which
-    refuses a NaN."""
+    by position (row by row; the shorter operand ends a pairing).  The
+    entry types of X and Y are read once: types when the caller has read
+    them, else here unless X starts with a float (the data is then not
+    exact).  All-int data gives an int, other exact data is scaled once
+    per operand to integers (s X, t Y), compared in ints and divided once
+    by s t into one Fraction.  Other data is ``max_abs`` of the
+    differences, which refuses a NaN; an overflowing difference is
+    infinite, and inf - inf a NaN, for ``numpy.float64`` entries as for
+    Python floats."""
     matrices = bool(X) and isinstance(X[0], (list, tuple))
     rows_x, rows_y = (X, Y) if matrices else ((X,), (Y,))
-    if not isinstance(next(chain.from_iterable(rows_x), None), float):
-        types = _entry_types((*rows_x, *rows_y))
+    if types is None and not isinstance(next(chain.from_iterable(rows_x), None), float):
+        types = entry_types((*rows_x, *rows_y))
+    if types is not None:
         if types <= _INT:
             return max((abs(a - b) for rx, ry in zip(rows_x, rows_y) for a, b in zip(rx, ry)), default=0)
         if types <= _EXACT:
@@ -261,9 +265,12 @@ def deviation(X, Y):
                 xs, ys = (x,), (y,)
             num = max((abs(a * t - b * s) for rx, ry in zip(xs, ys) for a, b in zip(rx, ry)), default=0)
             return Fraction(num, s * t)
-    if matrices:
-        return max_abs(tuple(tuple(a - b for a, b in zip(rx, ry)) for rx, ry in zip(X, Y)))
-    return max_abs(tuple(a - b for a, b in zip(X, Y)))
+    with np.errstate(over="ignore", invalid="ignore"):  # numpy.float64 subtracts as Python floats do
+        if matrices:
+            differences = tuple(tuple(a - b for a, b in zip(rx, ry)) for rx, ry in zip(X, Y))
+        else:
+            differences = tuple(a - b for a, b in zip(X, Y))
+    return max_abs(differences)
 
 
 def fmt(obj) -> str:
@@ -390,11 +397,11 @@ def integer_scaling(values) -> tuple[int, list[int]]:
 
 
 def integer_rows(M) -> tuple[int, list[list[int]]]:
-    """(s, rows): ``integer_scaling`` of the exact matrix M as a whole, s
-    the least s > 0 with s * M integral, and s * M row by row."""
-    s, flat = integer_scaling([x for row in M for x in row])
-    it = iter(flat)
-    return s, [list(islice(it, len(row))) for row in M]
+    """(s, rows): ``integer_scaling`` of the exact matrix M (ints and
+    Fractions) as a whole, s the least s > 0 with s * M integral, and
+    s * M row by row: one lcm over the rows, then each row scaled."""
+    s = lcm(*(x.denominator for row in M for x in row))
+    return s, [[x.numerator * (s // x.denominator) for x in row] for row in M]
 
 
 def primitive(v) -> Vector:

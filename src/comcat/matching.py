@@ -3,21 +3,31 @@
 An order isomorphism must send extreme rays bijectively to extreme rays
 (up to positive scaling), so the search runs over ray bijections,
 pre-pruned by a combinatorial invariant (how many facets are tight at a
-ray), then solves one exact LP per surviving bijection for the matrix and
-the per-ray scalings.  ``ray_matchings`` is the one enumeration, which
-stage 2 of the teleportation search walks unfiltered.  Exhaustive and
-deterministic up to ``MAX_RAYS`` target rays; past them it refuses,
-naming the search and the model.
+ray), and reads off each surviving bijection the matrix and the per-ray
+scalings.  ``ray_matchings`` is the one enumeration, which stage 2 of the
+teleportation search walks unfiltered.  Exhaustive and deterministic up
+to ``MAX_RAYS`` target rays; past them it refuses, naming the search and
+the model.
+
+When the sources are a basis (n independent rays in R^n, a simplicial
+cone such as every classical state cone) and the search adds no
+condition, each matching has one answer, M = T S^-1 with every scaling 1
+(S and T the sources and the chosen targets as columns); ``_basis_maps``
+inverts S once per search and gives each bijection one integer product.
+Every other search (symmetric M, the unit rows of ``com_isomorphism``,
+sources that are no basis) solves one exact LP per bijection
+(``_solve_matching``).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import permutations
 from typing import Iterator, Optional, Sequence
 
 from .cones import Cone, rays_leaving
 from .errors import SingularMatrix, UnsupportedKind
-from .linalg import dot, inverse, transpose
+from .linalg import dot, integer_rows, inverse, transpose
 from .lp import eq, ge, solve_lp
 
 MAX_RAYS = 8
@@ -30,7 +40,9 @@ def _tightness_profile(rays, facets):
 def ray_matchings(sources, targets, rows, cols, search, label, allowed=None, symmetric=False, extra_rows=None):
     """For each injection i -> image[i] of sources into targets, in
     lexicographic order and with image[i] in allowed[i] if given, the
-    rows x cols M of the feasible matching LPs (``_solve_matching``).
+    rows x cols M of the feasible matching LPs (``_solve_matching``): the
+    LP's own optimum, read off one inverse (``_basis_maps``) when the
+    sources are a basis and neither symmetric nor extra_rows is given.
     Past ``MAX_RAYS`` targets, when some injection exists, raise
     ``UnsupportedKind`` naming the search and the model labelled label."""
     if len(sources) > len(targets):
@@ -39,12 +51,40 @@ def ray_matchings(sources, targets, rows, cols, search, label, allowed=None, sym
         raise UnsupportedKind(
             f"{search} is exhaustive up to {MAX_RAYS} extreme rays, and {label} has {len(targets)}"
         )
+    basis_map = None if symmetric or extra_rows else _basis_maps(sources, cols)
     for image in permutations(range(len(targets)), len(sources)):
         if allowed is not None and any(j not in can for j, can in zip(image, allowed)):
             continue
-        M = _solve_matching(sources, [targets[j] for j in image], rows, cols, symmetric, extra_rows)
+        chosen = [targets[j] for j in image]
+        if basis_map is not None:
+            yield basis_map(chosen)
+            continue
+        M = _solve_matching(sources, chosen, rows, cols, symmetric, extra_rows)
         if M is not None:
             yield M
+
+
+def _basis_maps(sources, cols):
+    """When the sources are cols independent vectors of length cols, the
+    map from chosen targets to the optimum of their matching LP, else None.
+
+    With S = transpose(sources) invertible, every lam >= 1 is feasible
+    (M = T diag(lam) S^-1), so the LP's one optimum is lam = 1 and
+    M = T S^-1.  S^-1 is inverted and scaled to integers (d S^-1) once;
+    each M is then one integer product, entry (r, c) the Fraction
+    (row r of T) . (column c of d S^-1) / d, typed as the LP's x."""
+    if len(sources) != cols:
+        return None
+    try:
+        d, inverse_rows = integer_rows(inverse(transpose(sources)))
+    except SingularMatrix:
+        return None
+    inverse_cols = list(zip(*inverse_rows))
+
+    def basis_map(chosen):
+        return tuple(tuple(Fraction(dot(t, col), d) for col in inverse_cols) for t in zip(*chosen))
+
+    return basis_map
 
 
 def order_isomorphisms(
@@ -86,12 +126,13 @@ def order_isomorphisms(
 def _solve_matching(sources, targets, rows, cols, symmetric=False, extra_rows=None):
     """LP for a rows x cols matrix M (free entries) and scalings lam_i
     with M sources_i = lam_i targets_i; minimizes sum(lam) for a canonical
-    pick.  symmetric adds M = M^T (square M); extra_rows adds the exact
-    conditions of order_isomorphisms.  Without extra rows lam_i >= 1 fixes
-    the free overall scale; extra rows may fix it themselves (the unit rows
-    of ``com_isomorphism`` force every lam_i > 0), so with them lam_i >= 0
-    and a map that shrinks rays stays feasible.  None when the LP is
-    infeasible."""
+    pick.  ``ray_matchings`` solves it where ``_basis_maps`` cannot read
+    the optimum off S^-1.  symmetric adds M = M^T (square M); extra_rows
+    adds the exact conditions of order_isomorphisms.  Without extra rows
+    lam_i >= 1 fixes the free overall scale; extra rows may fix it
+    themselves (the unit rows of ``com_isomorphism`` force every
+    lam_i > 0), so with them lam_i >= 0 and a map that shrinks rays stays
+    feasible.  None when the LP is infeasible."""
     k = len(sources)
     nvars = rows * cols + k
     cons = []

@@ -30,7 +30,8 @@ integers (``integer_scaling``), the identity residual is one integer
 product compared with s t I, the effect scale compares the integer
 ratios h.u / h.r_form by cross-multiplication, and each quantity is
 divided once at the end (``_quotient``), with the type the Fraction
-arithmetic gave it.  Float data keeps the loops over ``matmul`` and
+arithmetic gave it.  Each check reads the entry types of its data once
+(``linalg.entry_types``) and hands them on to those helpers.  Float data keeps the loops over ``matmul`` and
 ``dot``.  Every other residual is ``linalg.deviation``.
 """
 
@@ -50,6 +51,7 @@ from .errors import InvalidStructure, MixedKindUnsupported, UnsupportedKind
 from .linalg import (
     deviation,
     dot,
+    entry_types,
     identity,
     integer_rows,
     integer_scaling,
@@ -67,6 +69,7 @@ from .lp import eq, ge, solve_lp
 from .matching import ray_matchings
 
 _SEARCH = "the teleportation search"
+_EXACT = {int, Fraction}
 
 
 @dataclass
@@ -215,13 +218,15 @@ def _certificate(omega, r_hat, n_a: int, n_b: int, composite_ab, composite_ba):
     """The certificate of one candidate pair, or None.  The LP's equality
     rows made hat(omega) . r_hat = id_A, so with t = u . omega the
     normalized pair is (omega / t, t * r_hat)."""
-    t = _dot(composite_ba.unit, omega)
+    unit = composite_ba.unit
+    t = _dot(unit, omega, entry_types(unit) | entry_types(omega))
     if t == 0:
         return None
     omega_n = scale_vector(Fraction(1) / t, omega)
     r_scaled = scale_matrix(t, r_hat)
-    residual = _identity_residual(omega_n, r_scaled, n_a, n_b)
-    if residual > tolerance_for(omega_n, r_scaled):
+    types = entry_types(omega_n) | entry_types(r_scaled)
+    residual = _identity_residual(omega_n, r_scaled, n_a, n_b, types)
+    if residual > _tolerance(types):
         return None
     r_form = _r_form_vector(r_scaled)
     c = _effect_interval_max_scale(r_form, composite_ab)
@@ -238,13 +243,13 @@ def _certificate(omega, r_hat, n_a: int, n_b: int, composite_ab, composite_ba):
     )
 
 
-def _identity_residual(omega, r_hat, n_a: int, n_b: int):
-    """Max-abs entry of hat(omega) . r_hat - id_A.  Exact data is one
-    integer product: omega and r_hat scaled once to integers (s omega,
-    t r_hat), their product compared with s t I, and the largest
-    deviation divided once (``_quotient``).  Float data takes ``matmul``
-    and ``deviation``."""
-    if not is_exact((omega, *r_hat)):
+def _identity_residual(omega, r_hat, n_a: int, n_b: int, types):
+    """Max-abs entry of hat(omega) . r_hat - id_A, types the entry types
+    of omega and r_hat.  Exact data is one integer product: omega and
+    r_hat scaled once to integers (s omega, t r_hat), their product
+    compared with s t I, and the largest deviation divided once
+    (``_quotient``).  Float data takes ``matmul`` and ``deviation``."""
+    if not types <= _EXACT:
         omega_hat = transpose(vec_to_matrix(omega, n_b, n_a))
         return deviation(matmul(omega_hat, r_hat), identity(n_a))
     s, omega_ints = integer_scaling(omega)
@@ -256,24 +261,30 @@ def _identity_residual(omega, r_hat, n_a: int, n_b: int):
         for i, row in enumerate(transpose(vec_to_matrix(omega_ints, n_b, n_a)))
         for j, col in enumerate(cols)
     )
-    return _quotient(worst, st, (omega, *r_hat))
+    return _quotient(worst, st, types)
 
 
-def _dot(x, y):
-    """x . y.  Exact vectors are scaled once each to integers and give one
-    integer dot product, divided once (``_quotient``); float data takes
-    ``dot``."""
-    if not is_exact((x, y)):
+def _dot(x, y, types):
+    """x . y, types the entry types of x and y.  Exact vectors are scaled
+    once each to integers and give one integer dot product, divided once
+    (``_quotient``); float data takes ``dot``."""
+    if not types <= _EXACT:
         return dot(x, y)
     (s, xs), (t, ys) = integer_scaling(x), integer_scaling(y)
-    return _quotient(dot(xs, ys), s * t, (x, y))
+    return _quotient(dot(xs, ys), s * t, types)
 
 
-def _quotient(num: int, den: int, data):
-    """num / den for integers read off the exact vectors of data, typed as
-    their own arithmetic would type it: the int num when every entry is an
-    int (den is then 1), else one Fraction."""
-    return num if all(set(map(type, x)) <= {int} for x in data) else Fraction(num, den)
+def _quotient(num: int, den: int, types):
+    """num / den for integers read off exact data with entry types types,
+    typed as its own arithmetic would type it: the int num when every
+    entry is an int (den is then 1), else one Fraction."""
+    return num if types <= {int} else Fraction(num, den)
+
+
+def _tolerance(types) -> float:
+    """``tolerance_for`` of data whose entry types were read as types: 0
+    when they are exact, else the numeric tolerance."""
+    return 0 if types <= _EXACT else numeric_tolerance()
 
 
 def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> VerificationReport:
@@ -300,8 +311,9 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
         u_ba = tensor_vector(B.unit, A.unit)
         if not in_max_cone(omega, B, A):
             violations.append("shared state is not nonsignaling-positive")
-    tol = tolerance_for(omega, r_hat, u_ba)
-    norm = _dot(u_ba, omega)
+    types_omega, types_r, types_u = entry_types(omega), entry_types(r_hat), entry_types(u_ba)
+    tol = _tolerance(types_omega | types_r | types_u)
+    norm = _dot(u_ba, omega, types_u | types_omega)
     if abs(norm - 1) > tol:
         violations.append(f"shared state has normalization {norm}")
 
@@ -311,7 +323,7 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
         violations.append(f"r_hat image of state generator {g} leaves the effect cone")
 
     # identity equation
-    res_id = residuals["identity"] = _identity_residual(omega, r_hat, n_a, n_b)
+    res_id = residuals["identity"] = _identity_residual(omega, r_hat, n_a, n_b, types_omega | types_r)
     if res_id > tol:
         violations.append(f"hat(omega) . r_hat deviates from the identity by {res_id}")
 
@@ -319,8 +331,9 @@ def verify_teleportation(cert: TeleportationCertificate, A: Com, B: Com) -> Veri
     r_form = _r_form_vector(r_hat)
     f = scale_vector(c, r_form)
     if cert.f is not None:
-        res_f = residuals["f_consistency"] = deviation(f, cert.f)
-        if len(cert.f) != len(f) or res_f > tolerance_for(f, cert.f):
+        types_f = entry_types(f) | entry_types(cert.f)
+        res_f = residuals["f_consistency"] = deviation(f, cert.f, types_f)
+        if len(cert.f) != len(f) or res_f > _tolerance(types_f):
             violations.append(f"certificate f of length {len(cert.f)} deviates from c * r_form by {res_f}")
     if composite_ab is not None and composite_ab.kind == POLYHEDRAL:
         E = composite_ab.effect_cone

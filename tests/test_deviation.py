@@ -19,16 +19,16 @@ from comcat.linalg import deviation, max_abs
 
 INTS = st.integers(-(10**12), 10**12)
 FRACTIONS = st.fractions(-(10**6), 10**6, max_denominator=10**6)
-# numpy.float64 arithmetic warns on overflow; these bounds keep every
-# difference finite.  Python floats take the full range, infinities too.
-FLOAT64 = st.floats(-1e300, 1e300).map(np.float64)
+# Every finite double: an overflowing numpy.float64 difference is inf, as
+# a Python float's is.  Python floats take infinities too.
+FLOAT64 = st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
 ENTRIES = {
     "int": INTS,
     "fraction": FRACTIONS,
     "exact": INTS | FRACTIONS,
     "float": st.floats(allow_nan=False),
     "float64": FLOAT64,
-    "mixed": INTS | FRACTIONS | st.floats(-1e300, 1e300) | FLOAT64,
+    "mixed": INTS | FRACTIONS | st.floats(allow_nan=False) | FLOAT64,
 }
 EXACT_KINDS = ("int", "fraction", "exact")
 
@@ -57,7 +57,8 @@ def operands(draw, kinds=tuple(ENTRIES), equal_shapes=None):
 
 def _difference(X, Y):
     is_matrix = bool(X) and isinstance(X[0], tuple)
-    return oracle.sub_matrices(X, Y) if is_matrix else oracle.sub_vectors(X, Y)
+    with np.errstate(over="ignore", invalid="ignore"):  # the oracle's inf and NaN, unwarned
+        return oracle.sub_matrices(X, Y) if is_matrix else oracle.sub_vectors(X, Y)
 
 
 def _entries(obj) -> tuple:
@@ -157,6 +158,17 @@ def test_edge_cases_match_max_abs_of_the_difference(X, Y, expected):
     assert got == max_abs(_difference(X, Y)) == expected
     if isinstance(expected, float):
         assert _same(got, expected)
+
+
+@pytest.mark.parametrize("matrices", [False, True])
+def test_an_overflowing_float64_difference_is_inf_without_a_warning(matrices):
+    def operand(x):
+        return ((np.float64(x),),) if matrices else (np.float64(x),)
+
+    # tier-1 turns a RuntimeWarning into an error
+    assert deviation(operand(1e308), operand(-1e308)) == float("inf")
+    with pytest.raises(InputError, match="NaN"):
+        deviation(operand(float("inf")), operand(float("inf")))
 
 
 def test_unequal_exact_vectors_keep_the_type_rule():

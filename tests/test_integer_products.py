@@ -6,10 +6,12 @@ each result entry by s t once.  ``cones.rays_leaving`` scales an exact map
 between polyhedral cones once and tests integer images, and
 ``protocols._effect_interval_max_scale`` reads every facet product from
 one ``matvec``.  Each must give the value the Fraction loops of
-``fraction_oracle`` give.
+``fraction_oracle`` give.  ``integer_rows``, the scaling of every exact
+matrix operand, must give what it gave when it flattened the matrix.
 """
 
 from fractions import Fraction
+from itertools import islice
 from unittest.mock import patch
 
 import pytest
@@ -22,7 +24,7 @@ from comcat.com import Com
 from comcat.composites import max_tensor, min_tensor
 from comcat.cones import Cone, cone_from_generators
 from comcat.errors import DimensionMismatch
-from comcat.linalg import matmul, matvec, transpose
+from comcat.linalg import integer_rows, integer_scaling, matmul, matvec, transpose
 from comcat.models import classical, gbit
 from comcat.protocols import _effect_interval_max_scale
 from test_double_description import HEXAGON
@@ -86,6 +88,21 @@ POLYHEDRAL_CONES = {
     "classical3": lambda: classical(3).state_cone,
 }
 CONES = {name: make() for name, make in POLYHEDRAL_CONES.items()}
+
+
+def _flattened_integer_rows(M):
+    """``integer_rows`` as it was: ``integer_scaling`` of the flattened
+    matrix, split back into rows."""
+    s, flat = integer_scaling([x for row in M for x in row])
+    it = iter(flat)
+    return s, [list(islice(it, len(row))) for row in M]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(exact_matrices(), st.lists(st.lists(ENTRIES, max_size=5).map(tuple), max_size=5).map(tuple)))
+def test_integer_rows_scale_each_row_as_the_flattened_matrix(M):
+    # ragged and empty matrices too: the flattened form split by row length
+    assert repr(integer_rows(M)) == repr(_flattened_integer_rows(M))
 
 
 @st.composite

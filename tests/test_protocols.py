@@ -1,6 +1,7 @@
 import random
 import sys
 from contextlib import contextmanager
+from itertools import islice, permutations
 from dataclasses import replace
 from fractions import Fraction as F
 from unittest.mock import patch
@@ -399,6 +400,54 @@ def _recorded_lps():
         yield calls
 
 
+def _is_basis(sources, cols) -> bool:
+    return len(sources) == cols == len(oracle.rref(sources)[1])
+
+
+@contextmanager
+def _basis_matching_lps_dropped(calls):
+    """Run the oracle's ``_solve_matching`` as it is, but take out of calls
+    the LP it records for a basis source (n independent rays in R^n, with
+    no symmetric M and no extra rows): the package reads that LP's one
+    optimum off S^-1 and solves no LP (``matching._basis_maps``).  Yields
+    the list of those optima, in call order, for the check that replaces
+    the dropped LPs: it must equal ``_basis_maps_recorded``'s list."""
+    optima = []
+    solve = oracle._solve_matching
+
+    def solve_unrecorded(sources, targets, rows, cols, symmetric=False, extra_rows=None):
+        start = len(calls)
+        M = solve(sources, targets, rows, cols, symmetric, extra_rows)
+        if not symmetric and not extra_rows and _is_basis(sources, cols):
+            del calls[start:]
+            optima.append(M)
+        return M
+
+    with patch.object(oracle, "_solve_matching", solve_unrecorded):
+        yield optima
+
+
+@contextmanager
+def _basis_maps_recorded():
+    """Record every map that the package reads off S^-1, in call order."""
+    maps = []
+    basis_maps = matching._basis_maps
+
+    def recording(sources, cols):
+        basis_map = basis_maps(sources, cols)
+        if basis_map is None:
+            return None
+
+        def map_and_record(chosen):
+            maps.append(basis_map(chosen))
+            return maps[-1]
+
+        return map_and_record
+
+    with patch.object(matching, "_basis_maps", recording):
+        yield maps
+
+
 def _certificate_fields(cert):
     if cert is None:
         return None
@@ -418,18 +467,19 @@ def test_find_teleportation_equals_the_rescaling_oracle_after_the_same_lps(a, b,
     A, B = (_in_basis(X, data.draw(unimodular(X.dim))) for X in (_MODELS[a](), _MODELS[b]()))
     state_side, effect_side = {"min": (min_tensor, max_tensor), "max": (max_tensor, min_tensor)}[kind]
     ba, ab = state_side(B, A), effect_side(A, B)
-    with _recorded_lps() as old_lps:
+    with _recorded_lps() as old_lps, _basis_matching_lps_dropped(old_lps) as optima:
         old = oracle.find_teleportation(A, B, ab, ba)
-    with _recorded_lps() as new_lps:
+    with _recorded_lps() as new_lps, _basis_maps_recorded() as maps:
         new = find_teleportation(A, B, ab, ba)
     assert new_lps == old_lps
+    assert repr(maps) == repr(optima)
     assert _certificate_fields(new) == _certificate_fields(old)
 
 
 @pytest.mark.parametrize(
     "model, state_side, effect_side, lps, tableaus",
     [
-        ("classical2", min_tensor, min_tensor, 6, 1),
+        ("classical2", min_tensor, min_tensor, 5, 0),
         ("gbit", max_tensor, min_tensor, 3, 0),
         ("gbit", min_tensor, max_tensor, 48, 32),
     ],
@@ -497,17 +547,93 @@ def test_ray_matching_searches_solve_the_oracle_loops_lps(model):
     def old_loop(source, target, symmetric=False, extra_rows=None, search=None, label=None):
         return oracle.order_isomorphisms(source, target, symmetric, extra_rows)
 
-    with _recorded_lps() as new_lps:
+    with _recorded_lps() as new_lps, _basis_maps_recorded() as maps:
         new = _searches(A)
     # The old loop runs on the package's simplex: the oracle's Fraction
     # simplex takes minutes over the hexagon's bijections, and equal LPs
     # given to one deterministic solver return equal results.
     with patch.object(oracle, "solve_lp", lp.solve_lp), patch.object(
         selfdual, "order_isomorphisms", old_loop
-    ), patch.object(matching, "order_isomorphisms", old_loop), _recorded_lps() as old_lps:
+    ), patch.object(matching, "order_isomorphisms", old_loop), _recorded_lps() as old_lps, _basis_matching_lps_dropped(
+        old_lps
+    ) as optima:
         old = _searches(A)
     assert new_lps and new_lps == old_lps
+    assert repr(maps) == repr(optima)
+    assert bool(maps) == model.startswith("classical")
     assert new == old
+
+
+_TARGETS = {"classical": lambda n: classical(n), "gbit": lambda n: gbit(), "hexagon": lambda n: _hexagon()}
+
+
+@contextmanager
+def _counted_matching_lps():
+    calls = []
+    solve = matching.solve_lp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    with patch.object(matching, "solve_lp", counted):
+        yield calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_basis_sources_match_as_the_oracle_lp_without_an_lp(data):
+    # n independent source rays in R^n: each matching LP has the one
+    # optimum T S^-1, which the package reads off one inverse per search.
+    n = data.draw(st.integers(2, 6))
+    sources = _in_basis(classical(n), data.draw(unimodular(n))).state_cone.generators
+    kind = data.draw(st.sampled_from(sorted(_TARGETS)))
+    model = _TARGETS[kind](data.draw(st.integers(n, 8)))
+    target = _in_basis(model, data.draw(unimodular(model.dim)))
+    targets, rows = target.effect_cone.generators, target.dim
+    allowed = data.draw(
+        st.none() | st.lists(st.sets(st.integers(0, len(targets) - 1), min_size=1), min_size=n, max_size=n)
+    )
+    first = 3  # the oracle's Fraction simplex takes 0.1 s per LP at n = 6
+    with _counted_matching_lps() as lps:
+        got = list(islice(matching.ray_matchings(sources, targets, rows, n, "search", "B", allowed), first))
+    assert lps == []
+    expected = []
+    for image in permutations(range(len(targets)), n):
+        if len(expected) == first:
+            break
+        if allowed is None or all(j in can for j, can in zip(image, allowed)):
+            M = oracle._solve_matching(sources, [targets[j] for j in image], rows, n)
+            if M is not None:
+                expected.append(M)
+    assert repr(got) == repr(expected)
+
+
+def _unit_rows(A):
+    return [
+        (tuple(tuple(A.unit[r] if c == col else 0 for c in range(A.dim)) for r in range(A.dim)), A.unit[col])
+        for col in range(A.dim)
+    ]
+
+
+@pytest.mark.parametrize(
+    "sources, symmetric, extra_rows",
+    [
+        (classical(3).state_cone.generators, True, None),
+        (classical(3).state_cone.generators, False, _unit_rows(classical(3))),
+        (gbit().state_cone.generators, False, None),
+        (((1, 0, 0), (0, 1, 0), (1, 1, 0)), False, None),  # n rays in R^n, but S is singular
+    ],
+    ids=["symmetric", "extra-rows", "gbit-source", "singular"],
+)
+def test_other_searches_keep_one_matching_lp_per_injection(sources, symmetric, extra_rows):
+    targets = classical(3).effect_cone.generators + ((1, 1, 1), (2, 1, 1))
+    with _counted_matching_lps() as lps:
+        got = list(islice(matching.ray_matchings(sources, targets, 3, 3, "search", "B", None, symmetric, extra_rows), 4))
+    assert lps  # one LP per injection tried
+    images = islice(permutations(range(len(targets)), len(sources)), len(lps))
+    solved = (oracle._solve_matching(sources, [targets[j] for j in image], 3, 3, symmetric, extra_rows) for image in images)
+    assert repr([M for M in solved if M is not None]) == repr(got)
 
 
 def test_teleportation_past_the_ray_bound_is_refused():
