@@ -1,9 +1,9 @@
 import random
 import sys
 from contextlib import contextmanager
-from itertools import islice, permutations
 from dataclasses import replace
 from fractions import Fraction as F
+from itertools import islice, permutations
 from unittest.mock import patch
 
 import numpy as np
