@@ -14,7 +14,9 @@ its states and the dual for its effects; max the other way round.
 When one of the two factor cones is simplicial, as in a classical
 system, their minimal and maximal tensor products coincide, and
 ``cones.product_cones`` writes both descriptions of P and of its dual
-from the factors', with no construction LP and no conversion.
+from the factors', with no construction LP and no conversion.  Every
+extreme state of such a composite is then a product of two vectors
+(``pure_states_are_products``, which the teleportation search reads).
 Otherwise one LP branch builds P from the products and its dual from
 P's generators with the cone factories (their construction LPs); the
 description a factory was not given is enumerated only on demand.  That
@@ -44,6 +46,7 @@ from .cones import (
     cone_from_generators,
     probe_rays,
     product_cones,
+    products_by_theorem,
     psd_cone,
     rows_outside,
 )
@@ -94,11 +97,29 @@ def max_tensor(A: Com, B: Com) -> CompositeCom:
     return _product_composite(A, B, MAX)
 
 
+def _factor_cones(A: Com, B: Com, kind: str) -> tuple:
+    """The factor cones whose products generate P: the state cones (min)
+    or the effect cones (max)."""
+    return (A.state_cone, B.state_cone) if kind == MIN else (A.effect_cone, B.effect_cone)
+
+
+def pure_states_are_products(AB: Com) -> bool:
+    """Is AB a min or max composite built by theorem (a simplicial factor
+    cone, ``cones.products_by_theorem``)?  Then every extreme ray of its
+    state cone is a tensor product of two vectors: P's generators (min)
+    or the products of the factors' facets that are P's facets (max)."""
+    return (
+        isinstance(AB, CompositeCom)
+        and AB.composite_kind in (MIN, MAX)
+        and products_by_theorem(*_factor_cones(*AB.factors, AB.composite_kind))
+    )
+
+
 def _product_composite(A: Com, B: Com, kind: str) -> CompositeCom:
     """The min or max composite of two polyhedral models, from P and its
     dual (see the module docstring)."""
     _require_polyhedral(A, B)
-    K, L = (A.state_cone, B.state_cone) if kind == MIN else (A.effect_cone, B.effect_cone)
+    K, L = _factor_cones(A, B, kind)
     cones = product_cones(K, L)
     if cones is None:  # the LP branch; see the module docstring
         P = cone_from_generators(tensor_vector(k, l) for k in K.generators for l in L.generators)

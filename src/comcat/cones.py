@@ -4,7 +4,7 @@ A polyhedral cone keeps two interchangeable descriptions: extreme
 generators and facet inequalities.  Either may be supplied at
 construction; the other is derived on demand by the double-description
 method in exact integer arithmetic: start from the simplicial cone of n
-independent rows, read off one elimination, and insert the remaining
+independent rows, read off one integer inverse, and insert the remaining
 rows one at a time.  Both directions are the same computation, since the
 generators of a cone are the facet normals of its dual.
 
@@ -22,11 +22,14 @@ remain only in construction (``_pointed``, ``_drop_redundant``) and in
 LPs because the benchmark's tracer pins its ``solve_lp`` counts per
 round, and ``member_by_lp`` keeps its name because the tracer patches
 it by name; it patches neither construction helper.  A simplicial input
-(n independent rows in R^n, such as every classical system) makes no
-construction LP: pointedness and extremality are then theorems.  Nor
-does a composite with a simplicial factor: ``product_cones`` writes both
-descriptions of the product of two cones, and of its dual, from the
-factors' descriptions when one factor is simplicial (``simplicial``).  A PSD
+(n independent rows B in R^n, such as every classical system) makes no
+construction LP and is never converted: one integer inverse
+(``linalg.integer_inverse``) shows the rows independent, pointedness and
+extremality are then theorems, and the columns of d B^-1 are the other
+description, which both factories store.  Nor does a composite with a
+simplicial factor make an LP: ``product_cones`` writes both descriptions
+of the product of two cones, and of its dual, from the factors'
+descriptions when one factor is simplicial (``products_by_theorem``).  A PSD
 cone is the Hermitian positive-semidefinite cone in its fixed real
 coordinatization; it is self-dual and its membership test is spectral.
 
@@ -54,12 +57,13 @@ import numpy as np
 
 from . import hermitian
 from .config import numeric_tolerance
-from .errors import DimensionMismatch, InputError, KindMismatch, NotGenerating, NotPointed
+from .errors import DimensionMismatch, InputError, KindMismatch, NotGenerating, NotPointed, SingularMatrix
 from .linalg import (
     _eliminate,
     canonical_rays,
     dot,
     finite_array,
+    integer_inverse,
     integer_rows,
     is_exact,
     matvec,
@@ -174,24 +178,38 @@ def _canonical_input(vectors: Iterable[Sequence], what: str) -> tuple[int, list]
 def cone_from_generators(gens: Iterable[Sequence]) -> Cone:
     """Exact polyhedral cone from generating rays (see ``_regular``)."""
     n, rays = _canonical_input(gens, "generators")
-    return Cone(POLYHEDRAL, n, generators=_regular(rays, n, "generators", NotGenerating, NotPointed))
+    generators, facets = _regular(rays, n, "generators", NotGenerating, NotPointed)
+    return Cone(POLYHEDRAL, n, generators=generators, facets=facets)
 
 
 def cone_from_facets(facets: Iterable[Sequence]) -> Cone:
     """Polyhedral cone {x : h.x >= 0 for all h} (see ``_regular``)."""
     n, normals = _canonical_input(facets, "facets")
-    return Cone(POLYHEDRAL, n, facets=_regular(normals, n, "facet normals", NotPointed, NotGenerating))
+    facets, generators = _regular(normals, n, "facet normals", NotPointed, NotGenerating)
+    return Cone(POLYHEDRAL, n, generators=generators, facets=facets)
 
 
-def _regular(rays: list, n: int, what: str, not_spanning, not_pointed) -> tuple:
-    """The irredundant rows of a regular description: the nonzero rows must
+def _regular(rays: list, n: int, what: str, not_spanning, not_pointed) -> tuple[tuple, tuple | None]:
+    """(the irredundant rows of a regular description, the other
+    description when it comes for free, else None).  The nonzero rows must
     span R^n (else not_spanning) and their cone must be pointed (else
     not_pointed), and a row in the cone of the others is dropped (one LP
-    each).  By duality, generators and facets swap the two errors.  n
-    independent rows in R^n make no LP: a basis spans a pointed cone and
-    none of its rows lies in the cone of the others."""
+    each).  By duality, generators and facets swap the two errors.
+
+    n rows B in R^n make no LP and no conversion: one integer inverse
+    (``integer_inverse``) proves them independent, and a basis spans a
+    pointed cone with none of its rows in the cone of the others; the
+    columns of d B^-1 (d > 0), tight on every row but one and positive
+    on that one, are the other description.  A singular B keeps the rank
+    error."""
     if not rays:
         raise not_spanning(f"all {what} are zero")
+    if len(rays) == n:
+        try:
+            _, inverse_rows = integer_inverse(rays)
+        except SingularMatrix:
+            raise not_spanning(f"{what} span rank {rank(rays)} < {n}") from None
+        return tuple(rays), canonical_rays(zip(*inverse_rows))
     r = rank(rays)
     if r < n:
         raise not_spanning(f"{what} span rank {r} < {n}")
@@ -199,7 +217,7 @@ def _regular(rays: list, n: int, what: str, not_spanning, not_pointed) -> tuple:
         if not _pointed(rays, n):
             raise not_pointed(f"the cone of the {what} contains a line")
         rays = _drop_redundant(rays)
-    return tuple(rays)
+    return tuple(rays), None
 
 
 def psd_cone(hilbert_dims: Iterable[int] | int) -> Cone:
@@ -245,16 +263,13 @@ def _enumerate_facets(rays, n) -> tuple:
         return (primitive(rays[0]),)
     prim = [primitive(r) for r in rays]
     basis, _ = _eliminate(list(zip(*prim)))  # the first n independent rows
-    # [B | I] reduces to d [I | B^-1], B the basis rows; column k of
-    # sign(d) d B^-1 is tight on every basis row but the k-th and positive
-    # on that one, so its primitive is the k-th ray of the start cone.
-    rows = [[*prim[j], *(int(i == k) for i in range(n))] for k, j in enumerate(basis)]
-    _, d = _eliminate(rows, reduce=True)
-    sign = 1 if d > 0 else -1
+    # Column k of d B^-1 (d > 0), B the basis rows, is tight on every basis
+    # row but the k-th and positive on that one, so its primitive is the
+    # k-th ray of the start cone.
+    _, inverse_rows = integer_inverse([prim[j] for j in basis])
     basis_mask = sum(1 << j for j in basis)
     current = [  # (ray, tight-set mask)
-        (primitive([sign * row[n + k] for row in rows]), basis_mask & ~(1 << j))
-        for k, j in enumerate(basis)
+        (primitive(column), basis_mask & ~(1 << j)) for column, j in zip(zip(*inverse_rows), basis)
     ]
     chosen = set(basis)
     for j, row in enumerate(prim):
@@ -303,10 +318,17 @@ def simplicial(C: Cone) -> bool:
     return len(rows) == C.dim
 
 
+def products_by_theorem(K: Cone, L: Cone) -> bool:
+    """Are K and L polyhedral with one of them simplicial?  Exactly then
+    ``product_cones`` builds their product by theorem, and every extreme
+    ray of it and of its dual is a tensor product of two vectors."""
+    return K.kind == L.kind == POLYHEDRAL and (simplicial(K) or simplicial(L))
+
+
 def product_cones(K: Cone, L: Cone) -> tuple[Cone, Cone] | None:
     """(P, dual of P) with both descriptions, P the cone generated by the
-    tensor products k (x) l of the generators of K and L, when both are
-    polyhedral and one of them is simplicial; else None.
+    tensor products k (x) l of the generators of K and L, when
+    ``products_by_theorem(K, L)``; else None.
 
     In the basis of the simplicial factor's rays, P is a direct sum of
     copies of the other factor, one per ray, so the minimal and maximal
@@ -316,7 +338,7 @@ def product_cones(K: Cone, L: Cone) -> tuple[Cone, Cone] | None:
     no LP and no conversion of P.  Products of primitive rays are
     primitive, as gcd(a (x) b) = gcd(a) gcd(b), and distinct rays have
     distinct products, so both tuples only need sorting to be canonical."""
-    if not (K.kind == L.kind == POLYHEDRAL and (simplicial(K) or simplicial(L))):
+    if not products_by_theorem(K, L):
         return None
     n = K.dim * L.dim
     gens = tuple(sorted(tensor_vector(a, b) for a in K.generators for b in L.generators))

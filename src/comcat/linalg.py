@@ -3,11 +3,12 @@
 Exact polyhedral data is int- or Fraction-valued (cone rays are primitive
 int tuples); spectral data is float-valued.  The generic routines below
 work for all of them because they only use +, -, *, / and comparisons.
-The exact eliminations (rref, rank, solve, nullspace, inverse) scale each
-row to primitive integers and run on integers through one fraction-free
-Bareiss kernel, ``_eliminate``, whose ``row_step`` the simplex of ``lp``
-shares, as it shares ``integer_scaling``; only their results are
-Fractions.  ``symmetric_inertia`` runs on the same ``row_step``.  These
+The exact eliminations (rref, rank, solve, nullspace, integer_inverse)
+scale each row to primitive integers and run on integers through one
+fraction-free Bareiss kernel, ``_eliminate``, whose ``row_step`` the
+simplex of ``lp`` shares, as it shares ``integer_scaling``; only their
+results are Fractions (``integer_inverse`` gives d and the integer rows
+of d M^-1, which ``inverse`` divides).  ``symmetric_inertia`` runs on the same ``row_step``.  These
 kernels read the entry types of a vector once (``set(map(type, ...))``):
 all-int data skips the scaling, ``integer_scaling`` reads each
 denominator once, and ``primitive`` returns a tuple of coprime ints as it
@@ -374,14 +375,27 @@ def nullspace(A) -> list[Vector]:
 
 
 def inverse(M) -> Matrix:
+    """M^-1 as Fractions, read off ``integer_inverse``."""
+    d, rows = integer_inverse(M)
+    return tuple(tuple(Fraction(x, d) for x in row) for row in rows)
+
+
+def integer_inverse(M) -> tuple[int, list[list[int]]]:
+    """(d, rows): d > 0 and the integer rows of d M^-1, for a square M of
+    exact or float entries (a float read by its binary value).  Each row
+    of [M | I] is scaled to primitive integers, and one reduced
+    elimination ends in d [I | M^-1]; SingularMatrix when M is singular.
+    This is the one place that inverts a matrix by elimination."""
     n = len(M)
     if any(len(r) != n for r in M):
         raise DimensionMismatch("inverse of a non-square matrix")
-    aug = [[*M[i], *(int(i == j) for j in range(n))] for i in range(n)]
-    rows, pivots = rref(aug)
+    rows = [primitive([*row, *(int(i == j) for j in range(n))]) for i, row in enumerate(M)]
+    pivots, d = _eliminate(rows, reduce=True)
     if pivots != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    return tuple(tuple(rows[i][n:]) for i in range(n))
+    if d < 0:
+        return -d, [[-x for x in row[n:]] for row in rows]
+    return d, [list(row[n:]) for row in rows]
 
 
 def integer_scaling(values) -> tuple[int, list[int]]:

@@ -13,7 +13,9 @@ When the sources are a basis (n independent rays in R^n, a simplicial
 cone such as every classical state cone) and the search adds no
 condition, each matching has one answer, M = T S^-1 with every scaling 1
 (S and T the sources and the chosen targets as columns); ``_basis_maps``
-inverts S once per search and gives each bijection one integer product.
+reads d S^-1 off one integer elimination per search
+(``linalg.integer_inverse``, no Fraction on the way) and gives each
+bijection one integer product.
 Every other search (symmetric M, the unit rows of ``com_isomorphism``,
 sources that are no basis) solves one exact LP per bijection
 (``_solve_matching``).
@@ -27,7 +29,7 @@ from typing import Iterator, Optional, Sequence
 
 from .cones import Cone, rays_leaving
 from .errors import SingularMatrix, UnsupportedKind
-from .linalg import dot, integer_rows, inverse, transpose
+from .linalg import dot, integer_inverse, inverse, transpose
 from .lp import eq, ge, solve_lp
 
 MAX_RAYS = 8
@@ -70,13 +72,14 @@ def _basis_maps(sources, cols):
 
     With S = transpose(sources) invertible, every lam >= 1 is feasible
     (M = T diag(lam) S^-1), so the LP's one optimum is lam = 1 and
-    M = T S^-1.  S^-1 is inverted and scaled to integers (d S^-1) once;
-    each M is then one integer product, entry (r, c) the Fraction
-    (row r of T) . (column c of d S^-1) / d, typed as the LP's x."""
+    M = T S^-1.  The integer rows of d S^-1 (d > 0) come off one
+    elimination (``integer_inverse``); each M is then one integer product,
+    entry (r, c) the Fraction (row r of T) . (column c of d S^-1) / d,
+    typed as the LP's x."""
     if len(sources) != cols:
         return None
     try:
-        d, inverse_rows = integer_rows(inverse(transpose(sources)))
+        d, inverse_rows = integer_inverse(transpose(sources))
     except SingularMatrix:
         return None
     inverse_cols = list(zip(*inverse_rows))

@@ -11,7 +11,11 @@ candidate pairs, taken in order:
 
   stage 1: omega ranges over the extreme rays of the composite state
            cone (pure shared states; covers PR-box style witnesses),
-           with an LP for r_hat;
+           with an LP for r_hat, except where a theorem rules every
+           one out: when n_A >= 2 and each pure state is a product
+           a (x) b (a min or max composite with a simplicial factor
+           cone, ``composites.pure_states_are_products``), hat(omega)
+           has rank 1 and hat(omega) . r_hat = id_A has no solution;
   stage 2: r_hat ranges over injective matchings from extreme rays of
            A's state cone into extreme rays of B's effect cone, with an
            LP for omega inside the composite cone (covers classically
@@ -44,7 +48,7 @@ from typing import Optional, Sequence
 
 from . import hermitian
 from .com import Com
-from .composites import CompositeCom, in_max_cone
+from .composites import CompositeCom, in_max_cone, pure_states_are_products
 from .cones import POLYHEDRAL, PSD, rays_leaving
 from .config import numeric_tolerance, tolerance_for
 from .errors import InvalidStructure, MixedKindUnsupported, UnsupportedKind
@@ -152,7 +156,13 @@ def _candidate_omegas_stage1(A: Com, B: Com, composite_ba: CompositeCom):
     composite state cone), solving an exact LP for r_hat.  The positivity
     rows (r_hat g).h >= 0, one for each generator g of A's state cone and
     facet h of B's effect cone (the row-major outer product of h and g),
-    are the same for every ray and built once."""
+    are the same for every ray and built once.
+
+    None, and no LP, when n_A >= 2 and every pure state is a product
+    (``composites.pure_states_are_products``): hat(a (x) b) has rank 1,
+    so hat(omega) . r_hat has rank at most 1 and is never id_A."""
+    if A.dim >= 2 and pure_states_are_products(composite_ba):
+        return
     facets = B.effect_cone.facets
     positivity = [ge([ht * gs for ht in h for gs in g], 0) for g in A.state_cone.generators for h in facets]
     for ray in composite_ba.state_cone.generators:

@@ -2,6 +2,7 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import combinations
+from unittest.mock import patch
 import random
 
 import numpy as np
@@ -264,19 +265,28 @@ def simplicial_rows(draw):
     return draw(st.permutations(rows))
 
 
-def _same_cone(C, D):
-    return (C.kind, C.dim, C._generators, C._facets) == (D.kind, D.dim, D._generators, D._facets)
-
-
 @settings(max_examples=150, deadline=None)
 @given(simplicial_rows())
 def test_simplicial_cones_equal_the_lp_construction(rows):
-    with _counting_lps() as calls:
+    # Both factories store both descriptions of a simplicial cone, with no
+    # LP and no double description: the one given equals the LP
+    # construction's, the other that construction's conversion.
+    enumerated = []
+    enumerate_facets = cones._enumerate_facets
+
+    def recorded(*args):
+        enumerated.append(args)
+        return enumerate_facets(*args)
+
+    with _counting_lps() as calls, patch.object(cones, "_enumerate_facets", recorded):
         gens = cone_from_generators(rows)
         facets = cone_from_facets(rows)
-    assert calls == []
-    assert _same_cone(gens, oracle.cone_from_generators(rows))
-    assert _same_cone(facets, oracle.cone_from_facets(rows))
+    assert calls == [] and enumerated == []
+    old_gens, old_facets = oracle.cone_from_generators(rows), oracle.cone_from_facets(rows)
+    assert (gens.kind, gens.dim) == (old_gens.kind, old_gens.dim)
+    assert (gens._generators, gens._facets) == (old_gens._generators, old_gens.facets)
+    assert (facets.kind, facets.dim) == (old_facets.kind, old_facets.dim)
+    assert (facets._generators, facets._facets) == (old_facets.generators, old_facets._facets)
 
 
 def test_classical_models_and_composites_make_no_lp():

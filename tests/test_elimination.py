@@ -18,6 +18,7 @@ from comcat import linalg as la
 
 INTEGERS = st.integers(-4, 4)
 RATIONALS = st.one_of(INTEGERS, st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+FLOATS = st.floats(-4, 4, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
@@ -66,6 +67,27 @@ def test_inverse_matches_oracle(M):
             la.inverse(M)
     else:
         assert la.inverse(M) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda n: matrices(st.one_of(RATIONALS, FLOATS), rows=n, cols=n)))
+def test_integer_inverse_is_d_times_the_inverse(M):
+    # d > 0 and the rows of d M^-1 in ints, against inverse; inverse keeps
+    # the oracle's Fractions, float entries read by their binary value.
+    try:
+        expected = oracle.inverse(M)
+    except la.SingularMatrix:
+        with pytest.raises(la.SingularMatrix):
+            la.integer_inverse(M)
+        with pytest.raises(la.SingularMatrix):
+            la.inverse(M)
+    else:
+        d, rows = la.integer_inverse(M)
+        assert type(d) is int and d > 0
+        assert all(type(x) is int for row in rows for x in row)
+        inverse = la.inverse(M)
+        assert repr(inverse) == repr(expected)
+        assert rows == [[d * x for x in row] for row in inverse]
 
 
 @settings(max_examples=200, deadline=None)

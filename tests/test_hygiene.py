@@ -111,3 +111,32 @@ def test_every_residual_is_read_by_linalg_deviation():
         if isinstance(node, ast.FunctionDef) and node.name in ("sub_vectors", "sub_matrices", "_deviation")
     ]
     assert defined == []
+
+
+def _identity_augmented_rows(tree) -> list:
+    """Row displays written as [*row, *(identity entries)]: a starred item
+    whose value compares two indices with ==, as rows of [M | I] are."""
+    def identity_part(item):
+        return isinstance(item, ast.Starred) and any(
+            isinstance(c, ast.Compare) and any(isinstance(op, ast.Eq) for op in c.ops) for c in ast.walk(item.value)
+        )
+
+    displays = [node for node in ast.walk(tree) if isinstance(node, (ast.List, ast.Tuple))]
+    return [node for node in displays if any(map(identity_part, node.elts))]
+
+
+def _function(tree, name):
+    (node,) = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == name]
+    return node
+
+
+def test_one_integer_inverse():
+    # Only linalg.integer_inverse eliminates [M | I]; every exact inverse
+    # that the cones and the ray matching read goes through it.
+    trees = _trees()
+    assert {name for name, tree in trees.items() if _identity_augmented_rows(tree)} == {"linalg.py"}
+    inverse = _function(trees["linalg.py"], "integer_inverse")
+    assert len(_identity_augmented_rows(inverse)) == len(_identity_augmented_rows(trees["linalg.py"]))
+    for module, name in (("cones.py", "_enumerate_facets"), ("cones.py", "_regular"), ("matching.py", "_basis_maps")):
+        calls = [n for n in ast.walk(_function(trees[module], name)) if isinstance(n, ast.Call)]
+        assert any("integer_inverse" in _references(call.func) for call in calls), f"{module}: {name}"

@@ -17,7 +17,7 @@ from comcat.com import Com, random_positive_map
 from comcat.cones import cone_from_generators, dual_cone
 from comcat.composites import max_tensor, min_tensor, spatial_quantum_composite
 from comcat.errors import InputError, MixedKindUnsupported, UnsupportedKind
-from comcat.linalg import identity, inverse, matvec, scale_vector, transpose
+from comcat.linalg import identity, inverse, matvec, scale_vector, transpose, vec_to_matrix
 from comcat.lp import eq, lp_feasible
 from comcat.models import (
     classical,
@@ -448,6 +448,36 @@ def _basis_maps_recorded():
         yield maps
 
 
+def _pure_states_are_products(A, ba) -> bool:
+    """The hypothesis under which the package skips stage 1, read off the
+    cones: n_A >= 2, and a factor cone of the min or max composite ba
+    (states for min, effects for max) with n rays in R^n."""
+    factor_cones = [X.state_cone if ba.composite_kind == "min" else X.effect_cone for X in ba.factors]
+    return A.dim >= 2 and any(len(C.generators) == C.dim for C in factor_cones)
+
+
+@contextmanager
+def _stage1_lps_dropped(calls, skipped):
+    """Run the oracle's ``_solve_r_hat`` as it is, but when skipped take
+    out of calls the LP it records: every pure state of the composite is
+    then a product, hat(omega) has rank 1, and the package solves no
+    stage-1 LP.  Yields the dropped LPs' answers, in call order, for the
+    check that each was infeasible."""
+    answers = []
+    solve = oracle._solve_r_hat
+
+    def solve_unrecorded(omega_hat, A, B):
+        start = len(calls)
+        r_hat = solve(omega_hat, A, B)
+        if skipped:
+            del calls[start:]
+            answers.append(r_hat)
+        return r_hat
+
+    with patch.object(oracle, "_solve_r_hat", solve_unrecorded):
+        yield answers
+
+
 def _certificate_fields(cert):
     if cert is None:
         return None
@@ -467,10 +497,15 @@ def test_find_teleportation_equals_the_rescaling_oracle_after_the_same_lps(a, b,
     A, B = (_in_basis(X, data.draw(unimodular(X.dim))) for X in (_MODELS[a](), _MODELS[b]()))
     state_side, effect_side = {"min": (min_tensor, max_tensor), "max": (max_tensor, min_tensor)}[kind]
     ba, ab = state_side(B, A), effect_side(A, B)
-    with _recorded_lps() as old_lps, _basis_matching_lps_dropped(old_lps) as optima:
+    skipped = _pure_states_are_products(A, ba)
+    with _recorded_lps() as old_lps, _basis_matching_lps_dropped(old_lps) as optima, _stage1_lps_dropped(
+        old_lps, skipped
+    ) as dropped:
         old = oracle.find_teleportation(A, B, ab, ba)
     with _recorded_lps() as new_lps, _basis_maps_recorded() as maps:
         new = find_teleportation(A, B, ab, ba)
+    assert skipped == (a != "gbit" or b != "gbit")
+    assert bool(dropped) == skipped and all(r_hat is None for r_hat in dropped)
     assert new_lps == old_lps
     assert repr(maps) == repr(optima)
     assert _certificate_fields(new) == _certificate_fields(old)
@@ -479,7 +514,7 @@ def test_find_teleportation_equals_the_rescaling_oracle_after_the_same_lps(a, b,
 @pytest.mark.parametrize(
     "model, state_side, effect_side, lps, tableaus",
     [
-        ("classical2", min_tensor, min_tensor, 5, 0),
+        ("classical2", min_tensor, min_tensor, 1, 0),
         ("gbit", max_tensor, min_tensor, 3, 0),
         ("gbit", min_tensor, max_tensor, 48, 32),
     ],
@@ -521,6 +556,46 @@ def _pyramid() -> Com:
     each base vertex on three, so the tight-count filter skips bijections."""
     state = cone_from_generators([(1, 1, 0, 1), (1, -1, 0, 1), (-1, 1, 0, 1), (-1, -1, 0, 1), (0, 0, 1, 1)])
     return Com("pyramid", state, dual_cone(state), (0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("kind", ["min", "max"])
+@pytest.mark.parametrize("partner", ["classical", "gbit", "hexagon"])
+@pytest.mark.parametrize("classical_sends", [True, False])
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_stage_one_is_skipped_only_where_every_lp_is_infeasible(kind, partner, classical_sends, data):
+    # A simplicial (classical) factor makes every pure state of the min or
+    # max composite a product: each oracle stage-1 LP is infeasible, the
+    # package solves none, and its certificate is the one it finds with
+    # stage 1 run.
+    partners = {"classical": lambda: classical(data.draw(st.integers(2, 4))), "gbit": gbit, "hexagon": _hexagon}
+    C, P = classical(data.draw(st.integers(2, 4))), partners[partner]()
+    A, B = (_in_basis(X, data.draw(unimodular(X.dim))) for X in ((C, P) if classical_sends else (P, C)))
+    state_side, effect_side = {"min": (min_tensor, max_tensor), "max": (max_tensor, min_tensor)}[kind]
+    ba, ab = state_side(B, A), effect_side(A, B)
+    assert _pure_states_are_products(A, ba)
+    for ray in ba.state_cone.generators:
+        assert oracle._solve_r_hat(transpose(vec_to_matrix(ray, B.dim, A.dim)), A, B) is None
+    with patch.object(protocols, "_solve_r_hat", side_effect=AssertionError("stage 1 solved an LP")):
+        skipped = find_teleportation(A, B, ab, ba)
+    with patch.object(protocols, "pure_states_are_products", lambda AB: False):
+        searched = find_teleportation(A, B, ab, ba)
+    assert _certificate_fields(skipped) == _certificate_fields(searched)
+
+
+@pytest.mark.parametrize("state_side", [min_tensor, max_tensor])
+def test_classical1_still_runs_stage_one(state_side):
+    # n_A = 1: hat(omega) . r_hat is 1 x 1, a product state can teleport
+    # it, and the one stage-1 LP is feasible.
+    A = classical(1)
+    ba = state_side(A, A)
+    with _recorded_lps() as old_lps:
+        old = oracle.find_teleportation(A, A, ba, ba)
+    with _recorded_lps() as new_lps:
+        new = find_teleportation(A, A, ba, ba)
+    assert len(new_lps) == 1 and new_lps[0][2].status == "optimal"
+    assert new_lps == old_lps
+    assert new is not None and _certificate_fields(new) == _certificate_fields(old)
 
 
 _SEARCHED = {"gbit": gbit, "hexagon": _hexagon, "pyramid": _pyramid} | {
