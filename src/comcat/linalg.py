@@ -8,11 +8,11 @@ scale each row to primitive integers and run on integers through one
 fraction-free Bareiss kernel, ``_eliminate``, whose ``row_step`` the
 simplex of ``lp`` shares, as it shares ``integer_scaling``; only their
 results are Fractions (``integer_inverse`` gives d and the integer rows
-of d M^-1, which ``inverse`` divides).  ``symmetric_inertia`` runs on the same ``row_step``.  These
-kernels read the entry types of a vector once (``set(map(type, ...))``):
-all-int data skips the scaling, ``integer_scaling`` reads each
-denominator once, and ``primitive`` returns a tuple of coprime ints as it
-is.
+of d M^-1, which ``inverse`` divides).  ``symmetric_inertia`` runs on
+the same ``row_step``.  These kernels read the entry types of a vector
+once (``set(map(type, ...))``): all-int data skips the scaling,
+``integer_scaling`` reads each denominator once, and ``primitive``
+returns a tuple of coprime ints as it is.
 ``matmul`` and ``matvec`` on exact operands that hold a Fraction run on
 integers too: each operand is scaled once to integers by
 ``integer_scaling`` (s A and t B, ``integer_rows``), the products are

@@ -158,7 +158,7 @@ def _candidate_omegas_stage1(A: Com, B: Com, composite_ba: CompositeCom):
     facet h of B's effect cone (the row-major outer product of h and g),
     are the same for every ray and built once.
 
-    None, and no LP, when n_A >= 2 and every pure state is a product
+    Nothing, and no LP, when n_A >= 2 and every pure state is a product
     (``composites.pure_states_are_products``): hat(a (x) b) has rank 1,
     so hat(omega) . r_hat has rank at most 1 and is never id_A."""
     if A.dim >= 2 and pure_states_are_products(composite_ba):
