@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -69,15 +68,9 @@ def _resolve_model(spec: str) -> tuple[Com, dict]:
 
 
 def _emit(data: dict, output: str | None) -> None:
-    """Write the JSON text to stdout, or over the file output in place:
-    opened without O_TRUNC, written, then cut to the new length.  Truncating
-    a file that holds data (or renaming over it) makes file systems such as
-    ext4 flush it to disk on close, which costs far more than the write."""
     text = serialize.dumps(data, indent=2) + "\n"
     if output:
-        with open(os.open(output, os.O_WRONLY | os.O_CREAT, 0o666), "w") as f:
-            f.write(text)
-            f.truncate()
+        Path(output).write_text(text)
     else:
         sys.stdout.write(text)
 

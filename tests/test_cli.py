@@ -182,17 +182,6 @@ def test_model_and_tensor_files(tmp_path, capsys):
     assert json.loads(out_file.read_text())["dim"] == 6
 
 
-def test_a_short_object_written_over_a_longer_one_leaves_only_the_new_text(tmp_path, capsys):
-    # The output file is rewritten in place and cut to the new length.
-    path = tmp_path / "model.json"
-    assert run(capsys, "model", "classical", "--n", "4", "-o", str(path))[0] == 0
-    longer = path.read_text()
-    assert run(capsys, "model", "classical", "--n", "2", "-o", str(path))[0] == 0
-    code, stdout, _ = run(capsys, "model", "classical", "--n", "2")
-    assert code == 0 and len(stdout) < len(longer)
-    assert path.read_text() == stdout
-
-
 def test_model_mackey(tmp_path, capsys):
     triple = tmp_path / "triple.json"
     triple.write_text(json.dumps({
